@@ -9,22 +9,78 @@ decreases the number of envy edges and never decreases any agent's value, so
 resolution terminates and the graph is acyclic before each assignment, which
 guarantees the needed source (or sink) exists.
 
+The allocator works in exact integers. Each agent's row is scaled once by the
+lcm L_i of its denominators, and an n x n matrix holds V[i][j] = L_i v_i(A_j);
+agent i envies j iff V[i][i] < V[i][j]. An assignment changes one column, so
+it updates the matrix and the per-agent envy counts (which name the sources
+and sinks) in O(n). Every envy edge it adds touches the agent that took the
+item, so a cycle can only form through that agent: the full cycle search
+runs only when that agent can reach itself, and an item that closes no cycle
+costs O(n). A rotation permutes the matrix's columns like the bundles. The
+build_envy_graph / resolve_cycles pair computes the same graphs and cycles
+from an Allocation, for callers that hold one.
+
 Every step is recorded in a trace, enough to replay the exact sequence of
 partial allocations later. On ordered goods instances every partial
 allocation along the way is envy-free up to any good; the final allocation,
 lifted back to the original instance, gives every agent at least 2n/(3n-1) of
-its maximin share.
+its maximin share. The lift (ordering.lift_allocation) walks one cursor per
+agent over the reduction's sort permutation, which must be the canonical one
+from to_ordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
-from .model import GOODS, AdditiveInstance, Allocation, Value, is_efx
-from .ordering import OrderedReduction, is_ordered, lift_allocation, to_ordered
+from .model import GOODS, AdditiveInstance, Allocation, Value, is_efx, scale_to_ints
+from .ordering import (
+    OrderedReduction,
+    _non_increasing_magnitudes,
+    is_ordered,
+    lift_allocation,
+    to_ordered,
+)
+
+
+def _first_cycle(
+    succ: Callable[[int], Iterable[int]], roots: Iterable[int], n: int
+) -> list[int] | None:
+    """First cycle met by an iterative depth-first search from roots in the
+    given order, scanning each vertex's successors in succ's order. Returns
+    [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0, or None."""
+    color = [0] * n  # 0 unseen, 1 on the path, 2 done
+    path: list[int] = []
+    for root in roots:
+        if color[root]:
+            continue
+        color[root] = 1
+        path.append(root)
+        pending = [iter(succ(root))]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == 1:
+                    return path[path.index(w):]
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(succ(w)))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = 2
+    return None
+
+
+def _rotate(seq: MutableSequence, cycle: Sequence[int]) -> None:
+    """Rotate entries along a cycle in place: seq[c_t] takes the old seq[c_{t+1}]."""
+    first = seq[cycle[0]]
+    for t in range(len(cycle) - 1):
+        seq[cycle[t]] = seq[cycle[t + 1]]
+    seq[cycle[-1]] = first
 
 
 class EnvyGraph:
@@ -34,9 +90,10 @@ class EnvyGraph:
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         self.n = n
-        self.succ: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(j for (a, j) in edges if a == i)) for i in range(n)
-        )
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for a, j in edges:
+            succ[a].append(j)
+        self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in succ)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in self.succ[i]]
@@ -56,31 +113,10 @@ class EnvyGraph:
         Roots are tried in ascending index order and neighbours are scanned
         in ascending order, so the result is deterministic. Returns the cycle
         as an agent sequence [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0,
-        or None if the graph is acyclic.
+        or None if the graph is acyclic. The search is iterative, so long
+        paths do not hit the recursion limit.
         """
-        color = [0] * self.n  # 0 unseen, 1 on stack, 2 done
-        stack: list[int] = []
-
-        def visit(u: int) -> list[int] | None:
-            color[u] = 1
-            stack.append(u)
-            for w in self.succ[u]:
-                if color[w] == 1:
-                    return stack[stack.index(w):]
-                if color[w] == 0:
-                    found = visit(w)
-                    if found is not None:
-                        return found
-            stack.pop()
-            color[u] = 2
-            return None
-
-        for root in range(self.n):
-            if color[root] == 0:
-                found = visit(root)
-                if found is not None:
-                    return found
-        return None
+        return _first_cycle(self.succ.__getitem__, range(self.n), self.n)
 
 
 def build_envy_graph(instance: AdditiveInstance, allocation: Allocation) -> EnvyGraph:
@@ -114,9 +150,7 @@ def resolve_cycles(
         if cycle is None:
             return Allocation(bundles, allocation.m), log
         log.append(list(cycle))
-        rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-        for t, agent in enumerate(cycle):
-            bundles[agent] = rotated[t]
+        _rotate(bundles, cycle)
 
 
 @dataclass(frozen=True)
@@ -144,34 +178,78 @@ class RunTrace:
             bundles[step.agent] = bundles[step.agent] | {step.item}
             mid = list(bundles)
             for cycle in step.cycles:
-                rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-                for t, agent in enumerate(cycle):
-                    bundles[agent] = rotated[t]
+                _rotate(bundles, cycle)
             yield mid, list(bundles)
 
 
+def _envy_counts(V: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(envied, envious): per agent, how many envy it and how many it envies."""
+    n = len(V)
+    envied = [0] * n
+    envious = [0] * n
+    for i, row in enumerate(V):
+        own = row[i]
+        for k in range(n):
+            if row[k] > own:
+                envied[k] += 1
+                envious[i] += 1
+    return envied, envious
+
+
 def _allocate_ordered(instance: AdditiveInstance, pick: str) -> tuple[Allocation, RunTrace]:
-    if not is_ordered(instance):
-        raise NotOrderedError("allocator requires an ordered instance")
     n, m = instance.n, instance.m
-    bundles: list[frozenset[int]] = [frozenset() for _ in range(n)]
+    scaled = [scale_to_ints(row) for row in instance.values]
+    if not all(_non_increasing_magnitudes(w) for _, w in scaled):
+        raise NotOrderedError("allocator requires an ordered instance")
+    scale = [denom for denom, _ in scaled]
+    columns = list(zip(*(w for _, w in scaled)))  # columns[j][i] = L_i v_i(j)
+    V = [[0] * n for _ in range(n)]  # V[i][k] = L_i v_i(A_k)
+    envied, envious = [0] * n, [0] * n
+    own = [Fraction(0)] * n  # v_i(A_i)
+    bundles: list[list[int]] = [[] for _ in range(n)]
+
+    def succ(i: int) -> list[int]:
+        row = V[i]
+        mine = row[i]
+        return [k for k in range(n) if row[k] > mine]
+
     steps: list[TraceStep] = []
     for j in range(m):
-        graph = build_envy_graph(instance, Allocation(bundles, m))
-        candidates = graph.sources() if pick == "source" else graph.sinks()
         # the graph is acyclic here, so a source and a sink both exist
-        agent = min(candidates)
-        bundles[agent] = bundles[agent] | {j}
-        resolved, log = resolve_cycles(instance, Allocation(bundles, m))
-        bundles = list(resolved.bundles)
-        steps.append(
-            TraceStep(
-                item=j,
-                agent=agent,
-                cycles=tuple(tuple(c) for c in log),
-                values=tuple(instance.value(i, bundles[i]) for i in range(n)),
-            )
-        )
+        agent = (envied if pick == "source" else envious).index(0)
+        bundles[agent].append(j)
+        for i, d in enumerate(columns[j]):
+            if not d:
+                continue
+            row = V[i]
+            if i == agent:
+                old = row[i]
+                new = row[i] = old + d
+                for k in range(n):
+                    if k != i:
+                        flip = (row[k] > new) - (row[k] > old)
+                        if flip:
+                            envious[i] += flip
+                            envied[k] += flip
+                own[i] = Fraction(new, scale[i])
+            else:
+                before = row[agent]
+                after = row[agent] = before + d
+                flip = (after > row[i]) - (before > row[i])
+                if flip:
+                    envious[i] += flip
+                    envied[agent] += flip
+        # new edges all touch agent, so any cycle now runs through it
+        log: list[tuple[int, ...]] = []
+        if envied[agent] and envious[agent] and _first_cycle(succ, (agent,), n):
+            while (cycle := _first_cycle(succ, range(n), n)) is not None:
+                log.append(tuple(cycle))
+                _rotate(bundles, cycle)
+                for row in V:
+                    _rotate(row, cycle)
+            envied, envious = _envy_counts(V)
+            own = [Fraction(V[i][i], scale[i]) for i in range(n)]
+        steps.append(TraceStep(item=j, agent=agent, cycles=tuple(log), values=tuple(own)))
     return Allocation(bundles, m), RunTrace(n=n, m=m, steps=tuple(steps))
 
 

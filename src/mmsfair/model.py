@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidInstanceError
@@ -51,6 +52,17 @@ def as_value(x: ValueLike) -> Value:
 def value_to_str(v: Value) -> str:
     """Serialize a Value so that as_value(value_to_str(v)) == v."""
     return str(v)
+
+
+def scale_to_ints(values: Sequence[Value]) -> tuple[int, list[int]]:
+    """The lcm L of the values' denominators, and every value times L.
+
+    L * v is an exact int for each v, and L > 0, so sums and comparisons of
+    the scaled ints agree with those of the values (L is 1 for no values).
+    """
+    denominators = [v.denominator for v in values]
+    denom = lcm(*denominators)
+    return denom, [v.numerator * (denom // d) for v, d in zip(values, denominators)]
 
 
 GOODS = "goods"

@@ -25,11 +25,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
-from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
+from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value, scale_to_ints
 from .submodular.multilinear import ONE_MINUS_INV_E_UPPER
 from .submodular.valuations import SubmodularValuation, goods_of
 
@@ -141,8 +140,7 @@ def _max_min_partition_additive(
     if m == 0:
         return Fraction(0), Allocation([[] for _ in range(n)], 0)
 
-    denom = lcm(*[v.denominator for v in values])
-    w = [int(v * denom) for v in values]
+    denom, w = scale_to_ints(values)
     best = _max_min_value_additive(w, n)
     assign = _lex_witness_additive(w, n, best)
     return Fraction(best, denom), _bundles_of_assignment(assign, n, m)
@@ -394,8 +392,7 @@ def exhaustive_matroid_max(
         return mask
 
     capped = [min(objective.cap, objective.valuation.value_mask(global_mask(s))) for s in range(1 << q)]
-    denom = lcm(*[c.denominator for c in capped])
-    capped_int = [int(c * denom) for c in capped]
+    _, capped_int = scale_to_ints(capped)
 
     slots = matroid.slots
     full = (1 << q) - 1

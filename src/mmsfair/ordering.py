@@ -12,9 +12,11 @@ instance as it was on the ordered one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
+from typing import Sequence
 
 from .errors import InvalidInstanceError
-from .model import GOODS, AdditiveInstance, Allocation
+from .model import GOODS, AdditiveInstance, Allocation, Value, scale_to_ints
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,24 @@ class OrderedReduction:
     perms: tuple[tuple[int, ...], ...]
 
 
+def _non_increasing_magnitudes(scaled: Sequence[int]) -> bool:
+    magnitudes = [abs(x) for x in scaled]
+    return all(map(ge, magnitudes, magnitudes[1:]))
+
+
 def is_ordered(instance: AdditiveInstance) -> bool:
     """True iff every row is sorted by non-increasing |value|."""
-    for row in instance.values:
-        for a in range(len(row) - 1):
-            if abs(row[a]) < abs(row[a + 1]):
-                return False
-    return True
+    return all(
+        _non_increasing_magnitudes(scale_to_ints(row)[1]) for row in instance.values
+    )
+
+
+def _canonical_perm(row: Sequence[Value]) -> list[int]:
+    """Positions of a row by descending |value|, ties by ascending index."""
+    _, scaled = scale_to_ints(row)
+    magnitudes = [abs(x) for x in scaled]
+    # reverse=True keeps the sort stable, so equal magnitudes stay in index order
+    return sorted(range(len(row)), key=magnitudes.__getitem__, reverse=True)
 
 
 def to_ordered(instance: AdditiveInstance) -> OrderedReduction:
@@ -49,7 +62,7 @@ def to_ordered(instance: AdditiveInstance) -> OrderedReduction:
     perms = []
     rows = []
     for row in instance.values:
-        perm = sorted(range(instance.m), key=lambda g: (-abs(row[g]), g))
+        perm = _canonical_perm(row)
         perms.append(tuple(perm))
         rows.append([row[g] for g in perm])
     ordered = AdditiveInstance(rows, kind=instance.kind)
@@ -74,13 +87,21 @@ def lift_allocation(
     ordered bundle value. Ties follow the walk direction (lowest index for
     goods, highest for chores), so an already-ordered instance lifts to the
     same bundle values.
+
+    Each agent's favourite remaining item is found by a cursor over its
+    permutation (reversed for chores), which lists the items best first
+    exactly when the permutation is to_ordered's canonical one; any other
+    permutation is rejected.
     """
     m = original.m
     ordered = reduction.ordered
     if ordered.n != original.n or ordered.m != m or ordered.kind != original.kind:
         raise InvalidInstanceError("reduction does not belong to this instance")
     for i, perm in enumerate(reduction.perms):
-        if any(ordered.values[i][j] != original.values[i][perm[j]] for j in range(m)):
+        row = original.values[i]
+        if list(perm) != _canonical_perm(row):
+            raise InvalidInstanceError("reduction permutation is not to_ordered's order")
+        if ordered.values[i] != tuple(row[g] for g in perm):
             raise InvalidInstanceError("reduction does not belong to this instance")
     if ordered_alloc.m != m or ordered_alloc.n != original.n:
         raise InvalidInstanceError("ordered allocation shape does not match instance")
@@ -92,17 +113,15 @@ def lift_allocation(
         for j in b:
             owner[j] = i
 
-    remaining = [True] * m
+    goods = original.kind == GOODS
+    cursors = [iter(perm if goods else perm[::-1]) for perm in reduction.perms]
+    taken = [False] * m
     bundles: list[set[int]] = [set() for _ in range(original.n)]
-    walk = range(m) if original.kind == GOODS else range(m - 1, -1, -1)
-    for j in walk:
+    for j in range(m) if goods else range(m - 1, -1, -1):
         i = owner[j]
-        row = original.values[i]
-        best = -1
-        for g in walk:
-            if remaining[g] and (best < 0 or row[g] > row[best]):
-                best = g
-        remaining[best] = False
+        # fewer than m items are taken, so the cursor always finds one
+        best = next(g for g in cursors[i] if not taken[g])
+        taken[best] = True
         bundles[i].add(best)
     return Allocation(bundles, m)
 

@@ -73,6 +73,12 @@ class TestEnvyGraph:
         g = EnvyGraph(3, [(1, 2), (2, 1)])
         assert g.find_cycle() == [1, 2]
 
+    def test_long_ring_is_found_whole(self):
+        # deeper than the default recursion limit
+        n = 3000
+        g = EnvyGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert g.find_cycle() == list(range(n))
+
     def test_dag_has_no_cycle(self):
         g = EnvyGraph(3, [(0, 1), (0, 2), (1, 2)])
         assert g.find_cycle() is None

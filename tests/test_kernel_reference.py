@@ -1,0 +1,106 @@
+"""The integer allocator and the cursor lift against their reference versions.
+
+Drawn instances mix ties, zeros, per-row denominators and pre-sorted rows;
+the fast paths must return the same allocations, the same traces (down to
+the Fraction values of every step) and the same lifted bundles.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from reference import reference_allocate_ordered, reference_lift
+
+from mmsfair.chores import chores_envy_graph_allocate, solve_chores
+from mmsfair.envy_graph import envy_graph_allocate, solve_additive
+from mmsfair.errors import InvalidInstanceError
+from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
+from mmsfair.ordering import OrderedReduction, lift_allocation, to_ordered
+
+KINDS = (GOODS, CHORES)
+PICK = {GOODS: "source", CHORES: "sink"}
+ALLOCATE = {GOODS: envy_graph_allocate, CHORES: chores_envy_graph_allocate}
+SOLVE = {GOODS: solve_additive, CHORES: solve_chores}
+
+
+@st.composite
+def value_rows(draw, m, sign):
+    q = draw(st.integers(1, 9))  # this row's denominator
+    hi = draw(st.sampled_from((0, 1, 3, 40)))  # narrow ranges give ties and zeros
+    numerators = draw(st.lists(st.integers(0, hi * q), min_size=m, max_size=m))
+    row = [Fraction(sign * p, q) for p in numerators]
+    if draw(st.booleans()):
+        row.sort(key=abs, reverse=True)  # already in the reduction's order
+    return row
+
+
+@st.composite
+def instances(draw, kind):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 40))
+    sign = 1 if kind == GOODS else -1
+    return AdditiveInstance([draw(value_rows(m, sign)) for _ in range(n)], kind=kind)
+
+
+def allocations(n, m):
+    owners = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    return owners.map(
+        lambda owner: Allocation(
+            [[g for g in range(m) if owner[g] == i] for i in range(n)], m
+        )
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_allocator_matches_reference(kind, data):
+    ordered = to_ordered(data.draw(instances(kind))).ordered
+    alloc, trace = ALLOCATE[kind](ordered)
+    ref_alloc, ref_trace = reference_allocate_ordered(ordered, PICK[kind])
+    assert alloc == ref_alloc
+    assert trace == ref_trace
+    # repr shows the value types as well: Fraction(0, 1), never a bare 0
+    assert repr(trace) == repr(ref_trace)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_cursor_lift_matches_reference(kind, data):
+    inst = data.draw(instances(kind))
+    oalloc = data.draw(allocations(inst.n, inst.m))
+    assert lift_allocation(to_ordered(inst), inst, oalloc) == reference_lift(inst, oalloc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_solver_matches_reference_pipeline(kind, data):
+    inst = data.draw(instances(kind))
+    ordered = to_ordered(inst).ordered
+    ref_alloc, _ = reference_allocate_ordered(ordered, PICK[kind])
+    assert SOLVE[kind](inst) == reference_lift(inst, ref_alloc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_lift_rejects_tied_items_swapped_in_perms(kind, data):
+    inst = data.draw(instances(kind))
+    red = to_ordered(inst)
+    ties = [
+        (i, j)
+        for i in range(inst.n)
+        for j in range(inst.m - 1)
+        if red.ordered.values[i][j] == red.ordered.values[i][j + 1]
+    ]
+    assume(ties)
+    i, j = data.draw(st.sampled_from(ties))
+    perm = list(red.perms[i])
+    perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    perms = red.perms[:i] + (tuple(perm),) + red.perms[i + 1:]
+    swapped = OrderedReduction(ordered=red.ordered, perms=perms)
+    # the swap keeps the reduction consistent with the values
+    for k in range(inst.n):
+        assert [inst.values[k][g] for g in perms[k]] == list(red.ordered.values[k])
+    oalloc = data.draw(allocations(inst.n, inst.m))
+    with pytest.raises(InvalidInstanceError):
+        lift_allocation(swapped, inst, oalloc)

@@ -30,6 +30,7 @@ from .io import (
     KIND_ADDITIVE_GOODS,
     KIND_SUBMODULAR,
     MU_UNAVAILABLE,
+    _table_lines,
     build_report,
     parse_allocation,
     parse_instance,
@@ -374,10 +375,7 @@ def _cmd_sweep(args) -> int:
                     f"{s['seconds']:.2f}",
                 ]
             )
-        widths = [max(len(r[k]) for r in [cols] + body) for k in range(len(cols))]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-        lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in body]
-        _write_out("\n".join(lines) + "\n", args.output)
+        _write_out("\n".join(_table_lines(cols, body)) + "\n", args.output)
     return 2 if any(s["violations"] for s in summaries) else 0
 
 

@@ -414,9 +414,10 @@ def report_to_table(report: SolutionReport) -> str:
                 {True: "yes", False: "NO", None: "?"}[a.satisfied],
             ]
         )
+    return "\n".join(head + [""] + _table_lines(cols, body)) + "\n"
+
+
+def _table_lines(cols: list[str], body: list[list[str]]) -> list[str]:
+    """The header and body rows, each cell left-justified to its column's width."""
     widths = [max(len(r[k]) for r in [cols] + body) for k in range(len(cols))]
-    lines = head + [""]
-    lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [cols] + body]

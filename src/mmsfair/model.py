@@ -87,11 +87,12 @@ class AdditiveInstance:
         m = len(rows[0])
         if any(len(row) != m for row in rows):
             raise InvalidInstanceError("value matrix must be rectangular")
+        # a Fraction's denominator is positive, so its numerator carries the sign
         for i, row in enumerate(rows):
             for g, v in enumerate(row):
-                if kind == GOODS and v < 0:
+                if kind == GOODS and v.numerator < 0:
                     raise InvalidInstanceError(f"goods instance has negative value at ({i},{g})")
-                if kind == CHORES and v > 0:
+                if kind == CHORES and v.numerator > 0:
                     raise InvalidInstanceError(f"chores instance has positive value at ({i},{g})")
         self.values = rows
         self.kind = kind

@@ -1,11 +1,17 @@
 """Maximin-share oracles: exact values at desk scale, certified bounds beyond.
 
-The exact oracles enumerate n-partitions with branch and bound (items in
-descending magnitude, equal-load and first-empty-bundle symmetry skipping, a
-greedy warm start, and a prefix bound), so they are exact but exponential;
-the n^m budget guard keeps them honest. A second pass then recovers the
-lexicographically least good-to-bundle assignment achieving the optimum, so
-witnesses are deterministic and independent of search internals.
+Both exact oracles run one branch and bound over assignments of goods to n
+bundles. A bundle is a key grown good by good: its integer load for an
+additive row (scaled to ints), its bitmask for a submodular valuation. The
+search skips a bundle whose key an earlier bundle shares and prunes on the
+poorest bundle plus the positive value the unplaced goods can still add.
+A value pass, goods by descending singleton magnitude from a greedy warm
+start, finds the optimum and stops once it meets an upper bound (the
+total over n for additive rows, the positive singleton sum over n for
+submodular ones). A witness pass, goods in index order, then returns the
+lexicographically least good-to-bundle assignment achieving it, so
+witnesses are deterministic and independent of search internals. The
+search is exact but exponential; the n^m budget guard keeps it honest.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular binary-searches a threshold tau and certifies bundles
@@ -23,6 +29,7 @@ c falls below 1 - 1/e, the factor the per-bundle certificate needs.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -35,115 +42,131 @@ from .submodular.valuations import SubmodularValuation, goods_of
 DEFAULT_ORACLE_BUDGET = 10**8
 
 
-def _bundles_of_assignment(assign: Sequence[int], n: int, m: int) -> Allocation:
+def _check_budget(n: int, m: int, budget: int) -> None:
+    if n ** max(m, 1) > budget:
+        raise BudgetExceededError("exact maximin enumeration", n**m, budget)
+
+
+def _branch_and_bound(
+    n: int,
+    items: Sequence,
+    caps: Sequence,
+    add: Callable,
+    value: Callable | None,
+    best,
+    stop=None,
+) -> tuple[object, list[int] | None]:
+    """Depth-first branch and bound over the assignments of items to n bundles.
+
+    Items are placed in the given order. A bundle is a key that starts at 0
+    and grows by add(key, item); value(key) is its value (None: the key is
+    its own value), and caps[t] bounds what item t can add to any bundle's
+    value. Bundles are tried in index order, skipping one whose key an
+    earlier bundle already has, since equal keys have the same futures.
+
+    The value pass (stop given) looks for leaves whose minimum beats best:
+    each raises best, and the first to reach stop, an upper bound, ends the
+    search. It prunes a node when its poorest bundle plus the caps of the
+    unplaced items cannot beat best; need[t] = best - (those caps) turns
+    that test into one comparison per node. The witness pass (stop None) is
+    given the optimum as best and ends at the first leaf that reaches it; it
+    prunes a node that cannot reach best and remembers dead states by
+    (t, *sorted(keys)).
+
+    Returns best and the assignment of the leaf that ended the search
+    (assign[t] is item t's bundle), or None when none did.
+    """
+    witness = stop is None
+    m = len(items)
+    headroom = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        headroom[t] = headroom[t + 1] + caps[t]
+    need = [best - h for h in headroom]
+    keys = [0] * n
+    vals = keys if value is None else [value(0)] * n
+    assign = [0] * m
+    dead: set[tuple] = set()
+
+    def dfs(t: int) -> bool:
+        nonlocal best
+        lo = min(vals)
+        if t == m:
+            if witness:
+                return lo >= best
+            if lo > best:
+                best = lo
+                if lo >= stop:
+                    return True
+                need[:] = [best - h for h in headroom]
+            return False
+        if witness:
+            if lo < need[t]:
+                return False
+            state = (t, *sorted(keys))
+            if state in dead:
+                return False
+        elif lo <= need[t]:
+            return False
+        item = items[t]
+        for k in range(n):
+            key = keys[k]
+            if keys.index(key) < k:
+                continue
+            old = vals[k]
+            keys[k] = new = add(key, item)
+            if value is not None:
+                vals[k] = value(new)
+            assign[t] = k
+            if dfs(t + 1):
+                return True
+            keys[k] = key
+            vals[k] = old
+        if witness:
+            dead.add(state)
+        return False
+
+    hit = dfs(0)
+    return best, assign if hit else None
+
+
+def _max_min_partition(
+    n: int,
+    items: Sequence,
+    sizes: Sequence,
+    caps: Sequence,
+    add: Callable,
+    value: Callable | None,
+    upper,
+) -> tuple[object, Allocation]:
+    """The largest minimum bundle value over n-partitions of the items, and
+    the lexicographically least assignment of items to bundles reaching it.
+
+    The value pass places items by descending size, starting from a greedy
+    partition (each item onto the bundle whose value is nearest 0), and
+    stops early at upper. The witness pass places items in index order, so
+    its first hit is the lexicographic least.
+    """
+    m = len(items)
+    order = sorted(range(m), key=lambda g: (-sizes[g], g))
+    keys = [0] * n
+    vals = keys if value is None else [value(0)] * n
+    for g in order:
+        k = min(range(n), key=lambda b: abs(vals[b]))
+        keys[k] = add(keys[k], items[g])
+        if value is not None:
+            vals[k] = value(keys[k])
+    best = min(vals)
+    if best < upper:
+        best, _ = _branch_and_bound(
+            n, [items[g] for g in order], [caps[g] for g in order], add, value, best, upper
+        )
+    _, assign = _branch_and_bound(n, items, caps, add, value, best)
+    if assign is None:
+        raise RuntimeError("witness search missed the optimum it was given")
     bundles: list[list[int]] = [[] for _ in range(n)]
     for g, k in enumerate(assign):
         bundles[k].append(g)
-    return Allocation(bundles, m)
-
-
-def _max_min_value_additive(w: Sequence[int], n: int) -> int:
-    """Exact max over n-bundle assignments of the minimum bundle load."""
-    order = sorted((g for g in range(len(w)) if w[g] != 0), key=lambda g: (-abs(w[g]), g))
-    ws = [w[g] for g in order]
-    t_max = len(ws)
-
-    suffix_pos = [0] * (t_max + 1)
-    for t in range(t_max - 1, -1, -1):
-        suffix_pos[t] = suffix_pos[t + 1] + max(0, ws[t])
-
-    # greedy warm start: largest magnitude first, onto the lightest bundle
-    loads = [0] * n
-    for wt in ws:
-        k = min(range(n), key=lambda b: (abs(loads[b]), b))
-        loads[k] += wt
-    best_val = min(loads)
-
-    total = sum(ws)
-    if n * best_val >= total:
-        return best_val
-    loads = [0] * n
-
-    def dfs(t: int) -> None:
-        nonlocal best_val
-        if t == t_max:
-            best_val = max(best_val, min(loads))
-            return
-        if min(loads) + suffix_pos[t] <= best_val:
-            return
-        wt = ws[t]
-        seen: set[int] = set()
-        for k in range(n):
-            if loads[k] in seen:
-                continue
-            seen.add(loads[k])
-            loads[k] += wt
-            dfs(t + 1)
-            loads[k] -= wt
-
-    dfs(0)
-    return best_val
-
-
-def _lex_witness_additive(w: Sequence[int], n: int, target: int) -> list[int]:
-    """Lexicographically least assignment whose minimum bundle load is target.
-
-    Walks goods in index order trying bundles in index order, so the first
-    complete assignment found is the lexicographic minimum. Prunes branches
-    whose remaining positive weight cannot lift the poorest bundle to the
-    target, skips bundles with duplicate loads (interchangeable futures), and
-    memoizes dead load multisets.
-    """
-    m = len(w)
-    suffix_pos = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix_pos[t] = suffix_pos[t + 1] + max(0, w[t])
-
-    loads = [0] * n
-    assign = [0] * m
-    dead: set[tuple[int, ...]] = set()
-
-    def dfs(t: int) -> bool:
-        if t == m:
-            return min(loads) >= target
-        if min(loads) + suffix_pos[t] < target:
-            return False
-        key = (t, *sorted(loads))
-        if key in dead:
-            return False
-        wt = w[t]
-        seen: set[int] = set()
-        for k in range(n):
-            if loads[k] in seen:
-                continue
-            seen.add(loads[k])
-            loads[k] += wt
-            assign[t] = k
-            found = dfs(t + 1)
-            loads[k] -= wt
-            if found:
-                return True
-        dead.add(key)
-        return False
-
-    if not dfs(0):
-        raise RuntimeError("witness search missed the optimum it was given")
-    return assign
-
-
-def _max_min_partition_additive(
-    values: Sequence[Value], n: int, budget: int
-) -> tuple[Value, Allocation]:
-    m = len(values)
-    if n ** max(m, 1) > budget:
-        raise BudgetExceededError("exact maximin enumeration", n**m, budget)
-    if m == 0:
-        return Fraction(0), Allocation([[] for _ in range(n)], 0)
-
-    denom, w = scale_to_ints(values)
-    best = _max_min_value_additive(w, n)
-    assign = _lex_witness_additive(w, n, best)
-    return Fraction(best, denom), _bundles_of_assignment(assign, n, m)
+    return best, Allocation(bundles, m)
 
 
 def mms_exact_additive(
@@ -164,8 +187,13 @@ def mms_exact_additive(
     bundles = n if n is not None else instance.n
     if bundles < 1:
         raise InvalidInstanceError("need at least one bundle")
-    value, witness = _max_min_partition_additive(instance.row(agent), bundles, budget)
-    return MmsCertificate(agent=agent, value=value, witness=witness)
+    _check_budget(bundles, instance.m, budget)
+    denom, w = scale_to_ints(instance.row(agent))
+    upper = sum(w) // bundles  # the poorest bundle holds at most the mean
+    best, witness = _max_min_partition(
+        bundles, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper
+    )
+    return MmsCertificate(agent=agent, value=Fraction(best, denom), witness=witness)
 
 
 def mms_exact_submodular(
@@ -173,102 +201,22 @@ def mms_exact_submodular(
 ) -> MmsCertificate:
     """Exact maximin share of a submodular valuation over n bundles.
 
-    Branch and bound over canonical partitions; the bound uses subadditivity
-    (a bundle can gain at most the positive singleton sum of the unplaced
-    goods, which submodularity caps even without monotonicity). As in the
-    additive oracle, the witness is the lexicographically least assignment
-    achieving the optimum; the certificate's agent field is 0 because the
-    valuation stands alone.
+    Bundles are bitmasks. The bound uses subadditivity: a bundle can gain at
+    most the positive singleton sum of the unplaced goods, which
+    submodularity caps even without monotonicity; the same sum over all
+    goods, split n ways, caps the share. As in the additive oracle, the
+    witness is the lexicographically least assignment achieving the optimum;
+    the certificate's agent field is 0 because the valuation stands alone.
     """
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
-    m = f.m
-    if n ** max(m, 1) > budget:
-        raise BudgetExceededError("exact maximin enumeration", n**m, budget)
-    if m == 0:
-        return MmsCertificate(
-            agent=0, value=Fraction(0), witness=Allocation([[] for _ in range(n)], 0)
-        )
-
-    singles = [max(Fraction(0), f.singleton(g)) for g in range(m)]
-    order = sorted(range(m), key=lambda g: (-singles[g], g))
-    suffix = [Fraction(0)] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + singles[order[t]]
-
-    # greedy warm start: feed the currently poorest bundle
-    masks = [0] * n
-    vals = [Fraction(0)] * n
-    for g in order:
-        k = min(range(n), key=lambda b: (vals[b], b))
-        masks[k] |= 1 << g
-        vals[k] = f.value_mask(masks[k])
-    best_val = min(vals)
-
-    masks = [0] * n
-    vals = [Fraction(0)] * n
-
-    def dfs(t: int) -> None:
-        nonlocal best_val
-        if t == m:
-            best_val = max(best_val, min(vals))
-            return
-        if min(vals) + suffix[t] <= best_val:
-            return
-        bit = 1 << order[t]
-        tried_empty = False
-        for k in range(n):
-            if masks[k] == 0:
-                if tried_empty:
-                    continue
-                tried_empty = True
-            old_mask, old_val = masks[k], vals[k]
-            masks[k] = old_mask | bit
-            vals[k] = f.value_mask(masks[k])
-            dfs(t + 1)
-            masks[k], vals[k] = old_mask, old_val
-
-    dfs(0)
-
-    # second pass: lexicographically least assignment reaching best_val,
-    # goods in index order, bundles tried in index order
-    index_suffix = [Fraction(0)] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        index_suffix[t] = index_suffix[t + 1] + singles[t]
-    assign = [0] * m
-    dead: set[tuple[int, ...]] = set()
-
-    def lex_dfs(t: int) -> bool:
-        if t == m:
-            return min(vals) >= best_val
-        if min(vals) + index_suffix[t] < best_val:
-            return False
-        key = tuple(sorted(masks))
-        if key in dead:
-            return False
-        bit = 1 << t
-        tried_empty = False
-        for k in range(n):
-            if masks[k] == 0:
-                if tried_empty:
-                    continue
-                tried_empty = True
-            old_mask, old_val = masks[k], vals[k]
-            masks[k] = old_mask | bit
-            vals[k] = f.value_mask(masks[k])
-            assign[t] = k
-            found = lex_dfs(t + 1)
-            masks[k], vals[k] = old_mask, old_val
-            if found:
-                return True
-        dead.add(key)
-        return False
-
-    if not lex_dfs(0):
-        raise RuntimeError("witness search missed the optimum it was given")
-    return MmsCertificate(
-        agent=0, value=best_val, witness=_bundles_of_assignment(assign, n, m)
+    _check_budget(n, f.m, budget)
+    singles = [max(Fraction(0), f.singleton(g)) for g in range(f.m)]
+    upper = sum(singles, Fraction(0)) / n
+    best, witness = _max_min_partition(
+        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_mask, upper
     )
+    return MmsCertificate(agent=0, value=best, witness=witness)
 
 
 @dataclass(frozen=True)

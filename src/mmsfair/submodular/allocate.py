@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
+from math import ceil, log, log1p
 from typing import Sequence
 
 from ..errors import InvalidInstanceError
@@ -92,6 +92,17 @@ class ThresholdState:
     excluded: frozenset[int]  # agents with zero maximin share, left out of the loop
 
 
+def _log1p(r: Fraction) -> float:
+    """ln(1 + r) for a rational r >= 0 of any size.
+
+    math.log takes ints of any size, so a ratio beyond the float range (a
+    huge total over a tiny singleton) cannot overflow; below 1, log1p of the
+    correctly rounded quotient keeps small r accurate.
+    """
+    p, q = r.numerator, r.denominator
+    return log1p(p / q) if p < q else log(p + q) - log(q)
+
+
 def alg_sub(
     valuations: Sequence[SubmodularValuation],
     delta: Value = Fraction(1, 20),
@@ -131,7 +142,7 @@ def alg_sub(
             for g in range(m)
             if valuations[i].singleton(g) > 0
         )
-        cap += 2 + ceil(log(float(taus[i] / floor) + 1.0) / log(1.0 + float(delta)))
+        cap += 2 + ceil(_log1p(taus[i] / floor) / _log1p(delta))
 
     unsat = set(kept)
     iterations = 0

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import BudgetExceededError, InvalidInstanceError
 from ..model import Value, ValueLike, as_value
@@ -72,12 +72,16 @@ class FractionalAllocation:
         return f"FractionalAllocation({[str(v) for v in self.x]})"
 
 
-def _split_point(f: SubmodularValuation, x: FractionalAllocation) -> tuple[int, list[int]]:
+def _split_point(
+    f: SubmodularValuation, x: FractionalAllocation, goods: Iterable[int]
+) -> tuple[int, list[int]]:
+    """The mask of the goods at 1 (forced in) and the list of fractional ones."""
     if x.m != f.m:
         raise InvalidInstanceError("point dimension does not match the ground set")
     ones = 0
     frac = []
-    for g, v in enumerate(x.x):
+    for g in goods:
+        v = x.x[g]
         if v == 1:
             ones |= 1 << g
         elif v != 0:
@@ -85,16 +89,22 @@ def _split_point(f: SubmodularValuation, x: FractionalAllocation) -> tuple[int, 
     return ones, frac
 
 
-def multilinear_exact(f: SubmodularValuation, x: FractionalAllocation) -> Value:
-    """Exact F(x) by enumerating subsets of the fractional support."""
-    ones, frac = _split_point(f, x)
+def _outcomes(
+    f: SubmodularValuation, x: FractionalAllocation, goods: Iterable[int], base: int, what: str
+) -> Iterator[tuple[Value, int]]:
+    """Each outcome of the random bundle over goods, joined to base, with its
+    probability: goods at 1 always in, at 0 never, the rest independently.
+
+    Enumerates the 2^k subsets of the k fractional goods; k beyond the
+    support budget raises BudgetExceededError, named what, on the first step.
+    """
+    ones, frac = _split_point(f, x, goods)
     k = len(frac)
     if k > _SUPPORT_BUDGET:
-        raise BudgetExceededError("multilinear enumeration", 1 << k, 1 << _SUPPORT_BUDGET)
-    total = Fraction(0)
+        raise BudgetExceededError(what, 1 << k, 1 << _SUPPORT_BUDGET)
     for sub in range(1 << k):
         weight = Fraction(1)
-        mask = ones
+        mask = base | ones
         for t in range(k):
             p = x.x[frac[t]]
             if sub >> t & 1:
@@ -102,6 +112,13 @@ def multilinear_exact(f: SubmodularValuation, x: FractionalAllocation) -> Value:
                 mask |= 1 << frac[t]
             else:
                 weight *= 1 - p
+        yield weight, mask
+
+
+def multilinear_exact(f: SubmodularValuation, x: FractionalAllocation) -> Value:
+    """Exact F(x) by enumerating subsets of the fractional support."""
+    total = Fraction(0)
+    for weight, mask in _outcomes(f, x, range(f.m), 0, "multilinear enumeration"):
         total += weight * f.value_mask(mask)
     return total
 
@@ -122,7 +139,7 @@ def multilinear_mc(
     """
     if samples < 1:
         raise InvalidInstanceError("need at least one sample")
-    ones, frac = _split_point(f, x)
+    ones, frac = _split_point(f, x, range(f.m))
     rng = random.Random(seed)
     probs = [float(x.x[g]) for g in frac]
     bits = [1 << g for g in frac]
@@ -160,8 +177,6 @@ def expected_ordered_marginal(
     Exact enumeration over the fractional coordinates of {j' in J : j' < j}.
     Requires j in J and J disjoint from H.
     """
-    if x.m != f.m:
-        raise InvalidInstanceError("point dimension does not match the ground set")
     h_mask = mask_of(h, f.m)
     js = sorted(set(j_set))
     if j not in js:
@@ -169,30 +184,9 @@ def expected_ordered_marginal(
     if h_mask & mask_of(js, f.m):
         raise InvalidInstanceError("J must be disjoint from H")
     below = [t for t in js if t < j]
-
-    ones = 0
-    frac = []
-    for g in below:
-        if x.x[g] == 1:
-            ones |= 1 << g
-        elif x.x[g] != 0:
-            frac.append(g)
-    k = len(frac)
-    if k > _SUPPORT_BUDGET:
-        raise BudgetExceededError("ordered marginal enumeration", 1 << k, 1 << _SUPPORT_BUDGET)
-
     jbit = 1 << j
     total = Fraction(0)
-    for sub in range(1 << k):
-        weight = Fraction(1)
-        mask = h_mask | ones
-        for t in range(k):
-            p = x.x[frac[t]]
-            if sub >> t & 1:
-                weight *= p
-                mask |= 1 << frac[t]
-            else:
-                weight *= 1 - p
+    for weight, mask in _outcomes(f, x, below, h_mask, "ordered marginal enumeration"):
         total += weight * (f.value_mask(mask | jbit) - f.value_mask(mask))
     return total
 

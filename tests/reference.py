@@ -1,11 +1,16 @@
 """Reference implementations that the fast paths are compared against.
 
-These are the straightforward versions the library used before its integer
-allocator and cursor lift: rebuild the envy graph from Fraction values after
-every item and every rotation, and rescan every remaining item for each
-pick of the lift. They are slow (O(n^2 m) value sums per run, O(m^2) per
-lift) but easy to check by eye.
+The first two are the straightforward versions the library used before its
+integer allocator and cursor lift: rebuild the envy graph from Fraction
+values after every item and every rotation, and rescan every remaining item
+for each pick of the lift. They are slow (O(n^2 m) value sums per run,
+O(m^2) per lift) but easy to check by eye. The third is the maximin share by
+brute force over all n^m assignments, for the exact oracles.
 """
+
+from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from mmsfair.envy_graph import RunTrace, TraceStep, build_envy_graph, resolve_cycles
 from mmsfair.model import GOODS, Allocation
@@ -59,3 +64,27 @@ def reference_lift(original, ordered_alloc):
         remaining[best] = False
         bundles[i].add(best)
     return Allocation(bundles, m)
+
+
+def reference_max_min(n, m, bundle_value):
+    """The maximin value over every assignment of m goods to n bundles.
+
+    bundle_value maps a bitmask of goods (bit g for good g) to a Fraction.
+    itertools.product yields the assignments (assign[g] is good g's bundle)
+    in lexicographic order, and only a strictly larger minimum replaces the
+    incumbent, so the assignment returned is the lexicographically least
+    one reaching the value returned. Bundle values are scaled to ints once,
+    which keeps the n^m loop cheap.
+    """
+    table = [bundle_value(mask) for mask in range(1 << m)]
+    denom = lcm(*(v.denominator for v in table))
+    ints = [v.numerator * (denom // v.denominator) for v in table]
+    best, witness = None, None
+    for assign in product(range(n), repeat=m):
+        masks = [0] * n
+        for g, k in enumerate(assign):
+            masks[k] |= 1 << g
+        low = min(ints[mask] for mask in masks)
+        if best is None or low > best:
+            best, witness = low, list(assign)
+    return Fraction(best, denom), witness

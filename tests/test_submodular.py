@@ -303,6 +303,17 @@ class TestAlgSub:
         assert state.iterations == 0
         assert alloc.is_complete()
 
+    def test_total_far_beyond_float_range(self):
+        # v(all) / (smallest positive singleton) is about 10**400, past the
+        # float range, in the loop cap; delta = 1 keeps the decays few
+        f = BudgetAdditive([10**400, 1, 1, 1], 10**401)
+        alloc, state = alg_sub([f, f], delta=Fraction(1))
+        assert alloc.is_complete()
+        mu = mms_exact_submodular(f, 2).value
+        assert mu == 3
+        for i in range(2):
+            assert f.evaluate(alloc.bundles[i]) * 10 * 2 >= mu
+
     def test_delta_must_be_positive(self):
         f = BudgetAdditive((1,), 1)
         with pytest.raises(InvalidInstanceError):

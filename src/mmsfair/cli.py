@@ -295,6 +295,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
         raise FairDivisionError(f"{where}.m: upper end must cover n (draws use m >= n)")
 
     started = time.perf_counter()
+    solve_seconds = audit_seconds = 0.0
     ratios: list[Fraction] = []
     violations = 0
     skipped = 0
@@ -305,13 +306,18 @@ def _run_sweep(entry: dict, index: int) -> dict:
         m = rng.randint(max(m_lo, n), m_hi)
         spec = GeneratorSpec(kind=kind, n=n, m=m, lo=lo, hi=hi, seed=rng.getrandbits(32))
         instance = generate(spec)
+        t0 = time.perf_counter()
         if bound == KIND_ADDITIVE_GOODS:
             allocation = solve_additive(instance)
         elif bound == KIND_ADDITIVE_CHORES:
             allocation = solve_chores(instance)
         else:
             allocation, _ = alg_sub(instance, delta=delta)
+        t1 = time.perf_counter()
         report = build_report(instance, allocation, delta=delta, budget=budget)
+        t2 = time.perf_counter()
+        solve_seconds += t1 - t0
+        audit_seconds += t2 - t1
         for row in report.agents:
             if row.satisfied is None and row.mms_source == MU_UNAVAILABLE:
                 skipped += 1
@@ -337,6 +343,8 @@ def _run_sweep(entry: dict, index: int) -> dict:
         "max_ratio": stat(max),
         "mean_ratio": sum(ratios) / len(ratios) if ratios else None,
         "seconds": seconds,
+        "solve_seconds": solve_seconds,
+        "audit_seconds": audit_seconds,
     }
 
 
@@ -360,7 +368,10 @@ def _cmd_sweep(args) -> int:
             out.append(row)
         _write_out(json.dumps({"version": 1, "sweeps": out}, indent=2) + "\n", args.output)
     else:
-        cols = ["name", "count", "checked", "violations", "min", "mean", "max", "seconds"]
+        cols = [
+            "name", "count", "checked", "violations", "min", "mean", "max",
+            "seconds", "solve", "audit",
+        ]
         body = []
         for s in summaries:
             body.append(
@@ -373,6 +384,8 @@ def _cmd_sweep(args) -> int:
                     "-" if s["mean_ratio"] is None else f"{float(s['mean_ratio']):.6f}",
                     "-" if s["max_ratio"] is None else f"{float(s['max_ratio']):.6f}",
                     f"{s['seconds']:.2f}",
+                    f"{s['solve_seconds']:.2f}",
+                    f"{s['audit_seconds']:.2f}",
                 ]
             )
         _write_out("\n".join(_table_lines(cols, body)) + "\n", args.output)

@@ -38,6 +38,7 @@ from .submodular.valuations import (
     ExplicitTable,
     SubmodularValuation,
     WeightedCoverage,
+    detect_positive_mms,
 )
 
 FORMAT_VERSION = 1
@@ -300,6 +301,9 @@ def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value 
         return mms_exact_submodular(f, n, budget=budget).value, MU_EXACT
     except BudgetExceededError:
         pass
+    if not detect_positive_mms(f, n):
+        # fewer than n positive singletons: mu is exactly 0 (see the lemma)
+        return Fraction(0), MU_EXACT
     # constructive fallback: any complete n-partition's minimum bundle value
     # is a lower bound on mu, so the fast heuristic search still certifies one
     try:

@@ -201,22 +201,24 @@ def mms_exact_submodular(
 ) -> MmsCertificate:
     """Exact maximin share of a submodular valuation over n bundles.
 
-    Bundles are bitmasks. The bound uses subadditivity: a bundle can gain at
-    most the positive singleton sum of the unplaced goods, which
-    submodularity caps even without monotonicity; the same sum over all
-    goods, split n ways, caps the share. As in the additive oracle, the
-    witness is the lexicographically least assignment achieving the optimum;
-    the certificate's agent field is 0 because the valuation stands alone.
+    Bundles are bitmasks valued by f.value_int, so the search compares ints
+    and the share is the optimum over f.scale. The bound uses
+    subadditivity: a bundle can gain at most the positive singleton sum of
+    the unplaced goods, which submodularity caps even without monotonicity;
+    the same sum over all goods, split n ways and floored, caps the share.
+    As in the additive oracle, the witness is the lexicographically least
+    assignment achieving the optimum; the certificate's agent field is 0
+    because the valuation stands alone.
     """
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
     _check_budget(n, f.m, budget)
-    singles = [max(Fraction(0), f.singleton(g)) for g in range(f.m)]
-    upper = sum(singles, Fraction(0)) / n
+    singles = [max(0, f.value_int(1 << g)) for g in range(f.m)]
+    upper = sum(singles) // n  # the poorest bundle holds at most the mean
     best, witness = _max_min_partition(
-        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_mask, upper
+        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_int, upper
     )
-    return MmsCertificate(agent=0, value=best, witness=witness)
+    return MmsCertificate(agent=0, value=Fraction(best, f.scale), witness=witness)
 
 
 @dataclass(frozen=True)
@@ -244,10 +246,11 @@ class SlotObjective:
     """g(S) = sum over slots k of min(cap, f(S_k)) for S a set of (good, slot) pairs.
 
     Monotone and submodular on the pair ground set whenever f is; the cap
-    makes piling value into one slot pointless beyond cap.
+    makes piling value into one slot pointless beyond cap. The solvers
+    compare capped_int values, exact ints.
     """
 
-    __slots__ = ("valuation", "cap", "slots")
+    __slots__ = ("valuation", "cap", "slots", "_top")
 
     def __init__(self, valuation: SubmodularValuation, cap: Value, slots: int):
         if slots < 1:
@@ -257,6 +260,11 @@ class SlotObjective:
         self.valuation = valuation
         self.cap = cap
         self.slots = slots
+        self._top = cap.numerator * valuation.scale
+
+    def capped_int(self, mask: int) -> int:
+        """min(cap, f(mask)) * f.scale * cap.denominator, an exact int."""
+        return min(self._top, self.valuation.value_int(mask) * self.cap.denominator)
 
     def slot_masks(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         masks = [0] * self.slots
@@ -268,10 +276,8 @@ class SlotObjective:
         return masks
 
     def evaluate(self, pairs: Iterable[tuple[int, int]]) -> Value:
-        total = Fraction(0)
-        for mask in self.slot_masks(pairs):
-            total += min(self.cap, self.valuation.value_mask(mask))
-        return total
+        total = sum(map(self.capped_int, self.slot_masks(pairs)))
+        return Fraction(total, self.valuation.scale * self.cap.denominator)
 
 
 def greedy_matroid_max(
@@ -280,22 +286,25 @@ def greedy_matroid_max(
     """Lazy greedy over the partition matroid; 1/2-approximate for submodular g.
 
     Elements come off a max-heap of cached marginal gains; a stale gain is
-    recomputed and pushed back (valid because gains only shrink). Ties break
-    on lowest good then lowest slot. The result is a maximal independent set:
-    every good lands in some slot.
+    recomputed and pushed back (valid because gains only shrink). Gains are
+    the objective's capped ints. Ties break on lowest good then lowest slot;
+    no two entries share a (gain, good, slot) key, so the pop order does not
+    depend on how the heap was built. The result is a maximal independent
+    set: every good lands in some slot.
     """
     chosen: set[tuple[int, int]] = set()
     slot_masks = [0] * matroid.slots
-    slot_vals = [Fraction(0)] * matroid.slots
+    slot_vals = [0] * matroid.slots
+    capped = objective.capped_int
 
-    def gain(g: int, k: int) -> Value:
-        new = min(objective.cap, objective.valuation.value_mask(slot_masks[k] | (1 << g)))
-        return new - slot_vals[k]
+    def gain(g: int, k: int) -> int:
+        return capped(slot_masks[k] | (1 << g)) - slot_vals[k]
 
-    heap: list[tuple[Value, int, int, int]] = []
+    heap = []
     for g in matroid.goods:
-        for k in range(matroid.slots):
-            heapq.heappush(heap, (-gain(g, k), g, k, 0))
+        first = -capped(1 << g)  # every slot starts empty
+        heap.extend((first, g, k, 0) for k in range(matroid.slots))
+    heapq.heapify(heap)
     version = 0
     placed: set[int] = set()
     while heap and len(placed) < len(matroid.goods):
@@ -308,7 +317,7 @@ def greedy_matroid_max(
         chosen.add((g, k))
         placed.add(g)
         slot_masks[k] |= 1 << g
-        slot_vals[k] = min(objective.cap, objective.valuation.value_mask(slot_masks[k]))
+        slot_vals[k] = capped(slot_masks[k])
         version += 1
     return chosen
 
@@ -321,9 +330,9 @@ def exhaustive_matroid_max(
     """Exact maximizer of the capped slot objective over the partition matroid.
 
     Slots are interchangeable under SlotObjective, so this runs an exact
-    unlabeled-partition dynamic program over subsets of the goods (integer
-    arithmetic after clearing denominators), then labels the parts with
-    slots. Cost is about 3^q for q goods.
+    unlabeled-partition dynamic program over subsets of the goods (on the
+    objective's capped ints), then labels the parts with slots. Cost is
+    about 3^q for q goods.
     """
     goods = list(matroid.goods)
     q = len(goods)
@@ -339,8 +348,7 @@ def exhaustive_matroid_max(
                 mask |= 1 << goods[t]
         return mask
 
-    capped = [min(objective.cap, objective.valuation.value_mask(global_mask(s))) for s in range(1 << q)]
-    _, capped_int = scale_to_ints(capped)
+    capped_int = [objective.capped_int(global_mask(s)) for s in range(1 << q)]
 
     slots = matroid.slots
     full = (1 << q) - 1
@@ -415,8 +423,7 @@ def split_bundle(
             break
         first_mask |= 1 << g
         first.append(g)
-    rest = [g for g in items if g not in set(first)]
-    return first, rest
+    return first, items[len(first):]
 
 
 @dataclass(frozen=True)
@@ -453,14 +460,18 @@ def threshold_probe(
         return Allocation(bundles, m)
 
     solve, factor = MATROID_SOLVERS[solver]
-    high = [g for g in range(m) if 9 * f.singleton(g) >= tau]
+    # 9 f(g) >= tau, on ints: 9 * scale * f(g) * tau.den >= tau.num * scale
+    lhs, rhs = 9 * tau.denominator, tau.numerator * f.scale
+    high = [g for g in range(m) if lhs * f.value_int(1 << g) >= rhs]
     if len(high) >= n:
+        seeds = set(high[:n])
         bundles = [[h] for h in high[:n]]
-        bundles[0].extend(g for g in range(m) if g not in set(high[:n]))
+        bundles[0].extend(g for g in range(m) if g not in seeds)
         return Allocation(bundles, m)
 
     r = n - len(high)
-    rest = [g for g in range(m) if g not in set(high)]
+    high_set = set(high)
+    rest = [g for g in range(m) if g not in high_set]
     cap = Fraction(4, 9) * tau
     matroid = PartitionMatroid(goods=tuple(rest), slots=2 * r)
     objective = SlotObjective(f, cap=cap, slots=2 * r)
@@ -469,12 +480,12 @@ def threshold_probe(
         return None
 
     slot_masks = objective.slot_masks(independent)
-    ranked = sorted(range(2 * r), key=lambda k: (-f.value_mask(slot_masks[k]), k))
+    ranked = sorted(range(2 * r), key=lambda k: (-f.value_int(slot_masks[k]), k))
     kept = [goods_of(slot_masks[k]) for k in ranked[: r - 1]]
     merged: set[int] = set()
     for k in ranked[r - 1:]:
         merged.update(goods_of(slot_masks[k]))
-    assigned = set(g for b in kept for g in b) | merged | set(high)
+    assigned = set(g for b in kept for g in b) | merged | high_set
     merged.update(g for g in range(m) if g not in assigned)
     bundles = [[h] for h in high] + [sorted(b) for b in kept] + [sorted(merged)]
     return Allocation(bundles, m)

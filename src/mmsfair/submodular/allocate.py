@@ -44,23 +44,23 @@ def round_robin(
     Returns a complete allocation. If phase one retires every agent while
     goods remain (all thresholds tiny), the leftovers are dealt by continuing
     the phase-two loop over all agents; monotonicity keeps every guarantee.
+    Values are compared as the valuations' scaled ints; ties go to the
+    lowest good.
     """
     n, m = _check_shared_ground(valuations)
     taus = [as_value(t) for t in thresholds]
     if len(taus) != n:
         raise InvalidInstanceError("need one threshold per agent")
 
-    free = set(range(m))
+    free = list(range(m))  # ascending
     masks = [0] * n
     active = []
     for i in range(n):
-        best = -1
-        for g in sorted(free):
-            if best < 0 or valuations[i].singleton(g) > valuations[i].singleton(best):
-                best = g
-        if best >= 0 and 10 * valuations[i].singleton(best) >= taus[i]:
+        value = valuations[i].value_int
+        best = max(free, key=lambda g: (value(1 << g), -g), default=-1)
+        if best >= 0 and _clears_tenth(valuations[i], 1 << best, taus[i]):
             masks[i] = 1 << best
-            free.discard(best)
+            free.remove(best)
         else:
             active.append(i)
 
@@ -69,17 +69,19 @@ def round_robin(
         for i in turn_order:
             if not free:
                 break
-            best = -1
-            best_gain = Fraction(0)
-            for g in sorted(free):
-                gain = valuations[i].marginal_mask(masks[i], g)
-                if best < 0 or gain > best_gain:
-                    best, best_gain = g, gain
+            value = valuations[i].value_int
+            mask = masks[i]
+            best = max(free, key=lambda g: (value(mask | 1 << g), -g))
             masks[i] |= 1 << best
-            free.discard(best)
+            free.remove(best)
 
     bundles = [[g for g in range(m) if masks[i] >> g & 1] for i in range(n)]
     return Allocation(bundles, m)
+
+
+def _clears_tenth(f: SubmodularValuation, mask: int, tau: Value) -> bool:
+    """10 f(mask) >= tau, compared as 10 * scale * f(mask) * tau.den >= tau.num * scale."""
+    return 10 * f.value_int(mask) * tau.denominator >= tau.numerator * f.scale
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,7 @@ def alg_sub(
         for k, i in enumerate(kept):
             bundles[i] = sub_alloc.bundles[k]
         alloc = Allocation(bundles, m)
-        unsat = {
-            i
-            for i in kept
-            if 10 * valuations[i].value_mask(_mask(bundles[i])) < taus[i]
-        }
+        unsat = {i for i in kept if not _clears_tenth(valuations[i], _mask(bundles[i]), taus[i])}
 
     full_taus = tuple(taus.get(i, Fraction(0)) for i in range(n))
     state = ThresholdState(

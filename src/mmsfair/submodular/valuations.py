@@ -1,9 +1,18 @@
 """Submodular valuation oracles over a ground set of goods 0..m-1.
 
-All families answer set queries through value_mask(mask), where bit k of the
-mask stands for good k. Values are exact rationals. Each instance memoizes
-its answers; ground sets here are desk-sized (m <= 20 or so), so the cache is
-bounded by 2^m entries.
+All families answer set queries by bitmask, bit k standing for good k. Each
+valuation fixes an int scale at construction, the lcm of the denominators of
+its data, and value_int(mask) returns scale * f(mask), an exact int computed
+on ints throughout; value_mask(mask) is the public rational answer,
+Fraction(value_int(mask), scale). The hot loops (round robin, the threshold
+probe, the exact oracle) compare these ints, scaled by a threshold's
+denominator where one is involved, so no Fraction arithmetic runs per query.
+
+Each instance memoizes value_int by mask for its lifetime, and only the
+queries made bound the memo: 2^m entries at most under the exact oracle,
+for the m its budget admits; on larger ground sets, just the bundles
+looked at (300 to 2,100 masks per valuation after alg_sub and the greedy
+threshold search, on four benchmark instances with m of 41 to 59).
 
 A valuation is admissible when it is normalized (empty set worth 0),
 non-negative, monotone, and submodular. verify_submodular checks all four,
@@ -15,10 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from ..errors import InvalidInstanceError
-from ..model import Value, ValueLike, as_value
+from ..model import Value, ValueLike, as_value, scale_to_ints
 
 
 def mask_of(goods: Iterable[int], m: int) -> int:
@@ -31,38 +42,58 @@ def mask_of(goods: Iterable[int], m: int) -> int:
 
 
 def goods_of(mask: int) -> list[int]:
+    """The set bits of mask, ascending (one step per set bit)."""
     out = []
-    g = 0
     while mask:
-        if mask & 1:
-            out.append(g)
-        mask >>= 1
-        g += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
+def _byte_tables(items: Sequence[int], combine) -> list[list[int]]:
+    """One table per run of 8 items: tables[c][b] folds combine over the
+    items 8c + k for the set bits k of the byte b (0 for b = 0). A fold over
+    a mask's set bits then takes one lookup per byte of the mask."""
+    tables = []
+    for base in range(0, len(items), 8):
+        table = [0]
+        for item in items[base:base + 8]:
+            table += [combine(t, item) for t in table]
+        tables.append(table)
+    return tables
+
+
 class SubmodularValuation:
-    """Base class: memoized set-function oracle addressed by bitmask."""
+    """Base class: memoized set-function oracle addressed by bitmask.
 
-    __slots__ = ("m", "_cache")
+    Subclasses set scale and compute _value_int_raw(mask) = scale * f(mask).
+    """
 
-    def __init__(self, m: int):
+    __slots__ = ("m", "scale", "_cache")
+
+    def __init__(self, m: int, scale: int):
         if m < 0:
             raise InvalidInstanceError("ground set size must be non-negative")
         self.m = m
-        self._cache: dict[int, Value] = {}
+        self.scale = scale
+        self._cache: dict[int, int] = {}
 
-    def _value_mask_raw(self, mask: int) -> Value:
+    def _value_int_raw(self, mask: int) -> int:
         raise NotImplementedError
 
-    def value_mask(self, mask: int) -> Value:
-        if mask >> self.m:
-            raise InvalidInstanceError("mask addresses goods outside the ground set")
+    def value_int(self, mask: int) -> int:
+        """scale * f(mask), exactly; memoized."""
         hit = self._cache.get(mask)
         if hit is None:
-            hit = self._value_mask_raw(mask)
+            if mask >> self.m:
+                raise InvalidInstanceError("mask addresses goods outside the ground set")
+            hit = self._value_int_raw(mask)
             self._cache[mask] = hit
         return hit
+
+    def value_mask(self, mask: int) -> Value:
+        return Fraction(self.value_int(mask), self.scale)
 
     def evaluate(self, bundle: Iterable[int]) -> Value:
         return self.value_mask(mask_of(bundle, self.m))
@@ -89,11 +120,12 @@ class ExplicitTable(SubmodularValuation):
     normalization; run verify_submodular to validate the rest.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_ints")
 
     def __init__(self, m: int, table: Sequence[ValueLike]):
-        super().__init__(m)
         vals = tuple(as_value(v) for v in table)
+        scale, ints = scale_to_ints(vals)
+        super().__init__(m, scale)
         if len(vals) != 1 << m:
             raise InvalidInstanceError(
                 f"table needs {1 << m} entries for m={m}, got {len(vals)}"
@@ -101,9 +133,10 @@ class ExplicitTable(SubmodularValuation):
         if vals[0] != 0:
             raise InvalidInstanceError("empty bundle must have value 0")
         self.table = vals
+        self._ints = ints
 
-    def _value_mask_raw(self, mask: int) -> Value:
-        return self.table[mask]
+    def _value_int_raw(self, mask: int) -> int:
+        return self._ints[mask]
 
 
 class WeightedCoverage(SubmodularValuation):
@@ -114,11 +147,13 @@ class WeightedCoverage(SubmodularValuation):
     monotone and submodular.
     """
 
-    __slots__ = ("weights", "covers", "_elem_masks")
+    __slots__ = ("weights", "covers", "_cover_bytes", "_weight_bytes")
 
     def __init__(self, m: int, weights: Sequence[ValueLike], covers: Sequence[Iterable[int]]):
-        super().__init__(m)
-        self.weights = tuple(as_value(w) for w in weights)
+        weights = tuple(as_value(w) for w in weights)
+        scale, ints = scale_to_ints(weights)
+        super().__init__(m, scale)
+        self.weights = weights
         if any(w < 0 for w in self.weights):
             raise InvalidInstanceError("element weights must be non-negative")
         if len(covers) != m:
@@ -133,42 +168,37 @@ class WeightedCoverage(SubmodularValuation):
                 emask |= 1 << e
             packed.append(emask)
         self.covers = tuple(tuple(goods_of(em)) for em in packed)
-        self._elem_masks = tuple(packed)
+        self._cover_bytes = _byte_tables(packed, or_)
+        self._weight_bytes = _byte_tables(ints, add)
 
-    def _value_mask_raw(self, mask: int) -> Value:
-        covered = 0
-        g = 0
-        rest = mask
-        while rest:
-            if rest & 1:
-                covered |= self._elem_masks[g]
-            rest >>= 1
-            g += 1
-        total = Fraction(0)
-        for e in goods_of(covered):
-            total += self.weights[e]
-        return total
+    def _value_int_raw(self, mask: int) -> int:
+        covers, weights = self._cover_bytes, self._weight_bytes
+        lookup = list.__getitem__
+        covered = reduce(or_, map(lookup, covers, mask.to_bytes(len(covers), "little")), 0)
+        return sum(map(lookup, weights, covered.to_bytes(len(weights), "little")))
 
 
 class BudgetAdditive(SubmodularValuation):
     """Additive value capped at a budget: f(S) = min(cap, sum of weights in S)."""
 
-    __slots__ = ("weights", "cap")
+    __slots__ = ("weights", "cap", "_weight_bytes", "_cap_int")
 
     def __init__(self, weights: Sequence[ValueLike], cap: ValueLike):
-        super().__init__(len(weights))
         self.weights = tuple(as_value(w) for w in weights)
         self.cap = as_value(cap)
+        scale, ints = scale_to_ints(self.weights + (self.cap,))
+        super().__init__(len(self.weights), scale)
         if any(w < 0 for w in self.weights):
             raise InvalidInstanceError("weights must be non-negative")
         if self.cap < 0:
             raise InvalidInstanceError("cap must be non-negative")
+        self._weight_bytes = _byte_tables(ints[:-1], add)
+        self._cap_int = ints[-1]
 
-    def _value_mask_raw(self, mask: int) -> Value:
-        total = Fraction(0)
-        for g in goods_of(mask):
-            total += self.weights[g]
-        return min(self.cap, total)
+    def _value_int_raw(self, mask: int) -> int:
+        weights = self._weight_bytes
+        total = sum(map(list.__getitem__, weights, mask.to_bytes(len(weights), "little")))
+        return min(self._cap_int, total)
 
 
 class MarginalValuation(SubmodularValuation):
@@ -182,14 +212,14 @@ class MarginalValuation(SubmodularValuation):
     __slots__ = ("base", "h_mask")
 
     def __init__(self, base: SubmodularValuation, h: Iterable[int]):
-        super().__init__(base.m)
+        super().__init__(base.m, base.scale)
         self.base = base
         self.h_mask = mask_of(h, base.m)
 
-    def _value_mask_raw(self, mask: int) -> Value:
+    def _value_int_raw(self, mask: int) -> int:
         if mask & self.h_mask:
             raise InvalidInstanceError("bundle overlaps the contracted set")
-        return self.base.value_mask(mask | self.h_mask) - self.base.value_mask(self.h_mask)
+        return self.base.value_int(mask | self.h_mask) - self.base.value_int(self.h_mask)
 
 
 @dataclass(frozen=True)

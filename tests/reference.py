@@ -6,14 +6,28 @@ values after every item and every rotation, and rescan every remaining item
 for each pick of the lift. They are slow (O(n^2 m) value sums per run,
 O(m^2) per lift) but easy to check by eye. The third is the maximin share by
 brute force over all n^m assignments, for the exact oracles.
+
+The rest are the submodular loops as they ran before the valuations were
+scaled to ints: the lazy greedy slot solver, round robin, the greedy
+threshold probe and its binary search, all comparing Fractions. They value
+bundles through reference_value, which reads each family's public data, so
+they share no arithmetic with value_int.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from mmsfair.envy_graph import RunTrace, TraceStep, build_envy_graph, resolve_cycles
 from mmsfair.model import GOODS, Allocation
+from mmsfair.oracles import PartitionMatroid, SlotObjective
+from mmsfair.submodular.valuations import (
+    BudgetAdditive,
+    ExplicitTable,
+    MarginalValuation,
+    goods_of,
+)
 
 
 def reference_allocate_ordered(instance, pick):
@@ -88,3 +102,133 @@ def reference_max_min(n, m, bundle_value):
         if best is None or low > best:
             best, witness = low, list(assign)
     return Fraction(best, denom), witness
+
+
+def reference_value(f, mask):
+    """f(mask) as a Fraction, computed from the family's public attributes."""
+    if isinstance(f, MarginalValuation):
+        return reference_value(f.base, mask | f.h_mask) - reference_value(f.base, f.h_mask)
+    if isinstance(f, ExplicitTable):
+        return f.table[mask]
+    goods = [g for g in range(f.m) if mask >> g & 1]
+    if isinstance(f, BudgetAdditive):
+        return min(f.cap, sum((f.weights[g] for g in goods), Fraction(0)))
+    covered = {e for g in goods for e in f.covers[g]}  # WeightedCoverage
+    return sum((f.weights[e] for e in covered), Fraction(0))
+
+
+def reference_greedy_matroid_max(objective, matroid):
+    """Lazy greedy on Fraction gains, one global version stamp."""
+    f, cap = objective.valuation, objective.cap
+    chosen = set()
+    slot_masks = [0] * matroid.slots
+    slot_vals = [Fraction(0)] * matroid.slots
+
+    def gain(g, k):
+        return min(cap, reference_value(f, slot_masks[k] | (1 << g))) - slot_vals[k]
+
+    heap = []
+    for g in matroid.goods:
+        for k in range(matroid.slots):
+            heapq.heappush(heap, (-gain(g, k), g, k, 0))
+    version = 0
+    placed = set()
+    while heap and len(placed) < len(matroid.goods):
+        neg, g, k, stamp = heapq.heappop(heap)
+        if g in placed:
+            continue
+        if stamp != version:
+            heapq.heappush(heap, (-gain(g, k), g, k, version))
+            continue
+        chosen.add((g, k))
+        placed.add(g)
+        slot_masks[k] |= 1 << g
+        slot_vals[k] = min(cap, reference_value(f, slot_masks[k]))
+        version += 1
+    return chosen
+
+
+def reference_round_robin(valuations, thresholds):
+    """Singleton grabs at tau_i/10, then max-marginal turns, on Fractions."""
+    n, m = len(valuations), valuations[0].m
+    free = set(range(m))
+    masks = [0] * n
+    active = []
+    for i in range(n):
+        f = valuations[i]
+        best = -1
+        for g in sorted(free):
+            if best < 0 or reference_value(f, 1 << g) > reference_value(f, 1 << best):
+                best = g
+        if best >= 0 and 10 * reference_value(f, 1 << best) >= thresholds[i]:
+            masks[i] = 1 << best
+            free.discard(best)
+        else:
+            active.append(i)
+    turn_order = active if active else list(range(n))
+    while free:
+        for i in turn_order:
+            if not free:
+                break
+            f = valuations[i]
+            best, best_gain = -1, Fraction(0)
+            for g in sorted(free):
+                gain = reference_value(f, masks[i] | 1 << g) - reference_value(f, masks[i])
+                if best < 0 or gain > best_gain:
+                    best, best_gain = g, gain
+            masks[i] |= 1 << best
+            free.discard(best)
+    return Allocation([[g for g in range(m) if masks[i] >> g & 1] for i in range(n)], m)
+
+
+def reference_threshold_probe(f, n, tau):
+    """threshold_probe with the greedy solver (factor 1/2), on Fractions."""
+    m = f.m
+    if tau == 0:
+        return Allocation([list(range(m))] + [[] for _ in range(n - 1)], m)
+    high = [g for g in range(m) if 9 * reference_value(f, 1 << g) >= tau]
+    if len(high) >= n:
+        bundles = [[h] for h in high[:n]]
+        bundles[0].extend(g for g in range(m) if g not in high[:n])
+        return Allocation(bundles, m)
+    r = n - len(high)
+    rest = [g for g in range(m) if g not in high]
+    cap = Fraction(4, 9) * tau
+    objective = SlotObjective(f, cap, 2 * r)
+    independent = reference_greedy_matroid_max(objective, PartitionMatroid(tuple(rest), 2 * r))
+    slot_masks = [0] * (2 * r)
+    for g, k in independent:
+        slot_masks[k] |= 1 << g
+    achieved = sum((min(cap, reference_value(f, s)) for s in slot_masks), Fraction(0))
+    if 9 * achieved < 8 * Fraction(1, 2) * r * tau:
+        return None
+    ranked = sorted(range(2 * r), key=lambda k: (-reference_value(f, slot_masks[k]), k))
+    kept = [goods_of(slot_masks[k]) for k in ranked[: r - 1]]
+    merged = set()
+    for k in ranked[r - 1:]:
+        merged.update(goods_of(slot_masks[k]))
+    assigned = {g for b in kept for g in b} | merged | set(high)
+    merged.update(g for g in range(m) if g not in assigned)
+    return Allocation([[h] for h in high] + [sorted(b) for b in kept] + [sorted(merged)], m)
+
+
+def reference_mms_approx_greedy(f, n, epsilon=Fraction(1, 100)):
+    """The binary search of mms_approx_submodular over reference probes:
+    the accepted threshold and its allocation."""
+    total = reference_value(f, (1 << f.m) - 1)
+    lo, lo_alloc = Fraction(0), reference_threshold_probe(f, n, Fraction(0))
+    if total > 0:
+        top = reference_threshold_probe(f, n, total)
+        if top is not None:
+            return total, top
+        hi = total
+        for _ in range(64):
+            if hi <= lo * (1 + epsilon):
+                break
+            mid = (lo + hi) / 2
+            alloc = reference_threshold_probe(f, n, mid)
+            if alloc is None:
+                hi = mid
+            else:
+                lo, lo_alloc = mid, alloc
+    return lo, lo_alloc

@@ -282,6 +282,30 @@ class TestSweep:
         assert goods["agents_checked"] > 0
         assert Fraction(goods["min_ratio"]) >= Fraction(2 * 2, 3 * 3 - 1)
 
+    def test_sweep_splits_solve_and_audit_time(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        out = tmp_path / "summary.json"
+        write(
+            config,
+            json.dumps(
+                {
+                    "sweeps": [
+                        {"bound": "additive-goods", "count": 2, "n": 2, "m": [2, 4]},
+                        {"bound": "submodular", "count": 2, "n": 2, "m": [2, 5]},
+                    ]
+                }
+            ),
+        )
+        assert run(
+            "sweep", "--config", str(config), "--output", str(out), "--format", "json",
+        ) == 0
+        for s in json.loads(out.read_text())["sweeps"]:
+            assert 0 < s["solve_seconds"] and 0 < s["audit_seconds"]
+            assert s["solve_seconds"] + s["audit_seconds"] <= s["seconds"]
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config)) == 0
+        assert capsys.readouterr().out.split()[7:10] == ["seconds", "solve", "audit"]
+
     def test_sweep_table_output(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         write(

@@ -291,6 +291,21 @@ class TestBuildReport:
         assert a1.satisfied is None  # passing one proves nothing
         assert not report.ok
 
+    def test_over_budget_zero_share_is_exact(self, monkeypatch):
+        # one positive good among 40 cannot give six bundles value: mu is 0
+        # by the lemma of detect_positive_mms, with no threshold search
+        f = BudgetAdditive([5] + [0] * 39, 10)
+        alloc, _ = alg_sub([f] * 6)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the zero share needs no threshold search")
+
+        monkeypatch.setattr("mmsfair.io.mms_approx_submodular", no_search)
+        report = build_report([f] * 6, alloc)
+        for a in report.agents:
+            assert (a.mms, a.mms_source, a.satisfied, a.ratio) == (0, MU_EXACT, True, None)
+        assert report.ok
+
     def test_shape_mismatch(self):
         inst = AdditiveInstance([[1, 2]])
         with pytest.raises(InvalidInstanceError):

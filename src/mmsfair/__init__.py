@@ -16,186 +16,62 @@ bundle the agent could secure by partitioning everything itself):
 All arithmetic is exact (fractions.Fraction). Exact brute-force oracles
 compute true maximin shares at desk scale so every guarantee can be audited,
 and seeded generators plus a CLI make the audits reproducible.
+
+The package namespace holds the solvers, the exact and certified share
+oracles, the types they take or return, and the errors they raise. Every
+other name is imported from its own submodule (mmsfair.model,
+mmsfair.ordering, mmsfair.io, mmsfair.generators, ...).
 """
 
-from .chores import chores_envy_graph_allocate, lpt_chores_partition, solve_chores
-from .envy_graph import (
-    EnvyGraph,
-    RunTrace,
-    TraceStep,
-    build_envy_graph,
-    check_efx_trace,
-    check_prefix_structure,
-    envy_graph_allocate,
-    majorizes,
-    resolve_cycles,
-    solve_additive,
-)
+from .chores import solve_chores
+from .envy_graph import solve_additive
 from .errors import (
     BudgetExceededError,
     FairDivisionError,
     InvalidInstanceError,
     NotOrderedError,
 )
-from .generators import (
-    ADDITIVE_KINDS,
-    SUBMODULAR_KINDS,
-    GeneratorSpec,
-    fixture_ef1_not_mms,
-    fixture_submodular_gap,
-    generate,
-)
-from .io import (
-    AgentReport,
-    SolutionReport,
-    build_report,
-    parse_allocation,
-    parse_instance,
-    report_to_json,
-    report_to_table,
-    serialize_allocation,
-    serialize_instance,
-)
-from .model import (
-    CHORES,
-    GOODS,
-    AdditiveInstance,
-    Allocation,
-    MmsCertificate,
-    Value,
-    as_value,
-    bundle_value,
-    envies,
-    is_ef1,
-    is_efx,
-    value_to_str,
-)
+from .model import CHORES, GOODS, AdditiveInstance, Allocation, MmsCertificate, Value
 from .oracles import (
-    DEFAULT_ORACLE_BUDGET,
-    MATROID_SOLVERS,
     MmsApproxResult,
-    PartitionMatroid,
-    SlotObjective,
-    exhaustive_matroid_max,
-    greedy_matroid_max,
     mms_approx_submodular,
     mms_exact_additive,
     mms_exact_submodular,
-    split_bundle,
-    threshold_probe,
-)
-from .ordering import (
-    OrderedReduction,
-    is_ordered,
-    lift_allocation,
-    mms_invariance_check,
-    to_ordered,
 )
 from .submodular import (
-    ONE_MINUS_INV_E_UPPER,
     BudgetAdditive,
     ExplicitTable,
-    FractionalAllocation,
     MarginalValuation,
-    ProportionalityReport,
-    SubmodularityReport,
     SubmodularValuation,
     ThresholdState,
     WeightedCoverage,
     alg_sub,
-    detect_positive_mms,
-    expected_ordered_marginal,
-    goods_of,
-    mask_of,
-    multilinear_exact,
-    multilinear_mc,
-    proportionality_check,
-    round_robin,
-    verify_submodular,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADDITIVE_KINDS",
     "AdditiveInstance",
-    "AgentReport",
     "Allocation",
     "BudgetAdditive",
     "BudgetExceededError",
     "CHORES",
-    "DEFAULT_ORACLE_BUDGET",
-    "EnvyGraph",
     "ExplicitTable",
     "FairDivisionError",
-    "FractionalAllocation",
     "GOODS",
-    "GeneratorSpec",
     "InvalidInstanceError",
-    "MATROID_SOLVERS",
     "MarginalValuation",
     "MmsApproxResult",
     "MmsCertificate",
     "NotOrderedError",
-    "ONE_MINUS_INV_E_UPPER",
-    "OrderedReduction",
-    "PartitionMatroid",
-    "ProportionalityReport",
-    "RunTrace",
-    "SUBMODULAR_KINDS",
-    "SlotObjective",
-    "SolutionReport",
     "SubmodularValuation",
-    "SubmodularityReport",
     "ThresholdState",
-    "TraceStep",
     "Value",
     "WeightedCoverage",
     "alg_sub",
-    "as_value",
-    "build_envy_graph",
-    "build_report",
-    "bundle_value",
-    "check_efx_trace",
-    "check_prefix_structure",
-    "chores_envy_graph_allocate",
-    "detect_positive_mms",
-    "envies",
-    "envy_graph_allocate",
-    "exhaustive_matroid_max",
-    "expected_ordered_marginal",
-    "fixture_ef1_not_mms",
-    "fixture_submodular_gap",
-    "generate",
-    "goods_of",
-    "greedy_matroid_max",
-    "is_ef1",
-    "is_efx",
-    "is_ordered",
-    "lift_allocation",
-    "lpt_chores_partition",
-    "majorizes",
-    "mask_of",
     "mms_approx_submodular",
     "mms_exact_additive",
     "mms_exact_submodular",
-    "mms_invariance_check",
-    "multilinear_exact",
-    "multilinear_mc",
-    "parse_allocation",
-    "parse_instance",
-    "proportionality_check",
-    "report_to_json",
-    "report_to_table",
-    "resolve_cycles",
-    "round_robin",
-    "serialize_allocation",
-    "serialize_instance",
     "solve_additive",
     "solve_chores",
-    "split_bundle",
-    "threshold_probe",
-    "to_ordered",
-    "value_to_str",
-    "verify_submodular",
 ]

@@ -23,7 +23,7 @@ def chores_envy_graph_allocate(instance: AdditiveInstance) -> tuple[Allocation, 
     """Allocate an ordered chores instance, chore by chore, to envy-graph sinks."""
     if instance.kind != CHORES:
         raise InvalidInstanceError("chores allocator got a goods instance")
-    return _allocate_ordered(instance, pick="sink")
+    return _allocate_ordered(instance)
 
 
 def solve_chores(instance: AdditiveInstance) -> Allocation:

@@ -8,6 +8,7 @@ allocation broke its advertised bound, not an I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -32,6 +33,7 @@ from .io import (
     MU_UNAVAILABLE,
     _table_lines,
     build_report,
+    kind_of,
     parse_allocation,
     parse_instance,
     report_to_json,
@@ -39,7 +41,7 @@ from .io import (
     serialize_allocation,
     serialize_instance,
 )
-from .model import CHORES, GOODS, AdditiveInstance, as_value, value_to_str
+from .model import AdditiveInstance, as_value, value_to_str
 from .oracles import (
     DEFAULT_ORACLE_BUDGET,
     MATROID_SOLVERS,
@@ -76,14 +78,6 @@ def _emit_report(report, args) -> None:
     _write_out(text, args.output)
 
 
-def _load_additive(path: str, kind: str):
-    instance = parse_instance(_read(path))
-    if not isinstance(instance, AdditiveInstance) or instance.kind != kind:
-        want = KIND_ADDITIVE_GOODS if kind == GOODS else KIND_ADDITIVE_CHORES
-        raise FairDivisionError(f"this command needs an {want} instance")
-    return instance
-
-
 def _select_agents(n: int, agent: int | None) -> list[int]:
     if agent is None:
         return list(range(n))
@@ -92,36 +86,35 @@ def _select_agents(n: int, agent: int | None) -> list[int]:
     return [agent]
 
 
-def _cmd_solve_additive(args) -> int:
-    instance = _load_additive(args.input, GOODS)
-    allocation = solve_additive(instance)
+def _with_article(kind: str) -> str:
+    """An instance kind with its article: "an additive-goods", "a submodular"."""
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
+
+
+def _solve(instance, delta):
+    """Allocate with the solver for the instance's kind; delta is alg_sub's.
+
+    The solvers are looked up as module globals at each call, so wrappers
+    rebound onto this module's names after import are the ones called.
+    """
+    kind = kind_of(instance)
+    if kind == KIND_ADDITIVE_GOODS:
+        return solve_additive(instance)
+    if kind == KIND_ADDITIVE_CHORES:
+        return solve_chores(instance)
+    allocation, _ = alg_sub(instance, delta=delta)
+    return allocation
+
+
+def _cmd_solve(args) -> int:
+    instance = parse_instance(_read(args.input))
+    if kind_of(instance) != args.instance_kind:
+        raise FairDivisionError(f"this command needs {_with_article(args.instance_kind)} instance")
+    delta = getattr(args, "delta", None)  # only solve-submodular takes --delta
+    allocation = _solve(instance, delta)
     if args.allocation_out:
         _write_out(serialize_allocation(allocation), args.allocation_out)
-    report = build_report(instance, allocation, budget=args.oracle_budget)
-    _emit_report(report, args)
-    return 0
-
-
-def _cmd_solve_chores(args) -> int:
-    instance = _load_additive(args.input, CHORES)
-    allocation = solve_chores(instance)
-    if args.allocation_out:
-        _write_out(serialize_allocation(allocation), args.allocation_out)
-    report = build_report(instance, allocation, budget=args.oracle_budget)
-    _emit_report(report, args)
-    return 0
-
-
-def _cmd_solve_submodular(args) -> int:
-    valuations = parse_instance(_read(args.input))
-    if isinstance(valuations, AdditiveInstance):
-        raise FairDivisionError("this command needs a submodular instance")
-    allocation, _ = alg_sub(valuations, delta=args.delta)
-    if args.allocation_out:
-        _write_out(serialize_allocation(allocation), args.allocation_out)
-    report = build_report(
-        valuations, allocation, delta=args.delta, budget=args.oracle_budget
-    )
+    report = build_report(instance, allocation, delta=delta, budget=args.oracle_budget)
     _emit_report(report, args)
     return 0
 
@@ -165,9 +158,10 @@ def _cmd_mms_exact(args) -> int:
 
 def _cmd_mms_approx(args) -> int:
     instance = parse_instance(_read(args.input))
-    if isinstance(instance, AdditiveInstance):
-        if instance.kind != GOODS:
-            raise FairDivisionError("mms-approx handles goods or submodular instances")
+    kind = kind_of(instance)
+    if kind == KIND_ADDITIVE_CHORES:
+        raise FairDivisionError("mms-approx handles goods or submodular instances")
+    if kind == KIND_ADDITIVE_GOODS:
         # an additive row is the budget-additive family with a never-binding cap
         valuations = [BudgetAdditive(row, sum(row, Fraction(0))) for row in instance.values]
     else:
@@ -307,12 +301,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
         spec = GeneratorSpec(kind=kind, n=n, m=m, lo=lo, hi=hi, seed=rng.getrandbits(32))
         instance = generate(spec)
         t0 = time.perf_counter()
-        if bound == KIND_ADDITIVE_GOODS:
-            allocation = solve_additive(instance)
-        elif bound == KIND_ADDITIVE_CHORES:
-            allocation = solve_chores(instance)
-        else:
-            allocation, _ = alg_sub(instance, delta=delta)
+        allocation = _solve(instance, delta)
         t1 = time.perf_counter()
         report = build_report(instance, allocation, delta=delta, budget=budget)
         t2 = time.perf_counter()
@@ -411,31 +400,27 @@ def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="mmsfair",
         description="Approximately maximin-fair division of goods and chores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-additive", help="allocate an additive-goods instance")
-    _add_io_flags(p)
-    _add_budget_flag(p)
-    p.add_argument("--allocation-out", default=None, help="also write the bare allocation")
-    p.set_defaults(handler=_cmd_solve_additive)
-
-    p = sub.add_parser("solve-chores", help="allocate an additive-chores instance")
-    _add_io_flags(p)
-    _add_budget_flag(p)
-    p.add_argument("--allocation-out", default=None)
-    p.set_defaults(handler=_cmd_solve_chores)
-
-    p = sub.add_parser("solve-submodular", help="allocate a submodular instance")
-    _add_io_flags(p)
-    _add_budget_flag(p)
-    p.add_argument("--delta", type=_rational, default=Fraction(1, 20), metavar="P/Q")
-    p.add_argument("--allocation-out", default=None)
-    p.set_defaults(handler=_cmd_solve_submodular)
+    for command, kind, out_help in (
+        ("solve-additive", KIND_ADDITIVE_GOODS, "also write the bare allocation"),
+        ("solve-chores", KIND_ADDITIVE_CHORES, None),
+        ("solve-submodular", KIND_SUBMODULAR, None),
+    ):
+        p = sub.add_parser(command, help=f"allocate {_with_article(kind)} instance")
+        _add_io_flags(p)
+        _add_budget_flag(p)
+        if kind == KIND_SUBMODULAR:
+            p.add_argument("--delta", type=_rational, default=Fraction(1, 20), metavar="P/Q")
+        p.add_argument("--allocation-out", default=None, help=out_help)
+        p.set_defaults(handler=_cmd_solve, instance_kind=kind)
 
     p = sub.add_parser("mms-exact", help="exact maximin shares with witnesses")
     _add_io_flags(p)
@@ -488,10 +473,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FairDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FairDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,14 +36,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
-from .model import GOODS, AdditiveInstance, Allocation, Value, is_efx, scale_to_ints
-from .ordering import (
-    OrderedReduction,
-    _non_increasing_magnitudes,
-    is_ordered,
-    lift_allocation,
-    to_ordered,
-)
+from .model import GOODS, AdditiveInstance, Allocation, Value, scale_to_ints
+from .ordering import _non_increasing_magnitudes, lift_allocation, to_ordered
 
 
 def _first_cycle(
@@ -196,8 +190,10 @@ def _envy_counts(V: list[list[int]]) -> tuple[list[int], list[int]]:
     return envied, envious
 
 
-def _allocate_ordered(instance: AdditiveInstance, pick: str) -> tuple[Allocation, RunTrace]:
+def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]:
+    """Goods go to the first source, chores to the first sink."""
     n, m = instance.n, instance.m
+    goods = instance.kind == GOODS
     scaled = [scale_to_ints(row) for row in instance.values]
     if not all(_non_increasing_magnitudes(w) for _, w in scaled):
         raise NotOrderedError("allocator requires an ordered instance")
@@ -216,7 +212,7 @@ def _allocate_ordered(instance: AdditiveInstance, pick: str) -> tuple[Allocation
     steps: list[TraceStep] = []
     for j in range(m):
         # the graph is acyclic here, so a source and a sink both exist
-        agent = (envied if pick == "source" else envious).index(0)
+        agent = (envied if goods else envious).index(0)
         bundles[agent].append(j)
         for i, d in enumerate(columns[j]):
             if not d:
@@ -257,7 +253,7 @@ def envy_graph_allocate(instance: AdditiveInstance) -> tuple[Allocation, RunTrac
     """Allocate an ordered goods instance, item by item, to envy-graph sources."""
     if instance.kind != GOODS:
         raise InvalidInstanceError("goods allocator got a chores instance")
-    return _allocate_ordered(instance, pick="source")
+    return _allocate_ordered(instance)
 
 
 def solve_additive(instance: AdditiveInstance) -> Allocation:
@@ -269,76 +265,3 @@ def solve_additive(instance: AdditiveInstance) -> Allocation:
     reduction = to_ordered(instance)
     ordered_alloc, _ = envy_graph_allocate(reduction.ordered)
     return lift_allocation(reduction, instance, ordered_alloc)
-
-
-def check_efx_trace(instance: AdditiveInstance, trace: RunTrace) -> bool:
-    """Replay a run and check envy-freeness up to any good at every step.
-
-    Both intermediate states per step are checked: right after the item is
-    assigned and again after cycle resolution.
-    """
-    for mid, end in trace.replay():
-        if not is_efx(instance, Allocation(mid, trace.m)):
-            return False
-        if not is_efx(instance, Allocation(end, trace.m)):
-            return False
-    return True
-
-
-def majorizes(a: Sequence[Value], b: Sequence[Value]) -> bool:
-    """True iff sequence a majorizes b: sorted-descending prefix sums of a
-    dominate those of b. Requires equal lengths and equal totals."""
-    if len(a) != len(b):
-        raise InvalidInstanceError("majorization compares equal-length sequences")
-    xs = sorted(a, reverse=True)
-    ys = sorted(b, reverse=True)
-    if sum(xs) != sum(ys):
-        raise InvalidInstanceError("majorization requires equal totals")
-    run_a = Fraction(0)
-    run_b = Fraction(0)
-    for x, y in zip(xs, ys):
-        run_a += x
-        run_b += y
-        if run_a < run_b:
-            return False
-    return True
-
-
-def _strictly_decreasing_rows(instance: AdditiveInstance) -> bool:
-    return all(
-        all(row[a] > row[a + 1] for a in range(len(row) - 1))
-        for row in instance.values
-    )
-
-
-def check_prefix_structure(instance: AdditiveInstance, trace: RunTrace) -> bool:
-    """Check the forced shape of early partial allocations on distinct-value runs.
-
-    On an ordered goods instance whose rows are strictly decreasing, as long
-    as every bundle still has at most two items, the partial allocation after
-    n+h items (h >= 0) is forced up to bundle order: items 0..n-h-1 sit in
-    singletons and the remaining 2h items pair up first-with-last, i.e.
-    {n-h, n+h-1}, {n-h+1, n+h-2}, ..., {n-1, n}. The check replays the trace
-    and compares bundle multisets step by step until a bundle reaches size 3.
-    """
-    if instance.kind != GOODS:
-        raise InvalidInstanceError("prefix structure is defined for goods instances")
-    if not is_ordered(instance):
-        raise NotOrderedError("prefix structure needs an ordered instance")
-    if not _strictly_decreasing_rows(instance):
-        raise InvalidInstanceError("prefix structure needs strictly decreasing rows")
-    n = trace.n
-    for count, (_, end) in enumerate(trace.replay(), start=1):
-        if max(len(b) for b in end) > 2:
-            break
-        if count <= n:
-            expected = [{g} for g in range(count)]
-        else:
-            h = count - n
-            expected = [{g} for g in range(n - h)]
-            expected += [{n - h + k, n + h - 1 - k} for k in range(h)]
-        got = sorted((sorted(b) for b in end if b), key=lambda b: b[0])
-        want = sorted((sorted(b) for b in expected), key=lambda b: b[0])
-        if got != want:
-            return False
-    return True

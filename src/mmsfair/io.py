@@ -165,6 +165,13 @@ def parse_instance(text: str) -> AdditiveInstance | list[SubmodularValuation]:
     raise AssertionError("unreachable")
 
 
+def kind_of(instance: AdditiveInstance | Sequence[SubmodularValuation]) -> str:
+    """The instance's file kind: KIND_ADDITIVE_GOODS, KIND_ADDITIVE_CHORES or KIND_SUBMODULAR."""
+    if not isinstance(instance, AdditiveInstance):
+        return KIND_SUBMODULAR
+    return KIND_ADDITIVE_GOODS if instance.kind == GOODS else KIND_ADDITIVE_CHORES
+
+
 def _serialize_agent_valuation(f: SubmodularValuation) -> dict:
     if isinstance(f, ExplicitTable):
         return {"family": "explicit", "table": [value_to_str(v) for v in f.table]}
@@ -190,10 +197,9 @@ def serialize_instance(
 ) -> str:
     """Serialize an instance to JSON text; inverse of parse_instance."""
     if isinstance(instance, AdditiveInstance):
-        kind = KIND_ADDITIVE_GOODS if instance.kind == GOODS else KIND_ADDITIVE_CHORES
         doc = {
             "version": FORMAT_VERSION,
-            "kind": kind,
+            "kind": kind_of(instance),
             "n": instance.n,
             "m": instance.m,
             "values": [[value_to_str(v) for v in row] for row in instance.values],
@@ -327,15 +333,14 @@ def build_report(
     back to a certified lower bound on mu (a violation against a lower bound
     is still a violation); additive agents report mu as unavailable.
     """
-    if isinstance(instance, AdditiveInstance):
-        kind = KIND_ADDITIVE_GOODS if instance.kind == GOODS else KIND_ADDITIVE_CHORES
-        n, m = instance.n, instance.m
-    else:
-        kind = KIND_SUBMODULAR
+    kind = kind_of(instance)
+    if kind == KIND_SUBMODULAR:
         agents_f = list(instance)
         n, m = len(agents_f), agents_f[0].m
         if delta is None:
             delta = Fraction(1, 20)
+    else:
+        n, m = instance.n, instance.m
     if allocation.n != n or allocation.m != m:
         raise InvalidInstanceError("allocation shape does not match the instance")
     if kind == KIND_SUBMODULAR:

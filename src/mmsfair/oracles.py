@@ -228,19 +228,6 @@ class PartitionMatroid:
     goods: tuple[int, ...]
     slots: int
 
-    def universe(self) -> list[tuple[int, int]]:
-        return [(g, k) for g in self.goods for k in range(self.slots)]
-
-    def is_independent(self, pairs: Iterable[tuple[int, int]]) -> bool:
-        used: set[int] = set()
-        for g, k in pairs:
-            if g not in self.goods or not 0 <= k < self.slots:
-                return False
-            if g in used:
-                return False
-            used.add(g)
-        return True
-
 
 class SlotObjective:
     """g(S) = sum over slots k of min(cap, f(S_k)) for S a set of (good, slot) pairs.
@@ -396,34 +383,6 @@ MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, PartitionMatroid], set
     "exhaustive": (exhaustive_matroid_max, Fraction(1)),
     "greedy": (greedy_matroid_max, Fraction(1, 2)),
 }
-
-
-def split_bundle(
-    f: SubmodularValuation, bundle: Iterable[int], tau: Value
-) -> tuple[list[int], list[int]]:
-    """Split a bundle worth at least tau into two halves worth at least 4 tau / 9.
-
-    Requires every singleton in the bundle to be worth less than tau/9. Goods
-    are moved in ascending index order into the first half until it reaches
-    4 tau / 9; submodularity caps each step below tau/9, so the first half
-    stays below 5 tau / 9 and the rest keeps more than 4 tau / 9.
-    """
-    tau = as_value(tau)
-    if tau <= 0:
-        raise InvalidInstanceError("tau must be positive")
-    items = sorted(set(bundle))
-    if any(9 * f.singleton(g) >= tau for g in items):
-        raise InvalidInstanceError("split needs all singletons below tau/9")
-    if f.evaluate(items) < tau:
-        raise InvalidInstanceError("split needs a bundle worth at least tau")
-    first_mask = 0
-    first: list[int] = []
-    for g in items:
-        if 9 * f.value_mask(first_mask) >= 4 * tau:
-            break
-        first_mask |= 1 << g
-        first.append(g)
-    return first, items[len(first):]
 
 
 @dataclass(frozen=True)

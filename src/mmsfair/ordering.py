@@ -124,23 +124,3 @@ def lift_allocation(
         taken[best] = True
         bundles[i].add(best)
     return Allocation(bundles, m)
-
-
-def mms_invariance_check(instance: AdditiveInstance, budget: int | None = None) -> bool:
-    """True iff sorting rows leaves every agent's exact maximin share unchanged.
-
-    Test utility: the maximin share only depends on each row as a multiset, so
-    this must hold for every instance the exact oracle can handle. Raises the
-    oracle's budget error on instances too large to brute-force.
-    """
-    from .oracles import DEFAULT_ORACLE_BUDGET, mms_exact_additive
-
-    if budget is None:
-        budget = DEFAULT_ORACLE_BUDGET
-    ordered = to_ordered(instance).ordered
-    for i in range(instance.n):
-        before = mms_exact_additive(instance, i, budget=budget)
-        after = mms_exact_additive(ordered, i, budget=budget)
-        if before.value != after.value:
-            return False
-    return True

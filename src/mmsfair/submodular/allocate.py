@@ -24,7 +24,7 @@ from typing import Sequence
 
 from ..errors import InvalidInstanceError
 from ..model import Allocation, Value, as_value
-from .valuations import SubmodularValuation, detect_positive_mms
+from .valuations import SubmodularValuation, detect_positive_mms, mask_of
 
 
 def _check_shared_ground(valuations: Sequence[SubmodularValuation]) -> tuple[int, int]:
@@ -161,7 +161,9 @@ def alg_sub(
         for k, i in enumerate(kept):
             bundles[i] = sub_alloc.bundles[k]
         alloc = Allocation(bundles, m)
-        unsat = {i for i in kept if not _clears_tenth(valuations[i], _mask(bundles[i]), taus[i])}
+        unsat = {
+            i for i in kept if not _clears_tenth(valuations[i], mask_of(bundles[i], m), taus[i])
+        }
 
     full_taus = tuple(taus.get(i, Fraction(0)) for i in range(n))
     state = ThresholdState(
@@ -171,10 +173,3 @@ def alg_sub(
         excluded=excluded,
     )
     return alloc, state
-
-
-def _mask(bundle: frozenset[int]) -> int:
-    mask = 0
-    for g in bundle:
-        mask |= 1 << g
-    return mask

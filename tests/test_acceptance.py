@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from lemmas import check_efx_trace
 
 from mmsfair.chores import lpt_chores_partition, solve_chores
-from mmsfair.envy_graph import check_efx_trace, envy_graph_allocate, solve_additive
+from mmsfair.envy_graph import envy_graph_allocate, solve_additive
 from mmsfair.generators import (
     GeneratorSpec,
     fixture_ef1_not_mms,

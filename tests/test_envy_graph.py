@@ -5,16 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from lemmas import check_efx_trace, check_prefix_structure, majorizes
 
 from mmsfair.envy_graph import (
     EnvyGraph,
     RunTrace,
     TraceStep,
     build_envy_graph,
-    check_efx_trace,
-    check_prefix_structure,
     envy_graph_allocate,
-    majorizes,
     resolve_cycles,
     solve_additive,
 )

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mmsfair import (
+from mmsfair.errors import InvalidInstanceError
+from mmsfair.model import (
     CHORES,
     GOODS,
     AdditiveInstance,
     Allocation,
-    InvalidInstanceError,
     MmsCertificate,
     as_value,
     bundle_value,

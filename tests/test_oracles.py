@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from lemmas import is_independent, split_bundle, universe
 
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.generators import fixture_submodular_gap
@@ -17,7 +18,6 @@ from mmsfair.oracles import (
     mms_approx_submodular,
     mms_exact_additive,
     mms_exact_submodular,
-    split_bundle,
     threshold_probe,
 )
 from mmsfair.submodular.valuations import BudgetAdditive, WeightedCoverage
@@ -189,14 +189,14 @@ class TestExactSubmodular:
 class TestPartitionMatroid:
     def test_universe(self):
         mat = PartitionMatroid(goods=(2, 5), slots=2)
-        assert mat.universe() == [(2, 0), (2, 1), (5, 0), (5, 1)]
+        assert universe(mat) == [(2, 0), (2, 1), (5, 0), (5, 1)]
 
     def test_independence(self):
         mat = PartitionMatroid(goods=(0, 1), slots=3)
-        assert mat.is_independent([(0, 1), (1, 2)])
-        assert not mat.is_independent([(0, 0), (0, 1)])  # good reused
-        assert not mat.is_independent([(2, 0)])  # foreign good
-        assert not mat.is_independent([(0, 3)])  # slot out of range
+        assert is_independent(mat, [(0, 1), (1, 2)])
+        assert not is_independent(mat, [(0, 0), (0, 1)])  # good reused
+        assert not is_independent(mat, [(2, 0)])  # foreign good
+        assert not is_independent(mat, [(0, 3)])  # slot out of range
 
 
 class TestSlotObjective:
@@ -234,7 +234,7 @@ class TestMatroidMaximizers:
             mat = PartitionMatroid(goods=tuple(range(m)), slots=slots)
             obj = SlotObjective(f, cap=cap, slots=slots)
             chosen = greedy_matroid_max(obj, mat)
-            assert mat.is_independent(chosen)
+            assert is_independent(mat, chosen)
             assert {g for g, _ in chosen} == set(range(m))
 
     def test_greedy_reaches_half_of_exact(self):

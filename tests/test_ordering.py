@@ -4,19 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from lemmas import mms_invariance_check
 
-from mmsfair import (
-    CHORES,
-    GOODS,
-    AdditiveInstance,
-    Allocation,
-    InvalidInstanceError,
-    bundle_value,
-    is_ordered,
-    lift_allocation,
-    mms_invariance_check,
-    to_ordered,
-)
+from mmsfair.errors import InvalidInstanceError
+from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation, bundle_value
+from mmsfair.ordering import is_ordered, lift_allocation, to_ordered
 
 
 def random_instance(rng, kind, n, m, span=100):

@@ -31,6 +31,7 @@ from .io import (
     KIND_ADDITIVE_GOODS,
     KIND_SUBMODULAR,
     MU_UNAVAILABLE,
+    _field,
     _table_lines,
     build_report,
     kind_of,
@@ -272,17 +273,18 @@ def _run_sweep(entry: dict, index: int) -> dict:
         raise FairDivisionError(
             f"{where}.kind: {kind!r} does not produce {bound} instances"
         )
-    count = entry.get("count", 10)
-    if not isinstance(count, int) or count < 1:
+    name = _field(entry, "name", str, where, f"{bound}:{kind}")
+    count = _field(entry, "count", int, where, 10)
+    if count < 1:
         raise FairDivisionError(f"{where}.count: expected a positive int")
     n_lo, n_hi = _span(entry.get("n", [2, 4]), f"{where}.n")
     m_lo, m_hi = _span(entry.get("m", [2, 10]), f"{where}.m")
     chores = bound == KIND_ADDITIVE_CHORES
-    lo = entry.get("lo", -100 if chores else 0)
-    hi = entry.get("hi", 0 if chores else 100)
-    base_seed = entry.get("seed", 0)
+    lo = _field(entry, "lo", int, where, -100 if chores else 0)
+    hi = _field(entry, "hi", int, where, 0 if chores else 100)
+    base_seed = _field(entry, "seed", int, where, 0)
     delta = as_value(entry.get("delta", Fraction(1, 20)))
-    budget = entry.get("oracle-budget", DEFAULT_ORACLE_BUDGET)
+    budget = _field(entry, "oracle-budget", int, where, DEFAULT_ORACLE_BUDGET)
     if n_lo < 1:
         raise FairDivisionError(f"{where}.n: need at least one agent")
     if m_hi < n_hi:
@@ -322,7 +324,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
         return fn(ratios) if ratios else None
 
     return {
-        "name": entry.get("name", f"{bound}:{kind}"),
+        "name": name,
         "bound": bound,
         "count": count,
         "agents_checked": checked,

@@ -9,16 +9,17 @@ decreases the number of envy edges and never decreases any agent's value, so
 resolution terminates and the graph is acyclic before each assignment, which
 guarantees the needed source (or sink) exists.
 
-The allocator works in exact integers. Each agent's row is scaled once by the
-lcm L_i of its denominators, and an n x n matrix holds V[i][j] = L_i v_i(A_j);
-agent i envies j iff V[i][i] < V[i][j]. An assignment changes one column, so
-it updates the matrix and the per-agent envy counts (which name the sources
-and sinks) in O(n). Every envy edge it adds touches the agent that took the
-item, so a cycle can only form through that agent: the full cycle search
-runs only when that agent can reach itself, and an item that closes no cycle
-costs O(n). A rotation permutes the matrix's columns like the bundles. The
-build_envy_graph / resolve_cycles pair computes the same graphs and cycles
-from an Allocation, for callers that hold one.
+The allocator works in exact integers, on the scaled rows the instance owns:
+ints[i] is agent i's row times L_i = scales[i], the lcm of its denominators.
+An n x n matrix holds V[i][j] = L_i v_i(A_j); agent i envies j iff
+V[i][i] < V[i][j]. An assignment changes one column, so it updates the matrix
+and the per-agent envy counts (which name the sources and sinks) in O(n).
+Every envy edge it adds touches the agent that took the item, so a cycle can
+only form through that agent: the full cycle search runs only when that agent
+can reach itself, and an item that closes no cycle costs O(n). A rotation
+permutes the matrix's columns like the bundles. The build_envy_graph /
+resolve_cycles pair computes the same graphs and cycles from an Allocation,
+for callers that hold one.
 
 Every step is recorded in a trace, enough to replay the exact sequence of
 partial allocations later. On ordered goods instances every partial
@@ -36,8 +37,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
-from .model import GOODS, AdditiveInstance, Allocation, Value, scale_to_ints
-from .ordering import _non_increasing_magnitudes, lift_allocation, to_ordered
+from .model import GOODS, AdditiveInstance, Allocation, Value
+from .ordering import is_ordered, lift_allocation, to_ordered
 
 
 def _first_cycle(
@@ -194,11 +195,10 @@ def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]
     """Goods go to the first source, chores to the first sink."""
     n, m = instance.n, instance.m
     goods = instance.kind == GOODS
-    scaled = [scale_to_ints(row) for row in instance.values]
-    if not all(_non_increasing_magnitudes(w) for _, w in scaled):
+    if not is_ordered(instance):
         raise NotOrderedError("allocator requires an ordered instance")
-    scale = [denom for denom, _ in scaled]
-    columns = list(zip(*(w for _, w in scaled)))  # columns[j][i] = L_i v_i(j)
+    scale = instance.scales
+    columns = list(zip(*instance.ints))  # columns[j][i] = L_i v_i(j)
     V = [[0] * n for _ in range(n)]  # V[i][k] = L_i v_i(A_k)
     envied, envious = [0] * n, [0] * n
     own = [Fraction(0)] * n  # v_i(A_i)

@@ -68,8 +68,10 @@ def _loads(text: str) -> dict:
     return doc
 
 
-def _field(doc: dict, name: str, typ: type, where: str = "document"):
+def _field(doc: dict, name: str, typ: type, where: str = "document", default=None):
     if name not in doc:
+        if default is not None:
+            return default
         _fail(f"{where}.{name}", "missing field")
     value = doc[name]
     if typ is int and isinstance(value, bool) or not isinstance(value, typ):
@@ -286,8 +288,6 @@ def _guarantee_for(kind: str, n: int, delta: Value | None) -> tuple[str, Value |
     if kind == KIND_ADDITIVE_CHORES:
         return (f"value*3n >= (4n-1)*mu, n={n}", 3 * n, 4 * n - 1)
     if kind == KIND_SUBMODULAR:
-        if delta is None:
-            raise InvalidInstanceError("submodular guarantee needs delta")
         vmul = 10 * (1 + delta)
         return (f"value*10*(1+delta) >= mu, delta={delta}", vmul, 1)
     raise InvalidInstanceError(f"unknown kind {kind!r}")
@@ -331,7 +331,8 @@ def build_report(
     Values are recomputed from the allocation; nothing is trusted from the
     solver. Where the exact oracle is over budget, submodular agents fall
     back to a certified lower bound on mu (a violation against a lower bound
-    is still a violation); additive agents report mu as unavailable.
+    is still a violation); additive agents report mu as unavailable. The
+    submodular delta (default 1/20) must be positive, as in alg_sub.
     """
     kind = kind_of(instance)
     if kind == KIND_SUBMODULAR:
@@ -339,6 +340,8 @@ def build_report(
         n, m = len(agents_f), agents_f[0].m
         if delta is None:
             delta = Fraction(1, 20)
+        elif delta <= 0:
+            raise InvalidInstanceError("delta must be positive")
     else:
         n, m = instance.n, instance.m
     if allocation.n != n or allocation.m != m:

@@ -73,10 +73,12 @@ class AdditiveInstance:
     """An additive fair-division instance: one value per (agent, good) pair.
 
     values[i][g] is agent i's value for good g. For kind="goods" all entries
-    are >= 0; for kind="chores" all entries are <= 0.
+    are >= 0; for kind="chores" all entries are <= 0. Each row is also held
+    scaled to ints (scale_to_ints): scales[i] is the lcm of row i's
+    denominators and ints[i][g] == scales[i] * values[i][g].
     """
 
-    __slots__ = ("values", "kind", "n", "m")
+    __slots__ = ("values", "kind", "n", "m", "scales", "ints")
 
     def __init__(self, values: Sequence[Sequence[ValueLike]], kind: str = GOODS):
         if kind not in (GOODS, CHORES):
@@ -87,30 +89,41 @@ class AdditiveInstance:
         m = len(rows[0])
         if any(len(row) != m for row in rows):
             raise InvalidInstanceError("value matrix must be rectangular")
-        # a Fraction's denominator is positive, so its numerator carries the sign
-        for i, row in enumerate(rows):
-            for g, v in enumerate(row):
-                if kind == GOODS and v.numerator < 0:
+        self.scales, ints = zip(*map(scale_to_ints, rows))
+        self.ints = tuple(map(tuple, ints))
+        # scales are positive, so a scaled int carries its value's sign
+        for i, row in enumerate(self.ints):
+            for g, x in enumerate(row):
+                if kind == GOODS and x < 0:
                     raise InvalidInstanceError(f"goods instance has negative value at ({i},{g})")
-                if kind == CHORES and v.numerator > 0:
+                if kind == CHORES and x > 0:
                     raise InvalidInstanceError(f"chores instance has positive value at ({i},{g})")
         self.values = rows
         self.kind = kind
         self.n = len(rows)
         self.m = m
 
+    def _permuted(self, perms: Sequence[Sequence[int]]) -> "AdditiveInstance":
+        """A copy with good perms[i][j] at position j of row i (each perms[i]
+        permutes range(m)), not validated again: rows keep scales and signs."""
+        out = object.__new__(AdditiveInstance)
+        out.values = tuple(tuple(map(r.__getitem__, p)) for r, p in zip(self.values, perms))
+        out.ints = tuple(tuple(map(r.__getitem__, p)) for r, p in zip(self.ints, perms))
+        out.scales, out.kind, out.n, out.m = self.scales, self.kind, self.n, self.m
+        return out
+
     def row(self, agent: int) -> tuple[Value, ...]:
         return self.values[agent]
 
     def value(self, agent: int, bundle: Iterable[int]) -> Value:
         """Additive value of a bundle for one agent."""
-        row = self.values[agent]
-        total = Fraction(0)
+        row = self.ints[agent]
+        total = 0
         for g in bundle:
             if not 0 <= g < self.m:
                 raise InvalidInstanceError(f"good index {g} out of range [0,{self.m})")
             total += row[g]
-        return total
+        return Fraction(total, self.scales[agent])
 
     def __eq__(self, other: object) -> bool:
         return (

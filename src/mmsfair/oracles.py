@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
-from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value, scale_to_ints
+from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.multilinear import ONE_MINUS_INV_E_UPPER
 from .submodular.valuations import SubmodularValuation, goods_of
 
@@ -188,7 +188,7 @@ def mms_exact_additive(
     if bundles < 1:
         raise InvalidInstanceError("need at least one bundle")
     _check_budget(bundles, instance.m, budget)
-    denom, w = scale_to_ints(instance.row(agent))
+    denom, w = instance.scales[agent], instance.ints[agent]
     upper = sum(w) // bundles  # the poorest bundle holds at most the mean
     best, witness = _max_min_partition(
         bundles, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper

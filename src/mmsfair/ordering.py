@@ -16,7 +16,7 @@ from operator import ge
 from typing import Sequence
 
 from .errors import InvalidInstanceError
-from .model import GOODS, AdditiveInstance, Allocation, Value, scale_to_ints
+from .model import GOODS, AdditiveInstance, Allocation
 
 
 @dataclass(frozen=True)
@@ -31,22 +31,15 @@ class OrderedReduction:
     perms: tuple[tuple[int, ...], ...]
 
 
-def _non_increasing_magnitudes(scaled: Sequence[int]) -> bool:
-    magnitudes = [abs(x) for x in scaled]
-    return all(map(ge, magnitudes, magnitudes[1:]))
-
-
 def is_ordered(instance: AdditiveInstance) -> bool:
     """True iff every row is sorted by non-increasing |value|."""
-    return all(
-        _non_increasing_magnitudes(scale_to_ints(row)[1]) for row in instance.values
-    )
+    magnitudes = ([abs(x) for x in row] for row in instance.ints)
+    return all(all(map(ge, mags, mags[1:])) for mags in magnitudes)
 
 
-def _canonical_perm(row: Sequence[Value]) -> list[int]:
-    """Positions of a row by descending |value|, ties by ascending index."""
-    _, scaled = scale_to_ints(row)
-    magnitudes = [abs(x) for x in scaled]
+def _canonical_perm(row: Sequence[int]) -> list[int]:
+    """Positions of a scaled int row by descending |value|, ties by ascending index."""
+    magnitudes = [abs(x) for x in row]
     # reverse=True keeps the sort stable, so equal magnitudes stay in index order
     return sorted(range(len(row)), key=magnitudes.__getitem__, reverse=True)
 
@@ -59,14 +52,8 @@ def to_ordered(instance: AdditiveInstance) -> OrderedReduction:
     non-decreasing; the multiset of each row is unchanged, so maximin shares
     are unchanged too.
     """
-    perms = []
-    rows = []
-    for row in instance.values:
-        perm = _canonical_perm(row)
-        perms.append(tuple(perm))
-        rows.append([row[g] for g in perm])
-    ordered = AdditiveInstance(rows, kind=instance.kind)
-    return OrderedReduction(ordered=ordered, perms=tuple(perms))
+    perms = tuple(tuple(_canonical_perm(row)) for row in instance.ints)
+    return OrderedReduction(ordered=instance._permuted(perms), perms=perms)
 
 
 def lift_allocation(
@@ -95,13 +82,14 @@ def lift_allocation(
     """
     m = original.m
     ordered = reduction.ordered
-    if ordered.n != original.n or ordered.m != m or ordered.kind != original.kind:
+    # a row is its scale and its ints; one scale per agent, so this compares n too
+    if ordered.scales != original.scales or ordered.m != m or ordered.kind != original.kind:
         raise InvalidInstanceError("reduction does not belong to this instance")
     for i, perm in enumerate(reduction.perms):
-        row = original.values[i]
+        row = original.ints[i]
         if list(perm) != _canonical_perm(row):
             raise InvalidInstanceError("reduction permutation is not to_ordered's order")
-        if ordered.values[i] != tuple(row[g] for g in perm):
+        if ordered.ints[i] != tuple(map(row.__getitem__, perm)):
             raise InvalidInstanceError("reduction does not belong to this instance")
     if ordered_alloc.m != m or ordered_alloc.n != original.n:
         raise InvalidInstanceError("ordered allocation shape does not match instance")

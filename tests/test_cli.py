@@ -122,6 +122,25 @@ class TestVerify:
         assert "VIOLATED" in text
         assert "NO" in text
 
+    @pytest.mark.parametrize("delta", ["0", "-1"])
+    def test_submodular_rejects_non_positive_delta(self, tmp_path, capsys, delta):
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        assert run(
+            "generate", "--kind", "coverage", "--n", "2", "--m", "4",
+            "--seed", "1", "--output", str(inst),
+        ) == 0
+        assert run(
+            "solve-submodular", "--input", str(inst),
+            "--allocation-out", str(alloc), "--output", str(tmp_path / "r.txt"),
+        ) == 0
+        argv = ["verify", "--input", str(inst), "--allocation", str(alloc)]
+        assert run(*argv, "--output", str(tmp_path / "ok.txt")) == 0
+        capsys.readouterr()
+        # the allocation passes at the default delta; a bad delta is an input error
+        assert run(*argv, f"--delta={delta}") == 1
+        assert capsys.readouterr().err == "error: delta must be positive\n"
+
 
 class TestMmsCommands:
     def test_exact_on_gap_fixture(self, tmp_path):
@@ -336,3 +355,24 @@ class TestSweep:
         config = tmp_path / "sweep.json"
         write(config, json.dumps({"batches": []}))
         assert run("sweep", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("name", ["a", "b"]),
+            ("seed", "abc"),
+            ("lo", "a"),
+            ("hi", 1.5),
+            ("oracle-budget", "big"),
+            ("oracle-budget", True),
+        ],
+    )
+    def test_sweep_rejects_bad_field(self, tmp_path, capsys, field, bad):
+        config = tmp_path / "sweep.json"
+        entry = {"bound": "additive-goods", "count": 1, "n": 2, "m": 2, field: bad}
+        write(config, json.dumps({"sweeps": [entry]}))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config), "--format", "table") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweeps[0].{field}: ")
+        assert len(err.splitlines()) == 1

@@ -2,10 +2,12 @@
 
 Drawn instances mix ties, zeros, per-row denominators and pre-sorted rows;
 the fast paths must return the same allocations, the same traces (down to
-the Fraction values of every step) and the same lifted bundles.
+the Fraction values of every step) and the same lifted bundles. The scaled
+int rows they all read must encode the Fraction values exactly.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
@@ -50,6 +52,28 @@ def allocations(n, m):
             [[g for g in range(m) if owner[g] == i] for i in range(n)], m
         )
     )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_int_rows_encode_values(kind, data):
+    inst = data.draw(instances(kind))
+    for i, row in enumerate(inst.values):
+        scale = inst.scales[i]
+        assert scale == lcm(*(v.denominator for v in row))
+        assert [Fraction(x, scale) for x in inst.ints[i]] == list(row)
+        mask = data.draw(st.lists(st.booleans(), min_size=inst.m, max_size=inst.m))
+        bundle = [g for g in range(inst.m) if mask[g]]
+        value = inst.value(i, bundle)
+        assert type(value) is Fraction
+        assert value == sum((row[g] for g in bundle), Fraction(0))
+    # the permuted copy skips validation; the validating constructor agrees
+    ordered = to_ordered(inst).ordered
+    rebuilt = AdditiveInstance(ordered.values, kind)
+    assert (ordered.kind, ordered.n, ordered.m) == (rebuilt.kind, rebuilt.n, rebuilt.m)
+    assert ordered.values == rebuilt.values
+    assert ordered.ints == rebuilt.ints
+    assert ordered.scales == rebuilt.scales
 
 
 @pytest.mark.parametrize("kind", KINDS)

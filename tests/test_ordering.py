@@ -8,7 +8,7 @@ from lemmas import mms_invariance_check
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation, bundle_value
-from mmsfair.ordering import is_ordered, lift_allocation, to_ordered
+from mmsfair.ordering import OrderedReduction, is_ordered, lift_allocation, to_ordered
 
 
 def random_instance(rng, kind, n, m, span=100):
@@ -147,6 +147,13 @@ class TestLiftAllocation:
         assert red.perms != red_for_inst.perms
         with pytest.raises(InvalidInstanceError):
             lift_allocation(red, AdditiveInstance([[9, 9]]), Allocation([{0, 1}], 2))
+
+    def test_rejects_same_ints_at_another_scale(self):
+        inst = AdditiveInstance([[Fraction(1, 2), Fraction(1, 2)]])
+        red = OrderedReduction(ordered=AdditiveInstance([[1, 1]]), perms=((0, 1),))
+        assert red.ordered.ints == inst.ints  # only the scales tell the rows apart
+        with pytest.raises(InvalidInstanceError):
+            lift_allocation(red, inst, Allocation([{0, 1}], 2))
 
     def test_rejects_shape_mismatch(self):
         inst = AdditiveInstance([[1, 2]])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from mmsfair.chores import lpt_chores_partition, solve_chores
-from mmsfair.model import CHORES, AdditiveInstance, bundle_value
+from mmsfair.model import CHORES, AdditiveInstance
 from mmsfair.oracles import mms_exact_additive
 
 
@@ -23,7 +23,7 @@ def many_chores():
     alloc = solve_chores(inst)
     print("bundles:")
     for i, bundle in enumerate(alloc.as_lists()):
-        v = bundle_value(inst, i, bundle)
+        v = inst.value(i, bundle)
         mu = mms_exact_additive(inst, i).value
         print(f"  agent {i}: chores {bundle}, value {v}, exact share {mu}")
         assert v * 3 * n >= (4 * n - 1) * mu

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from mmsfair.envy_graph import envy_graph_allocate, solve_additive
-from mmsfair.model import AdditiveInstance, bundle_value
+from mmsfair.model import AdditiveInstance
 from mmsfair.oracles import mms_exact_additive
 from mmsfair.ordering import lift_allocation, to_ordered
 
@@ -37,7 +37,7 @@ def main():
     lifted = lift_allocation(red, inst, alloc)
     print("\nfinal bundles on the original instance:")
     for i, bundle in enumerate(lifted.as_lists()):
-        v = bundle_value(inst, i, bundle)
+        v = inst.value(i, bundle)
         print(f"  agent {i}: goods {bundle}, value {v}")
 
     # The one-call version of the same pipeline.
@@ -46,7 +46,7 @@ def main():
     print("\nguarantee check, value*(3n-1) >= 2n*share:")
     for i in range(n):
         cert = mms_exact_additive(inst, i)
-        v = bundle_value(inst, i, lifted.bundles[i])
+        v = inst.value(i, lifted.bundles[i])
         ratio = Fraction(v, cert.value) if cert.value else None
         print(
             f"  agent {i}: value {v}, exact share {cert.value}, "

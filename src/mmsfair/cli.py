@@ -32,6 +32,7 @@ from .io import (
     KIND_SUBMODULAR,
     MU_UNAVAILABLE,
     _field,
+    _parse_value,
     _table_lines,
     build_report,
     kind_of,
@@ -283,7 +284,9 @@ def _run_sweep(entry: dict, index: int) -> dict:
     lo = _field(entry, "lo", int, where, -100 if chores else 0)
     hi = _field(entry, "hi", int, where, 0 if chores else 100)
     base_seed = _field(entry, "seed", int, where, 0)
-    delta = as_value(entry.get("delta", Fraction(1, 20)))
+    delta = _parse_value(entry.get("delta", "1/20"), f"{where}.delta")
+    if delta <= 0:
+        raise FairDivisionError(f"{where}.delta: expected a positive value, got {delta}")
     budget = _field(entry, "oracle-budget", int, where, DEFAULT_ORACLE_BUDGET)
     if n_lo < 1:
         raise FairDivisionError(f"{where}.n: need at least one agent")

@@ -17,9 +17,11 @@ and the per-agent envy counts (which name the sources and sinks) in O(n).
 Every envy edge it adds touches the agent that took the item, so a cycle can
 only form through that agent: the full cycle search runs only when that agent
 can reach itself, and an item that closes no cycle costs O(n). A rotation
-permutes the matrix's columns like the bundles. The build_envy_graph /
-resolve_cycles pair computes the same graphs and cycles from an Allocation,
-for callers that hold one.
+permutes the matrix's columns like the bundles. EnvyGraph and
+build_envy_graph compute the same graph from an Allocation; the allocator
+does not call them. They stay in the package because the benchmark's tracer
+(perfbench/tracer.py) wraps build_envy_graph by name. The cycle resolution
+built on them, resolve_cycles, is a test reference (tests/reference.py).
 
 Every step is recorded in a trace, enough to replay the exact sequence of
 partial allocations later. On ordered goods instances every partial
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
+from typing import Callable, Iterable, MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
 from .model import GOODS, AdditiveInstance, Allocation, Value
@@ -127,27 +129,6 @@ def build_envy_graph(instance: AdditiveInstance, allocation: Allocation) -> Envy
     return EnvyGraph(n, edges)
 
 
-def resolve_cycles(
-    instance: AdditiveInstance, allocation: Allocation
-) -> tuple[Allocation, list[list[int]]]:
-    """Rotate bundles along envy cycles until the envy graph is acyclic.
-
-    On a cycle c_0 -> c_1 -> ... -> c_k -> c_0, agent c_t receives the bundle
-    of c_{t+1} (the one it envies), so every agent on the cycle strictly gains
-    and agents off the cycle keep their bundles. Each rotation strictly
-    reduces the edge count, which bounds the number of rounds.
-    """
-    bundles = list(allocation.bundles)
-    log: list[list[int]] = []
-    while True:
-        graph = build_envy_graph(instance, Allocation(bundles, allocation.m))
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return Allocation(bundles, allocation.m), log
-        log.append(list(cycle))
-        _rotate(bundles, cycle)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One allocator iteration: which item went where, and what it triggered."""
@@ -165,16 +146,6 @@ class RunTrace:
     n: int
     m: int
     steps: tuple[TraceStep, ...]
-
-    def replay(self) -> Iterator[tuple[list[frozenset[int]], list[frozenset[int]]]]:
-        """Yield (after assignment, after cycle resolution) bundles per step."""
-        bundles: list[frozenset[int]] = [frozenset() for _ in range(self.n)]
-        for step in self.steps:
-            bundles[step.agent] = bundles[step.agent] | {step.item}
-            mid = list(bundles)
-            for cycle in step.cycles:
-                _rotate(bundles, cycle)
-            yield mid, list(bundles)
 
 
 def _envy_counts(V: list[list[int]]) -> tuple[list[int], list[int]]:

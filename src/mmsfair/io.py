@@ -4,10 +4,11 @@ Files are JSON. Every rational travels as a string ("p/q" or "p"; bare
 integers are accepted on input), so parse(serialize(x)) reproduces x
 exactly. Explicit submodular tables are stored in subset-mask order: entry k
 is the value of the bundle whose members are the set bits of k, bit 0 being
-good 0. Reports carry, per agent, the achieved value, the maximin share with
-its provenance (exact, certified-lower-bound, or unavailable), the achieved
-ratio where it is well defined, and the verdict of the division-free
-guarantee comparison.
+good 0; a table where some good adds more to a bundle than max(0, its own
+value) is rejected, because the exact oracle's bounds assume it. Reports
+carry, per agent, the achieved value, the maximin share with its provenance
+(exact, certified-lower-bound, or unavailable), the achieved ratio where it
+is well defined, and the verdict of the division-free guarantee comparison.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .submodular.valuations import (
     SubmodularValuation,
     WeightedCoverage,
     detect_positive_mms,
+    goods_of,
 )
 
 FORMAT_VERSION = 1
@@ -103,13 +105,33 @@ def _parse_value_list(raw: object, count: int, field: str) -> list[Value]:
     return [_parse_value(v, f"{field}[{k}]") for k, v in enumerate(raw)]
 
 
+def _check_marginals(f: ExplicitTable, field: str) -> None:
+    """Reject a table where a good adds more to some bundle than max(0, its
+    own value): the exact oracle's caps and its stop at the positive
+    singleton sum over n rest on f(S + g) - f(S) <= max(0, f({g}))."""
+    ints, m = f.ints, f.m
+    for g in range(m):
+        bit = 1 << g
+        cap = max(0, ints[bit])
+        for mask in range(1 << m):
+            if not mask & bit and ints[mask | bit] - ints[mask] > cap:
+                gain = Fraction(ints[mask | bit] - ints[mask], f.scale)
+                _fail(
+                    field,
+                    f"good {g} adds {gain} to bundle {goods_of(mask)}, "
+                    f"more than max(0, its own value {f.table[bit]})",
+                )
+
+
 def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuation:
     if not isinstance(doc, dict):
         _fail(field, "expected an object")
     family = _field(doc, "family", str, field)
     if family == "explicit":
         table = _parse_value_list(doc.get("table"), 1 << m, f"{field}.table")
-        return ExplicitTable(m, table)
+        f = ExplicitTable(m, table)
+        _check_marginals(f, f"{field}.table")
+        return f
     if family == "coverage":
         raw_weights = doc.get("weights")
         if not isinstance(raw_weights, list):

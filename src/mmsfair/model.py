@@ -1,4 +1,4 @@
-"""Core data model: exact values, additive instances, allocations, envy predicates.
+"""Core data model: exact values, additive instances, allocations, certificates.
 
 Every value in the additive pipeline is an exact rational (fractions.Fraction).
 Floats are rejected at the boundary: a float argument would silently smuggle
@@ -188,56 +188,6 @@ class Allocation:
 
     def __repr__(self) -> str:
         return f"Allocation({self.as_lists()}, m={self.m})"
-
-
-def bundle_value(instance: AdditiveInstance, agent: int, bundle: Iterable[int]) -> Value:
-    """Agent's additive value for a set of goods."""
-    return instance.value(agent, bundle)
-
-
-def envies(instance: AdditiveInstance, allocation: Allocation, i: int, j: int) -> bool:
-    """True iff agent i strictly prefers agent j's bundle to its own."""
-    return instance.value(i, allocation.bundles[i]) < instance.value(i, allocation.bundles[j])
-
-
-def is_ef1(instance: AdditiveInstance, allocation: Allocation) -> bool:
-    """Envy-free up to one good: some good dropped from the envied bundle
-    kills the envy.
-
-    For every ordered pair (i, j) with a nonempty A_j there must be a g in
-    A_j with v_i(A_i) >= v_i(A_j - g); empty rival bundles demand
-    v_i(A_i) >= 0, vacuous for goods. The predicate is about goods; chores
-    guarantees in this package are measured by value ratios, not envy.
-    """
-    n = allocation.n
-    for i in range(n):
-        own = instance.value(i, allocation.bundles[i])
-        for j in range(n):
-            if i == j:
-                continue
-            other = allocation.bundles[j]
-            if own >= instance.value(i, other):
-                continue
-            if not any(own >= instance.value(i, other - {g}) for g in other):
-                return False
-    return True
-
-
-def is_efx(instance: AdditiveInstance, allocation: Allocation) -> bool:
-    """Envy-free up to any good: dropping *any* good from the envied bundle
-    kills the envy. Same conventions as is_ef1, with the quantifier flipped."""
-    n = allocation.n
-    for i in range(n):
-        own = instance.value(i, allocation.bundles[i])
-        for j in range(n):
-            if i == j:
-                continue
-            other = allocation.bundles[j]
-            if own >= instance.value(i, other):
-                continue
-            if not all(own >= instance.value(i, other - {g}) for g in other):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

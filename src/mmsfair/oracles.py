@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
-from .submodular.multilinear import ONE_MINUS_INV_E_UPPER
 from .submodular.valuations import SubmodularValuation, goods_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
@@ -378,6 +377,10 @@ def exhaustive_matroid_max(
         mask ^= sub
     return pairs
 
+
+# 6322/10000 is a hair above 1 - 1/e, the factor the per-bundle certificate
+# needs, so a solver factor at least this large certifies it exactly.
+ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
 
 MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, PartitionMatroid], set], Value]] = {
     "exhaustive": (exhaustive_matroid_max, Fraction(1)),

@@ -1,16 +1,12 @@
-"""Submodular side of the package: valuation oracles, the threshold round
-robin with its self-calibrating wrapper, and the multilinear extension."""
+"""Submodular side of the package: valuation oracles, and the threshold
+round robin with its self-calibrating wrapper.
+
+The multilinear extensions through which the paper proves the 1/10 bound
+are analysis, not algorithm: no solver, audit or command computes one, so
+they live with the tests (tests/multilinear.py).
+"""
 
 from .allocate import ThresholdState, alg_sub, round_robin
-from .multilinear import (
-    ONE_MINUS_INV_E_UPPER,
-    FractionalAllocation,
-    ProportionalityReport,
-    expected_ordered_marginal,
-    multilinear_exact,
-    multilinear_mc,
-    proportionality_check,
-)
 from .valuations import (
     BudgetAdditive,
     ExplicitTable,
@@ -27,22 +23,15 @@ from .valuations import (
 __all__ = [
     "BudgetAdditive",
     "ExplicitTable",
-    "FractionalAllocation",
     "MarginalValuation",
-    "ONE_MINUS_INV_E_UPPER",
-    "ProportionalityReport",
     "SubmodularityReport",
     "SubmodularValuation",
     "ThresholdState",
     "WeightedCoverage",
     "alg_sub",
     "detect_positive_mms",
-    "expected_ordered_marginal",
     "goods_of",
     "mask_of",
-    "multilinear_exact",
-    "multilinear_mc",
-    "proportionality_check",
     "round_robin",
     "verify_submodular",
 ]

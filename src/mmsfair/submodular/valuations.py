@@ -116,11 +116,12 @@ class ExplicitTable(SubmodularValuation):
     """A set function given by its full table of 2^m values.
 
     table[mask] is the value of the bundle whose members are the set bits of
-    mask (bit k = good k). The constructor only checks shape and
-    normalization; run verify_submodular to validate the rest.
+    mask (bit k = good k), and ints[mask] == scale * table[mask]. The
+    constructor only checks shape and normalization; run verify_submodular
+    to validate the rest.
     """
 
-    __slots__ = ("table", "_ints")
+    __slots__ = ("table", "ints")
 
     def __init__(self, m: int, table: Sequence[ValueLike]):
         vals = tuple(as_value(v) for v in table)
@@ -133,10 +134,10 @@ class ExplicitTable(SubmodularValuation):
         if vals[0] != 0:
             raise InvalidInstanceError("empty bundle must have value 0")
         self.table = vals
-        self._ints = ints
+        self.ints = ints
 
     def _value_int_raw(self, mask: int) -> int:
-        return self._ints[mask]
+        return self.ints[mask]
 
 
 class WeightedCoverage(SubmodularValuation):

@@ -1,22 +1,79 @@
 """Checks of the proof lemmas behind the solvers, used only by the tests.
 
 The solvers never call these; the tests use them to confirm, on concrete
-runs, the structural facts the guarantees rest on: envy-freeness up to any
-good along a goods run, the forced pairing shape of its early partial
+runs, the structural facts the guarantees rest on: envy-freeness up to one
+or any good (envies, is_ef1, is_efx), envy-freeness up to any good along a
+replayed goods run, the forced pairing shape of its early partial
 allocations, majorization of bundle values, invariance of the maximin share
 under the ordering reduction, the bundle split behind the tau/9 threshold
 search, and the partition matroid the slot solvers maximize over.
 """
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from mmsfair.envy_graph import RunTrace
+from mmsfair.envy_graph import RunTrace, _rotate
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
-from mmsfair.model import GOODS, AdditiveInstance, Allocation, Value, as_value, is_efx
+from mmsfair.model import GOODS, AdditiveInstance, Allocation, Value, as_value
 from mmsfair.oracles import DEFAULT_ORACLE_BUDGET, PartitionMatroid, mms_exact_additive
 from mmsfair.ordering import is_ordered, to_ordered
 from mmsfair.submodular.valuations import SubmodularValuation
+
+
+def envies(instance: AdditiveInstance, allocation: Allocation, i: int, j: int) -> bool:
+    """True iff agent i strictly prefers agent j's bundle to its own."""
+    return instance.value(i, allocation.bundles[i]) < instance.value(i, allocation.bundles[j])
+
+
+def is_ef1(instance: AdditiveInstance, allocation: Allocation) -> bool:
+    """Envy-free up to one good: some good dropped from the envied bundle
+    kills the envy.
+
+    For every ordered pair (i, j) with a nonempty A_j there must be a g in
+    A_j with v_i(A_i) >= v_i(A_j - g); empty rival bundles demand
+    v_i(A_i) >= 0, vacuous for goods. The predicate is about goods; chores
+    guarantees in this package are measured by value ratios, not envy.
+    """
+    n = allocation.n
+    for i in range(n):
+        own = instance.value(i, allocation.bundles[i])
+        for j in range(n):
+            if i == j:
+                continue
+            other = allocation.bundles[j]
+            if own >= instance.value(i, other):
+                continue
+            if not any(own >= instance.value(i, other - {g}) for g in other):
+                return False
+    return True
+
+
+def is_efx(instance: AdditiveInstance, allocation: Allocation) -> bool:
+    """Envy-free up to any good: dropping *any* good from the envied bundle
+    kills the envy. Same conventions as is_ef1, with the quantifier flipped."""
+    n = allocation.n
+    for i in range(n):
+        own = instance.value(i, allocation.bundles[i])
+        for j in range(n):
+            if i == j:
+                continue
+            other = allocation.bundles[j]
+            if own >= instance.value(i, other):
+                continue
+            if not all(own >= instance.value(i, other - {g}) for g in other):
+                return False
+    return True
+
+
+def replay(trace: RunTrace) -> Iterator[tuple[list[frozenset[int]], list[frozenset[int]]]]:
+    """Yield (after assignment, after cycle resolution) bundles per step."""
+    bundles: list[frozenset[int]] = [frozenset() for _ in range(trace.n)]
+    for step in trace.steps:
+        bundles[step.agent] = bundles[step.agent] | {step.item}
+        mid = list(bundles)
+        for cycle in step.cycles:
+            _rotate(bundles, cycle)
+        yield mid, list(bundles)
 
 
 def check_efx_trace(instance: AdditiveInstance, trace: RunTrace) -> bool:
@@ -25,7 +82,7 @@ def check_efx_trace(instance: AdditiveInstance, trace: RunTrace) -> bool:
     Both intermediate states per step are checked: right after the item is
     assigned and again after cycle resolution.
     """
-    for mid, end in trace.replay():
+    for mid, end in replay(trace):
         if not is_efx(instance, Allocation(mid, trace.m)):
             return False
         if not is_efx(instance, Allocation(end, trace.m)):
@@ -76,7 +133,7 @@ def check_prefix_structure(instance: AdditiveInstance, trace: RunTrace) -> bool:
     if not _strictly_decreasing_rows(instance):
         raise InvalidInstanceError("prefix structure needs strictly decreasing rows")
     n = trace.n
-    for count, (_, end) in enumerate(trace.replay(), start=1):
+    for count, (_, end) in enumerate(replay(trace), start=1):
         if max(len(b) for b in end) > 2:
             break
         if count <= n:

@@ -1,5 +1,10 @@
 """Multilinear extension of a set function, exact and by Monte Carlo.
 
+The paper proves the 1/10 bound of the round robin through multilinear
+extensions; the algorithm never computes one. These are the proof's
+analysis tools, kept with the tests that check its inequalities on
+concrete valuations.
+
 For a fractional point x in [0,1]^m, F(x) is the expected value of f on the
 random bundle that contains each good g independently with probability x_g.
 Exact evaluation enumerates the subsets of the fractional support (goods with
@@ -23,13 +28,10 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
-from ..errors import BudgetExceededError, InvalidInstanceError
-from ..model import Value, ValueLike, as_value
-from .valuations import SubmodularValuation, mask_of
-
-# 6322/10000 is a hair above 1 - 1/e, so a pass against this rational bound
-# certifies the irrational inequality exactly.
-ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
+from mmsfair.errors import BudgetExceededError, InvalidInstanceError
+from mmsfair.model import Value, ValueLike, as_value
+from mmsfair.oracles import ONE_MINUS_INV_E_UPPER
+from mmsfair.submodular.valuations import SubmodularValuation, mask_of
 
 _SUPPORT_BUDGET = 20
 

@@ -1,11 +1,12 @@
 """Reference implementations that the fast paths are compared against.
 
-The first two are the straightforward versions the library used before its
-integer allocator and cursor lift: rebuild the envy graph from Fraction
-values after every item and every rotation, and rescan every remaining item
-for each pick of the lift. They are slow (O(n^2 m) value sums per run,
-O(m^2) per lift) but easy to check by eye. The third is the maximin share by
-brute force over all n^m assignments, for the exact oracles.
+The first three are the straightforward versions the library used before
+its integer allocator and cursor lift: resolve_cycles rebuilds the envy
+graph from Fraction values after every rotation, the allocator loop calls it
+after every item, and the lift rescans every remaining item for each pick.
+They are slow (O(n^2 m) value sums per run, O(m^2) per lift) but easy to
+check by eye. The fourth is the maximin share by brute force over all n^m
+assignments, for the exact oracles.
 
 The rest are the submodular loops as they ran before the valuations were
 scaled to ints: the lazy greedy slot solver, round robin, the greedy
@@ -19,8 +20,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from mmsfair.envy_graph import RunTrace, TraceStep, build_envy_graph, resolve_cycles
-from mmsfair.model import GOODS, Allocation
+from mmsfair.envy_graph import RunTrace, TraceStep, _rotate, build_envy_graph
+from mmsfair.model import GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import PartitionMatroid, SlotObjective
 from mmsfair.submodular.valuations import (
     BudgetAdditive,
@@ -28,6 +29,27 @@ from mmsfair.submodular.valuations import (
     MarginalValuation,
     goods_of,
 )
+
+
+def resolve_cycles(
+    instance: AdditiveInstance, allocation: Allocation
+) -> tuple[Allocation, list[list[int]]]:
+    """Rotate bundles along envy cycles until the envy graph is acyclic.
+
+    On a cycle c_0 -> c_1 -> ... -> c_k -> c_0, agent c_t receives the bundle
+    of c_{t+1} (the one it envies), so every agent on the cycle strictly gains
+    and agents off the cycle keep their bundles. Each rotation strictly
+    reduces the edge count, which bounds the number of rounds.
+    """
+    bundles = list(allocation.bundles)
+    log: list[list[int]] = []
+    while True:
+        graph = build_envy_graph(instance, Allocation(bundles, allocation.m))
+        cycle = graph.find_cycle()
+        if cycle is None:
+            return Allocation(bundles, allocation.m), log
+        log.append(list(cycle))
+        _rotate(bundles, cycle)
 
 
 def reference_allocate_ordered(instance, pick):

@@ -10,7 +10,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from lemmas import check_efx_trace
+from lemmas import check_efx_trace, is_ef1
+from multilinear import (
+    FractionalAllocation,
+    expected_ordered_marginal,
+    multilinear_exact,
+    multilinear_mc,
+    proportionality_check,
+)
 
 from mmsfair.chores import lpt_chores_partition, solve_chores
 from mmsfair.envy_graph import envy_graph_allocate, solve_additive
@@ -20,13 +27,7 @@ from mmsfair.generators import (
     fixture_submodular_gap,
     generate,
 )
-from mmsfair.model import (
-    CHORES,
-    AdditiveInstance,
-    Allocation,
-    bundle_value,
-    is_ef1,
-)
+from mmsfair.model import CHORES, AdditiveInstance, Allocation
 from mmsfair.oracles import (
     mms_approx_submodular,
     mms_exact_additive,
@@ -35,13 +36,6 @@ from mmsfair.oracles import (
 )
 from mmsfair.ordering import lift_allocation, to_ordered
 from mmsfair.submodular.allocate import alg_sub, round_robin
-from mmsfair.submodular.multilinear import (
-    FractionalAllocation,
-    expected_ordered_marginal,
-    multilinear_exact,
-    multilinear_mc,
-    proportionality_check,
-)
 from mmsfair.submodular.valuations import MarginalValuation
 
 SUBMODULAR_MIX = ("coverage", "budget-additive", "explicit")
@@ -82,7 +76,7 @@ def test_additive_goods_bound_holds_on_200_instances():
         alloc = solve_additive(inst)
         for i in range(n):
             mu = mms_exact_additive(inst, i, budget=10**9).value
-            value = bundle_value(inst, i, alloc.bundles[i])
+            value = inst.value(i, alloc.bundles[i])
             assert value * (3 * n - 1) >= 2 * n * mu, (i, inst.values)
             agents += 1
     print(f"PASS: goods bound exact on 200 instances ({agents} agents)")
@@ -114,8 +108,8 @@ def test_lifting_never_loses_value():
         oalloc = random_complete_allocation(rng, n, m)
         lifted = lift_allocation(red, inst, oalloc)
         for i in range(n):
-            assert bundle_value(inst, i, lifted.bundles[i]) >= bundle_value(
-                red.ordered, i, oalloc.bundles[i]
+            assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(
+                i, oalloc.bundles[i]
             )
     print("PASS: lift kept every agent's value on 100 random pairs")
 
@@ -261,7 +255,7 @@ def test_chores_bound_and_pairing_optimality():
         alloc = solve_chores(inst)
         for i in range(n):
             mu = mms_exact_additive(inst, i).value
-            value = bundle_value(inst, i, alloc.bundles[i])
+            value = inst.value(i, alloc.bundles[i])
             assert value * 3 * n >= (4 * n - 1) * mu
             agents += 1
 
@@ -294,7 +288,7 @@ def test_worst_case_fixtures_are_exact():
         inst, alloc = fixture_ef1_not_mms(n)
         assert is_ef1(inst, alloc)
         mu = mms_exact_additive(inst, 0, budget=10**9).value
-        value = bundle_value(inst, 0, alloc.bundles[0])
+        value = inst.value(0, alloc.bundles[0])
         assert Fraction(value, mu) == Fraction(1, n)
 
     f1, f2 = fixture_submodular_gap()

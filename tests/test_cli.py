@@ -8,6 +8,7 @@ import pytest
 from mmsfair.cli import main
 from mmsfair.io import parse_allocation, parse_instance
 from mmsfair.model import CHORES, AdditiveInstance
+from mmsfair.submodular.valuations import verify_submodular
 
 
 def run(*argv):
@@ -214,6 +215,8 @@ class TestFixturesCommand:
         parsed = parse_instance(inst.read_text())
         assert len(parsed) == 2
         assert parsed[0].evaluate([0, 1]) == 2
+        # not submodular, yet no good adds more than its own value: it parses
+        assert not any(verify_submodular(f) for f in parsed)
 
     def test_gap_fixture_has_no_allocation(self, tmp_path):
         assert run(
@@ -244,6 +247,21 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "line 1" in err
+
+    @pytest.mark.parametrize("command", ["mms-exact", "solve-submodular"])
+    def test_explicit_table_gaining_beyond_singleton(self, tmp_path, capsys, command):
+        # good 1 is worth 0 alone yet adds 1 to {2}; the exact oracle's caps
+        # assume no good adds more than max(0, its singleton value)
+        inst = tmp_path / "inst.json"
+        table = {"family": "explicit", "table": ["0", "1", "0", "0", "0", "0", "1", "2"]}
+        doc = {"version": 1, "kind": "submodular", "n": 2, "m": 3, "agents": [table] * 2}
+        write(inst, json.dumps(doc))
+        capsys.readouterr()
+        assert run(command, "--input", str(inst)) == 1
+        assert capsys.readouterr().err == (
+            "error: agents[0].table: good 1 adds 1 to bundle [2], "
+            "more than max(0, its own value 0)\n"
+        )
 
     def test_generate_bad_range(self, tmp_path):
         assert run(
@@ -365,6 +383,10 @@ class TestSweep:
             ("hi", 1.5),
             ("oracle-budget", "big"),
             ("oracle-budget", True),
+            ("delta", 0.5),
+            ("delta", "abc"),
+            ("delta", 0),
+            ("delta", -3),
         ],
     )
     def test_sweep_rejects_bad_field(self, tmp_path, capsys, field, bad):

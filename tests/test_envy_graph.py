@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from lemmas import check_efx_trace, check_prefix_structure, majorizes
+from lemmas import check_efx_trace, check_prefix_structure, is_efx, majorizes, replay
+from reference import resolve_cycles
 
 from mmsfair.envy_graph import (
     EnvyGraph,
@@ -13,11 +14,10 @@ from mmsfair.envy_graph import (
     TraceStep,
     build_envy_graph,
     envy_graph_allocate,
-    resolve_cycles,
     solve_additive,
 )
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
-from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation, is_efx
+from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import mms_exact_additive
 from mmsfair.ordering import to_ordered
 
@@ -227,10 +227,10 @@ class TestEnvyGraphAllocate:
             assert trace.n == n and trace.m == m
             assert [step.item for step in trace.steps] == list(range(m))
             last = None
-            for _, end in trace.replay():
+            for _, end in replay(trace):
                 last = end
             assert tuple(frozenset(b) for b in last) == alloc.bundles
-            for step, (_, end) in zip(trace.steps, trace.replay()):
+            for step, (_, end) in zip(trace.steps, replay(trace)):
                 assert step.values == tuple(
                     inst.value(i, end[i]) for i in range(n)
                 )
@@ -256,7 +256,7 @@ class TestEnvyGraphAllocate:
             inst = random_ordered_goods(rng, n, m)
             _, trace = envy_graph_allocate(inst)
             prev = [0] * n
-            for _, end in trace.replay():
+            for _, end in replay(trace):
                 sizes = sorted(len(b) for b in end)
                 assert all(a >= b for a, b in zip(sizes, prev))
                 prev = sizes
@@ -362,7 +362,7 @@ class TestCheckPrefixStructure:
         _, trace = envy_graph_allocate(inst)
         assert check_prefix_structure(inst, trace)
         # after five items: singleton {0} plus pairs {1,4} and {2,3}
-        states = list(trace.replay())
+        states = list(replay(trace))
         _, end = states[4]
         got = sorted((sorted(b) for b in end), key=lambda b: b[0])
         assert got == [[0], [1, 4], [2, 3]]
@@ -371,7 +371,7 @@ class TestCheckPrefixStructure:
         inst = AdditiveInstance([[50, 40, 30, 20]] * 4)
         _, trace = envy_graph_allocate(inst)
         assert check_prefix_structure(inst, trace)
-        for count, (_, end) in enumerate(trace.replay(), start=1):
+        for count, (_, end) in enumerate(replay(trace), start=1):
             sizes = sorted(len(b) for b in end)
             assert sizes == [0] * (4 - count) + [1] * count
 
@@ -446,7 +446,7 @@ class TestFinalValueAnalysis:
             tau = agent_threshold(inst, 0, fin)
             if tau is None or tau == 0 or tau > 7:
                 continue
-            states = list(trace.replay())
+            states = list(replay(trace))
             _, prefix = states[tau - 1]
             run_vals = [inst.value(0, b) for b in prefix]
             row = inst.values[0]

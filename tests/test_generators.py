@@ -1,6 +1,7 @@
 """Seeded generators and the two hand-built fixture instances."""
 
 import pytest
+from lemmas import is_ef1
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.generators import (
@@ -11,7 +12,7 @@ from mmsfair.generators import (
     fixture_submodular_gap,
     generate,
 )
-from mmsfair.model import CHORES, GOODS, AdditiveInstance, is_ef1
+from mmsfair.model import CHORES, GOODS, AdditiveInstance
 from mmsfair.oracles import mms_exact_additive, mms_exact_submodular
 from mmsfair.submodular.valuations import (
     BudgetAdditive,

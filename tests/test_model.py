@@ -1,8 +1,10 @@
-"""Core model: exact values, instances, allocations, envy predicates."""
+"""Core model: exact values, instances, allocations; and the envy predicates
+of tests/lemmas.py."""
 
 from fractions import Fraction
 
 import pytest
+from lemmas import envies, is_ef1, is_efx
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.model import (
@@ -12,10 +14,6 @@ from mmsfair.model import (
     Allocation,
     MmsCertificate,
     as_value,
-    bundle_value,
-    envies,
-    is_ef1,
-    is_efx,
     value_to_str,
 )
 
@@ -75,33 +73,33 @@ class TestAdditiveInstance:
 class TestBundleValue:
     def test_two_entries(self):
         inst = AdditiveInstance([[3, 1, 2]])
-        assert bundle_value(inst, 0, {0, 2}) == 5
+        assert inst.value(0, {0, 2}) == 5
 
     def test_empty_bundle_is_zero(self):
         inst = AdditiveInstance([[3, 1, 2]])
-        assert bundle_value(inst, 0, set()) == 0
+        assert inst.value(0, set()) == 0
 
     def test_unit_goods_prefix(self):
         inst = AdditiveInstance([[1, 1, 1, 3, 3]] * 3)
-        assert bundle_value(inst, 0, {0, 1, 2}) == 3
+        assert inst.value(0, {0, 1, 2}) == 3
 
     def test_out_of_range_good(self):
         inst = AdditiveInstance([[1]])
         with pytest.raises(InvalidInstanceError):
-            bundle_value(inst, 0, {5})
+            inst.value(0, {5})
 
     def test_monotone_for_goods_antitone_for_chores(self):
         goods = AdditiveInstance([[2, 3, 5]])
         chores = AdditiveInstance([[-2, -3, -5]], kind=CHORES)
-        assert bundle_value(goods, 0, {0}) <= bundle_value(goods, 0, {0, 1})
-        assert bundle_value(chores, 0, {0}) >= bundle_value(chores, 0, {0, 1})
+        assert goods.value(0, {0}) <= goods.value(0, {0, 1})
+        assert chores.value(0, {0}) >= chores.value(0, {0, 1})
 
     def test_bundle_values_sum_to_total(self):
         inst = AdditiveInstance([[4, 1, 2, 7], [2, 2, 2, 2]])
         alloc = Allocation([{0, 3}, {1, 2}], 4)
         for i in range(2):
-            total = sum(bundle_value(inst, i, b) for b in alloc.bundles)
-            assert total == bundle_value(inst, i, range(4))
+            total = sum(inst.value(i, b) for b in alloc.bundles)
+            assert total == inst.value(i, range(4))
 
 
 class TestAllocation:

@@ -7,7 +7,7 @@ import pytest
 from lemmas import mms_invariance_check
 
 from mmsfair.errors import InvalidInstanceError
-from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation, bundle_value
+from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
 from mmsfair.ordering import OrderedReduction, is_ordered, lift_allocation, to_ordered
 
 
@@ -73,8 +73,8 @@ class TestLiftAllocation:
         inst = AdditiveInstance([[1, 3, 2], [2, 2, 2]])
         red = to_ordered(inst)
         lifted = lift_allocation(red, inst, Allocation([{0}, {1, 2}], 3))
-        assert bundle_value(inst, 0, lifted.bundles[0]) == 3
-        assert bundle_value(inst, 1, lifted.bundles[1]) == 4
+        assert inst.value(0, lifted.bundles[0]) == 3
+        assert inst.value(1, lifted.bundles[1]) == 4
         assert lifted.as_lists() == [[1], [0, 2]]
 
     def test_single_agent_takes_everything(self):
@@ -95,9 +95,7 @@ class TestLiftAllocation:
             oalloc = random_complete_allocation(rng, n, m)
             lifted = lift_allocation(red, inst, oalloc)
             for i in range(n):
-                assert bundle_value(inst, i, lifted.bundles[i]) == bundle_value(
-                    inst, i, oalloc.bundles[i]
-                )
+                assert inst.value(i, lifted.bundles[i]) == inst.value(i, oalloc.bundles[i])
 
     def test_value_never_drops_goods_and_chores(self):
         # every agent does at least as well on the original as on the ordered copy
@@ -111,8 +109,8 @@ class TestLiftAllocation:
             lifted = lift_allocation(red, inst, oalloc)
             assert lifted.is_complete()
             for i in range(n):
-                assert bundle_value(inst, i, lifted.bundles[i]) >= bundle_value(
-                    red.ordered, i, oalloc.bundles[i]
+                assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(
+                    i, oalloc.bundles[i]
                 )
 
     def test_chores_regression_mild_positions_pick_before_harsh(self):
@@ -128,8 +126,8 @@ class TestLiftAllocation:
         oalloc = Allocation([{1, 4, 5, 6}, {0, 7}, {2, 3}], 8)
         lifted = lift_allocation(red, inst, oalloc)
         for i in range(3):
-            assert bundle_value(inst, i, lifted.bundles[i]) >= bundle_value(
-                red.ordered, i, oalloc.bundles[i]
+            assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(
+                i, oalloc.bundles[i]
             )
 
     def test_rejects_incomplete_allocation(self):

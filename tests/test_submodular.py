@@ -1,16 +1,11 @@
 """Submodular valuation families, sight-unseen allocation, and the
-multilinear extension."""
+multilinear extension of tests/multilinear.py."""
 
 import random
 from fractions import Fraction
 
 import pytest
-
-from mmsfair.errors import BudgetExceededError, InvalidInstanceError
-from mmsfair.generators import fixture_submodular_gap
-from mmsfair.oracles import mms_exact_submodular
-from mmsfair.submodular.allocate import ThresholdState, alg_sub, round_robin
-from mmsfair.submodular.multilinear import (
+from multilinear import (
     ONE_MINUS_INV_E_UPPER,
     FractionalAllocation,
     expected_ordered_marginal,
@@ -18,6 +13,11 @@ from mmsfair.submodular.multilinear import (
     multilinear_mc,
     proportionality_check,
 )
+
+from mmsfair.errors import BudgetExceededError, InvalidInstanceError
+from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
+from mmsfair.oracles import mms_exact_submodular
+from mmsfair.submodular.allocate import ThresholdState, alg_sub, round_robin
 from mmsfair.submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
@@ -562,3 +562,35 @@ class TestProportionalityCheck:
         f = BudgetAdditive((1,), 1)
         with pytest.raises(InvalidInstanceError):
             proportionality_check([f], [1, 2])
+
+
+class TestFractionalEstimates:
+    """Seeded instances, each with one fact about the fractional relaxation."""
+
+    def test_extension_splits_over_goods(self):
+        # each coordinate contributes its mass times the expected marginal
+        # over a random lower-indexed prefix
+        f = generate(GeneratorSpec("coverage", 1, 8, lo=1, hi=9, seed=3))[0]
+        x = FractionalAllocation([Fraction(1, 2)] * 8)
+        j_set = frozenset(range(8))
+        parts = sum(
+            (x.x[j] * expected_ordered_marginal(f, frozenset(), j_set, j, x) for j in j_set),
+            Fraction(0),
+        )
+        assert parts == multilinear_exact(f, x)
+
+    def test_uniform_point_covers_shares(self):
+        fs = generate(GeneratorSpec("explicit", 3, 6, lo=1, hi=9, seed=12))
+        mus = [mms_exact_submodular(f, 3).value for f in fs]
+        assert proportionality_check(fs, mus).all_passed()
+
+    def test_no_allocation_beats_three_quarters(self):
+        # the integral gap the fractional relaxation cannot see
+        f1, f2 = fixture_submodular_gap()
+        mus = [mms_exact_submodular(f, 2).value for f in (f1, f2)]
+        best = Fraction(0)
+        for mask in range(16):
+            a = [g for g in range(4) if mask >> g & 1]
+            b = [g for g in range(4) if not mask >> g & 1]
+            best = max(best, min(f1.evaluate(a) / mus[0], f2.evaluate(b) / mus[1]))
+        assert best == Fraction(3, 4)

@@ -40,7 +40,6 @@ from .submodular.valuations import (
     SubmodularValuation,
     WeightedCoverage,
     detect_positive_mms,
-    goods_of,
 )
 
 FORMAT_VERSION = 1
@@ -105,33 +104,16 @@ def _parse_value_list(raw: object, count: int, field: str) -> list[Value]:
     return [_parse_value(v, f"{field}[{k}]") for k, v in enumerate(raw)]
 
 
-def _check_marginals(f: ExplicitTable, field: str) -> None:
-    """Reject a table where a good adds more to some bundle than max(0, its
-    own value): the exact oracle's caps and its stop at the positive
-    singleton sum over n rest on f(S + g) - f(S) <= max(0, f({g}))."""
-    ints, m = f.ints, f.m
-    for g in range(m):
-        bit = 1 << g
-        cap = max(0, ints[bit])
-        for mask in range(1 << m):
-            if not mask & bit and ints[mask | bit] - ints[mask] > cap:
-                gain = Fraction(ints[mask | bit] - ints[mask], f.scale)
-                _fail(
-                    field,
-                    f"good {g} adds {gain} to bundle {goods_of(mask)}, "
-                    f"more than max(0, its own value {f.table[bit]})",
-                )
-
-
 def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuation:
     if not isinstance(doc, dict):
         _fail(field, "expected an object")
     family = _field(doc, "family", str, field)
     if family == "explicit":
         table = _parse_value_list(doc.get("table"), 1 << m, f"{field}.table")
-        f = ExplicitTable(m, table)
-        _check_marginals(f, f"{field}.table")
-        return f
+        try:
+            return ExplicitTable(m, table)
+        except InvalidInstanceError as exc:
+            _fail(f"{field}.table", str(exc))
     if family == "coverage":
         raw_weights = doc.get("weights")
         if not isinstance(raw_weights, list):
@@ -319,14 +301,14 @@ def _mms_additive(
     instance: AdditiveInstance, agent: int, budget: int
 ) -> tuple[Value | None, str]:
     try:
-        return mms_exact_additive(instance, agent, budget=budget).value, MU_EXACT
+        return mms_exact_additive(instance, agent, budget=budget, witness=False).value, MU_EXACT
     except BudgetExceededError:
         return None, MU_UNAVAILABLE
 
 
 def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value | None, str]:
     try:
-        return mms_exact_submodular(f, n, budget=budget).value, MU_EXACT
+        return mms_exact_submodular(f, n, budget=budget, witness=False).value, MU_EXACT
     except BudgetExceededError:
         pass
     if not detect_positive_mms(f, n):

@@ -195,18 +195,20 @@ class MmsCertificate:
     """An exact maximin share value together with a witnessing partition.
 
     witness is a complete n-partition of the goods whose minimum bundle value,
-    under the certified agent's valuation, equals value. Certificates for a
-    standalone (agent-free) valuation carry agent 0.
+    under the certified agent's valuation, equals value, or None when the
+    oracle was asked for the value alone. Certificates for a standalone
+    (agent-free) valuation carry agent 0.
     """
 
     agent: int
     value: Value
-    witness: Allocation
+    witness: Allocation | None
 
     def check(self, valuation: object) -> bool:
         """Re-evaluate the witness; accepts an AdditiveInstance or anything
-        with an evaluate(bundle) method (submodular oracles)."""
-        if not self.witness.is_complete():
+        with an evaluate(bundle) method (submodular oracles). A certificate
+        without a witness proves nothing and fails."""
+        if self.witness is None or not self.witness.is_complete():
             return False
         if isinstance(valuation, AdditiveInstance):
             worst = min(valuation.value(self.agent, b) for b in self.witness.bundles)

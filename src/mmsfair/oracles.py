@@ -3,15 +3,18 @@
 Both exact oracles run one branch and bound over assignments of goods to n
 bundles. A bundle is a key grown good by good: its integer load for an
 additive row (scaled to ints), its bitmask for a submodular valuation. The
-search skips a bundle whose key an earlier bundle shares and prunes on the
-poorest bundle plus the positive value the unplaced goods can still add.
-A value pass, goods by descending singleton magnitude from a greedy warm
-start, finds the optimum and stops once it meets an upper bound (the
-total over n for additive rows, the positive singleton sum over n for
+search skips a bundle whose key an earlier bundle shares and prunes a node
+whose bundles' total deficit below the target exceeds the positive value
+the unplaced goods can still add (a bin-completion style bound from number
+partitioning). A value pass, goods by descending singleton magnitude from a
+greedy warm start, finds the optimum and stops once it meets an upper bound
+(the total over n for additive rows, the positive singleton sum over n for
 submodular ones). A witness pass, goods in index order, then returns the
 lexicographically least good-to-bundle assignment achieving it, so
-witnesses are deterministic and independent of search internals. The
-search is exact but exponential; the n^m budget guard keeps it honest.
+witnesses are deterministic and independent of search internals; its memo
+of dead states is cleared at DEAD_MEMO_CAP entries. witness=False skips
+that pass when only the value is wanted. The search is exact but
+exponential; the n^m budget guard keeps it honest.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular binary-searches a threshold tau and certifies bundles
@@ -39,6 +42,7 @@ from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.valuations import SubmodularValuation, goods_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
+DEAD_MEMO_CAP = 1 << 18  # dead states the witness pass keeps before it clears its memo
 
 
 def _check_budget(n: int, m: int, budget: int) -> None:
@@ -63,14 +67,17 @@ def _branch_and_bound(
     value. Bundles are tried in index order, skipping one whose key an
     earlier bundle already has, since equal keys have the same futures.
 
-    The value pass (stop given) looks for leaves whose minimum beats best:
-    each raises best, and the first to reach stop, an upper bound, ends the
-    search. It prunes a node when its poorest bundle plus the caps of the
-    unplaced items cannot beat best; need[t] = best - (those caps) turns
-    that test into one comparison per node. The witness pass (stop None) is
-    given the optimum as best and ends at the first leaf that reaches it; it
-    prunes a node that cannot reach best and remembers dead states by
-    (t, *sorted(keys)).
+    A node is dead when its bundles' total deficit, the sum over bundles of
+    max(0, target - value), exceeds the caps of the unplaced items: each
+    bundle gains at most the caps of the items it receives, and those items
+    are split among the bundles. The value pass (stop given) has target
+    best + 1 and looks for leaves whose minimum beats best: each raises
+    best, and the first to reach stop, an upper bound, ends the search. The
+    witness pass (stop None) is given the optimum as best, has target best
+    and ends at the first leaf that reaches it; it remembers dead states by
+    (t, *sorted(keys)). That memo is cleared once it holds DEAD_MEMO_CAP
+    states; a forgotten state is only searched again, so the witness is the
+    same, the lexicographically least.
 
     Returns best and the assignment of the leaf that ended the search
     (assign[t] is item t's bundle), or None when none did.
@@ -80,7 +87,6 @@ def _branch_and_bound(
     headroom = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         headroom[t] = headroom[t + 1] + caps[t]
-    need = [best - h for h in headroom]
     keys = [0] * n
     vals = keys if value is None else [value(0)] * n
     assign = [0] * m
@@ -88,24 +94,21 @@ def _branch_and_bound(
 
     def dfs(t: int) -> bool:
         nonlocal best
-        lo = min(vals)
         if t == m:
+            lo = min(vals)
             if witness:
                 return lo >= best
             if lo > best:
                 best = lo
-                if lo >= stop:
-                    return True
-                need[:] = [best - h for h in headroom]
+                return lo >= stop
+            return False
+        target = best if witness else best + 1
+        if sum([target - v for v in vals if v < target]) > headroom[t]:
             return False
         if witness:
-            if lo < need[t]:
-                return False
             state = (t, *sorted(keys))
             if state in dead:
                 return False
-        elif lo <= need[t]:
-            return False
         item = items[t]
         for k in range(n):
             key = keys[k]
@@ -121,6 +124,8 @@ def _branch_and_bound(
             keys[k] = key
             vals[k] = old
         if witness:
+            if len(dead) >= DEAD_MEMO_CAP:
+                dead.clear()
             dead.add(state)
         return False
 
@@ -136,9 +141,11 @@ def _max_min_partition(
     add: Callable,
     value: Callable | None,
     upper,
-) -> tuple[object, Allocation]:
+    witness: bool,
+) -> tuple[object, Allocation | None]:
     """The largest minimum bundle value over n-partitions of the items, and
-    the lexicographically least assignment of items to bundles reaching it.
+    the lexicographically least assignment of items to bundles reaching it
+    (None unless witness).
 
     The value pass places items by descending size, starting from a greedy
     partition (each item onto the bundle whose value is nearest 0), and
@@ -159,6 +166,8 @@ def _max_min_partition(
         best, _ = _branch_and_bound(
             n, [items[g] for g in order], [caps[g] for g in order], add, value, best, upper
         )
+    if not witness:
+        return best, None
     _, assign = _branch_and_bound(n, items, caps, add, value, best)
     if assign is None:
         raise RuntimeError("witness search missed the optimum it was given")
@@ -173,13 +182,16 @@ def mms_exact_additive(
     agent: int,
     n: int | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
+    *,
+    witness: bool = True,
 ) -> MmsCertificate:
     """Exact maximin share of one agent over n bundles, with witness.
 
     n defaults to the instance's agent count but can be overridden to ask for
     the best min-bundle split of a single value row into any bundle count.
     Works for goods and chores alike (chores: the witness maximizes the most
-    negative bundle).
+    negative bundle). witness=False skips the witness pass and leaves the
+    certificate's witness None.
     """
     if not 0 <= agent < instance.n:
         raise InvalidInstanceError(f"agent {agent} out of range [0,{instance.n})")
@@ -189,35 +201,38 @@ def mms_exact_additive(
     _check_budget(bundles, instance.m, budget)
     denom, w = instance.scales[agent], instance.ints[agent]
     upper = sum(w) // bundles  # the poorest bundle holds at most the mean
-    best, witness = _max_min_partition(
-        bundles, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper
+    best, partition = _max_min_partition(
+        bundles, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper,
+        witness,
     )
-    return MmsCertificate(agent=agent, value=Fraction(best, denom), witness=witness)
+    return MmsCertificate(agent=agent, value=Fraction(best, denom), witness=partition)
 
 
 def mms_exact_submodular(
-    f: SubmodularValuation, n: int, budget: int = DEFAULT_ORACLE_BUDGET
+    f: SubmodularValuation, n: int, budget: int = DEFAULT_ORACLE_BUDGET, *, witness: bool = True
 ) -> MmsCertificate:
     """Exact maximin share of a submodular valuation over n bundles.
 
     Bundles are bitmasks valued by f.value_int, so the search compares ints
-    and the share is the optimum over f.scale. The bound uses
-    subadditivity: a bundle can gain at most the positive singleton sum of
-    the unplaced goods, which submodularity caps even without monotonicity;
-    the same sum over all goods, split n ways and floored, caps the share.
+    and the share is the optimum over f.scale. The bounds rest on
+    f(S + g) - f(S) <= max(0, f({g})), which submodularity gives even
+    without monotonicity and ExplicitTable checks: a bundle gains at most
+    the positive singleton values of the goods it receives, and their sum
+    over all goods, split n ways and floored, caps the share.
     As in the additive oracle, the witness is the lexicographically least
-    assignment achieving the optimum; the certificate's agent field is 0
-    because the valuation stands alone.
+    assignment achieving the optimum (None when witness is False); the
+    certificate's agent field is 0 because the valuation stands alone.
     """
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
     _check_budget(n, f.m, budget)
     singles = [max(0, f.value_int(1 << g)) for g in range(f.m)]
     upper = sum(singles) // n  # the poorest bundle holds at most the mean
-    best, witness = _max_min_partition(
-        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_int, upper
+    best, partition = _max_min_partition(
+        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_int, upper,
+        witness,
     )
-    return MmsCertificate(agent=0, value=Fraction(best, f.scale), witness=witness)
+    return MmsCertificate(agent=0, value=Fraction(best, f.scale), witness=partition)
 
 
 @dataclass(frozen=True)

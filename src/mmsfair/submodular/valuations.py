@@ -117,8 +117,10 @@ class ExplicitTable(SubmodularValuation):
 
     table[mask] is the value of the bundle whose members are the set bits of
     mask (bit k = good k), and ints[mask] == scale * table[mask]. The
-    constructor only checks shape and normalization; run verify_submodular
-    to validate the rest.
+    constructor checks shape, normalization and that no good adds more to a
+    bundle than max(0, its own value), the inequality the exact oracle's
+    bounds rest on (an m 2^m scan); run verify_submodular to validate the
+    rest.
     """
 
     __slots__ = ("table", "ints")
@@ -135,6 +137,15 @@ class ExplicitTable(SubmodularValuation):
             raise InvalidInstanceError("empty bundle must have value 0")
         self.table = vals
         self.ints = ints
+        for g in range(m):
+            bit = 1 << g
+            cap = max(0, ints[bit])
+            for mask in range(1 << m):
+                if not mask & bit and ints[mask | bit] - ints[mask] > cap:
+                    raise InvalidInstanceError(
+                        f"good {g} adds {Fraction(ints[mask | bit] - ints[mask], scale)} "
+                        f"to bundle {goods_of(mask)}, more than max(0, its own value {vals[bit]})"
+                    )
 
     def _value_int_raw(self, mask: int) -> int:
         return self.ints[mask]

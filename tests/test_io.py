@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmsfair import oracles
 from mmsfair.chores import solve_chores
 from mmsfair.envy_graph import solve_additive
 from mmsfair.errors import InvalidInstanceError
@@ -305,6 +306,29 @@ class TestBuildReport:
         for a in report.agents:
             assert (a.mms, a.mms_source, a.satisfied, a.ratio) == (0, MU_EXACT, True, None)
         assert report.ok
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            AdditiveInstance([[3, 3, 2, 2, 2]] * 2),
+            [BudgetAdditive([3, 3, 2, 2, 2], 12)] * 2,
+        ],
+        ids=["additive", "submodular"],
+    )
+    def test_audit_runs_one_value_pass_per_agent(self, monkeypatch, instance):
+        # greedy splits 3,3,2,2,2 into 5 + 7, below the bound 6, so each
+        # agent needs a value pass; the audit reads no witness
+        stops = []
+        search = oracles._branch_and_bound
+
+        def counted(n, items, caps, add, value, best, stop=None):
+            stops.append(stop)
+            return search(n, items, caps, add, value, best, stop)
+
+        monkeypatch.setattr(oracles, "_branch_and_bound", counted)
+        report = build_report(instance, Allocation([[0, 2, 3], [1, 4]], 5))
+        assert [a.mms for a in report.agents] == [6, 6]
+        assert stops == [6, 6]
 
     def test_shape_mismatch(self):
         inst = AdditiveInstance([[1, 2]])

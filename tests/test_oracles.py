@@ -7,7 +7,7 @@ import pytest
 from lemmas import is_independent, split_bundle, universe
 
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
-from mmsfair.generators import fixture_submodular_gap
+from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
 from mmsfair.model import CHORES, AdditiveInstance, Allocation
 from mmsfair.oracles import (
     MATROID_SOLVERS,
@@ -84,6 +84,19 @@ class TestExactAdditive:
         assert cert.value == 0
         assert cert.witness.bundles == (frozenset(), frozenset())
 
+    def test_value_only_certificate_has_no_witness(self):
+        inst = AdditiveInstance([[3, 3, 2, 2, 2]] * 2)
+        cert = mms_exact_additive(inst, 0, witness=False)
+        assert (cert.value, cert.witness) == (6, None)
+        assert not cert.check(inst)  # no witness, nothing proven
+
+    def test_deficit_bound_reaches_n3_m40(self):
+        # without the total-deficit prune agent 0 alone ran past 60 s
+        inst = generate(GeneratorSpec("uniform-additive", n=3, m=40, seed=1))
+        certs = [mms_exact_additive(inst, i, budget=3**40) for i in range(3)]
+        assert [c.value for c in certs] == [660, 742, 781]
+        assert all(c.check(inst) for c in certs)
+
     def test_budget_guard(self):
         inst = AdditiveInstance([[1, 2, 3, 4, 5]] * 2)
         with pytest.raises(BudgetExceededError):
@@ -151,6 +164,12 @@ class TestExactSubmodular:
             add = mms_exact_additive(AdditiveInstance([row] * n), 0)
             assert sub.value == add.value
             assert sub.witness.bundles == add.witness.bundles
+
+    def test_value_only_certificate_has_no_witness(self):
+        f = BudgetAdditive([3, 3, 2, 2, 2], 12)
+        cert = mms_exact_submodular(f, 2, witness=False)
+        assert (cert.value, cert.witness) == (6, None)
+        assert not cert.check(f)
 
     def test_single_bundle(self):
         f = BudgetAdditive((3, 4), 5)

@@ -1,38 +1,63 @@
-"""Property tests, with shrinking, of every solver floor and of the file format.
+"""Property tests, with shrinking, of every solver floor, the exact oracles
+and the file format.
 
 Each solver's per-agent floor is checked against reference_max_min, the
 maximin share by brute force over all n^m assignments, not against the
-branch and bound of the exact oracles: n is 1 to 3 and m at most 6. And
+branch and bound of the exact oracles: n is 1 to 3 and m at most 6. The
+exact oracles' value-only mode must give the full certificate's value and
+the brute-force one, and the full certificate's witness must be the
+lexicographically least optimal assignment, also when the witness pass's
+dead-state memo is cleared at every entry. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
 explicit tables.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 from reference import reference_max_min, reference_value
 
+from mmsfair import oracles
 from mmsfair.chores import solve_chores
 from mmsfair.envy_graph import solve_additive
 from mmsfair.io import parse_instance, serialize_instance
-from mmsfair.model import CHORES, GOODS, AdditiveInstance
+from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
+from mmsfair.oracles import mms_exact_additive, mms_exact_submodular
 from mmsfair.submodular.allocate import alg_sub
 from mmsfair.submodular.valuations import BudgetAdditive, ExplicitTable, WeightedCoverage
 
 
-def row_mu(instance, agent, n):
+def row_max_min(instance, agent, n):
+    """The brute-force maximin value of one additive row and its
+    lexicographically least optimal assignment."""
     row = instance.row(agent)
 
     def value(mask):
         return sum((v for g, v in enumerate(row) if mask >> g & 1), Fraction(0))
 
-    return reference_max_min(n, instance.m, value)[0]
+    return reference_max_min(n, instance.m, value)
+
+
+def row_mu(instance, agent, n):
+    return row_max_min(instance, agent, n)[0]
+
+
+def valuation_max_min(f, n):
+    return reference_max_min(n, f.m, lambda mask: reference_value(f, mask))
 
 
 def valuation_mu(f, n):
-    return reference_max_min(n, f.m, lambda mask: reference_value(f, mask))[0]
+    return valuation_max_min(f, n)[0]
+
+
+def allocation_of(assign, n, m):
+    bundles = [[] for _ in range(n)]
+    for g, k in enumerate(assign):
+        bundles[k].append(g)
+    return Allocation(bundles, m)
 
 
 @st.composite
@@ -110,6 +135,35 @@ def test_alg_sub_floor_against_brute_force(valuations, delta):
     for i, f in enumerate(valuations):
         value = f.evaluate(allocation.bundles[i])
         assert value * 10 * (1 + delta) >= valuation_mu(f, n)
+
+
+@given(st.one_of(additive_instances(GOODS), additive_instances(CHORES)), st.data())
+def test_additive_oracle_value_only_and_witness(instance, data):
+    agent = data.draw(st.integers(0, instance.n - 1))
+    n = instance.n
+    mu, assign = row_max_min(instance, agent, n)
+    cert = mms_exact_additive(instance, agent)
+    value_only = mms_exact_additive(instance, agent, witness=False)
+    assert value_only.value == cert.value == mu
+    assert value_only.witness is None
+    assert cert.witness == allocation_of(assign, n, instance.m)
+    with mock.patch.object(oracles, "DEAD_MEMO_CAP", 1):
+        assert mms_exact_additive(instance, agent).witness == cert.witness
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 6).flatmap(lambda m: st.one_of(coverage(m), budget_additive(m))),
+)
+def test_submodular_oracle_value_only_and_witness(n, f):
+    mu, assign = valuation_max_min(f, n)
+    cert = mms_exact_submodular(f, n)
+    value_only = mms_exact_submodular(f, n, witness=False)
+    assert value_only.value == cert.value == mu
+    assert value_only.witness is None
+    assert cert.witness == allocation_of(assign, n, f.m)
+    with mock.patch.object(oracles, "DEAD_MEMO_CAP", 1):
+        assert mms_exact_submodular(f, n).witness == cert.witness
 
 
 def public_data(f):

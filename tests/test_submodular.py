@@ -63,6 +63,23 @@ class TestExplicitTable:
         with pytest.raises(InvalidInstanceError):
             ExplicitTable(1, [1, 2])
 
+    def test_gain_beyond_singleton(self):
+        # good 1 is worth 0 alone yet adds 1 to {2}: the exact oracle's
+        # bounds assume no good adds more than max(0, its singleton value)
+        with pytest.raises(InvalidInstanceError) as err:
+            ExplicitTable(3, ["0", "1", "0", "0", "0", "0", "1", "2"])
+        assert str(err.value) == (
+            "good 1 adds 1 to bundle [2], more than max(0, its own value 0)"
+        )
+
+    def test_generated_and_fixture_tables_meet_the_singleton_bound(self):
+        # each construction runs the m 2^m check; the gap tables are
+        # subadditive but not submodular, and still pass it
+        for seed in range(10):
+            generate(GeneratorSpec(kind="explicit", n=3, m=6, lo=1, hi=9, seed=seed))
+        f1, f2 = fixture_submodular_gap()
+        assert not verify_submodular(f1) and not verify_submodular(f2)
+
 
 class TestWeightedCoverage:
     def test_union_weight(self):

@@ -20,8 +20,9 @@ can reach itself, and an item that closes no cycle costs O(n). A rotation
 permutes the matrix's columns like the bundles. EnvyGraph and
 build_envy_graph compute the same graph from an Allocation; the allocator
 does not call them. They stay in the package because the benchmark's tracer
-(perfbench/tracer.py) wraps build_envy_graph by name. The cycle resolution
-built on them, resolve_cycles, is a test reference (tests/reference.py).
+(perfbench/tracer.py) wraps build_envy_graph by name. The graph's queries
+(edges, sources, sinks, find_cycle) and the cycle resolution built on them,
+resolve_cycles, are test references (tests/reference.py).
 
 Every step is recorded in a trace, enough to replay the exact sequence of
 partial allocations later. On ordered goods instances every partial
@@ -35,11 +36,10 @@ from to_ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
-from .model import GOODS, AdditiveInstance, Allocation, Value
+from .model import GOODS, AdditiveInstance, Allocation
 from .ordering import is_ordered, lift_allocation, to_ordered
 
 
@@ -92,29 +92,6 @@ class EnvyGraph:
             succ[a].append(j)
         self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in succ)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in self.succ[i]]
-
-    def sources(self) -> list[int]:
-        """Agents with no incoming edge (nobody envies them)."""
-        envied = {j for i in range(self.n) for j in self.succ[i]}
-        return [i for i in range(self.n) if i not in envied]
-
-    def sinks(self) -> list[int]:
-        """Agents with no outgoing edge (they envy nobody)."""
-        return [i for i in range(self.n) if not self.succ[i]]
-
-    def find_cycle(self) -> list[int] | None:
-        """First cycle found by depth-first search.
-
-        Roots are tried in ascending index order and neighbours are scanned
-        in ascending order, so the result is deterministic. Returns the cycle
-        as an agent sequence [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0,
-        or None if the graph is acyclic. The search is iterative, so long
-        paths do not hit the recursion limit.
-        """
-        return _first_cycle(self.succ.__getitem__, range(self.n), self.n)
-
 
 def build_envy_graph(instance: AdditiveInstance, allocation: Allocation) -> EnvyGraph:
     """Envy graph of a (possibly partial) allocation."""
@@ -136,7 +113,6 @@ class TraceStep:
     item: int
     agent: int
     cycles: tuple[tuple[int, ...], ...]
-    values: tuple[Value, ...]  # every agent's own-bundle value after the step
 
 
 @dataclass(frozen=True)
@@ -168,11 +144,9 @@ def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]
     goods = instance.kind == GOODS
     if not is_ordered(instance):
         raise NotOrderedError("allocator requires an ordered instance")
-    scale = instance.scales
     columns = list(zip(*instance.ints))  # columns[j][i] = L_i v_i(j)
     V = [[0] * n for _ in range(n)]  # V[i][k] = L_i v_i(A_k)
     envied, envious = [0] * n, [0] * n
-    own = [Fraction(0)] * n  # v_i(A_i)
     bundles: list[list[int]] = [[] for _ in range(n)]
 
     def succ(i: int) -> list[int]:
@@ -198,7 +172,6 @@ def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]
                         if flip:
                             envious[i] += flip
                             envied[k] += flip
-                own[i] = Fraction(new, scale[i])
             else:
                 before = row[agent]
                 after = row[agent] = before + d
@@ -215,8 +188,7 @@ def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]
                 for row in V:
                     _rotate(row, cycle)
             envied, envious = _envy_counts(V)
-            own = [Fraction(V[i][i], scale[i]) for i in range(n)]
-        steps.append(TraceStep(item=j, agent=agent, cycles=tuple(log), values=tuple(own)))
+        steps.append(TraceStep(item=j, agent=agent, cycles=tuple(log)))
     return Allocation(bundles, m), RunTrace(n=n, m=m, steps=tuple(steps))
 
 

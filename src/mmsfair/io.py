@@ -9,6 +9,9 @@ value) is rejected, because the exact oracle's bounds assume it. Reports
 carry, per agent, the achieved value, the maximin share with its provenance
 (exact, certified-lower-bound, or unavailable), the achieved ratio where it
 is well defined, and the verdict of the division-free guarantee comparison.
+Past the exact oracle's budget, a submodular share is certified from below
+by the poorest bundle of the oracle's greedy n-partition; an additive one
+is unavailable.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .model import (
 )
 from .oracles import (
     DEFAULT_ORACLE_BUDGET,
-    mms_approx_submodular,
     mms_exact_additive,
     mms_exact_submodular,
+    mms_greedy_submodular,
 )
 from .submodular.valuations import (
     BudgetAdditive,
@@ -306,7 +309,7 @@ def _mms_additive(
         return None, MU_UNAVAILABLE
 
 
-def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value | None, str]:
+def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value, str]:
     try:
         return mms_exact_submodular(f, n, budget=budget, witness=False).value, MU_EXACT
     except BudgetExceededError:
@@ -314,14 +317,7 @@ def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value 
     if not detect_positive_mms(f, n):
         # fewer than n positive singletons: mu is exactly 0 (see the lemma)
         return Fraction(0), MU_EXACT
-    # constructive fallback: any complete n-partition's minimum bundle value
-    # is a lower bound on mu, so the fast heuristic search still certifies one
-    try:
-        result = mms_approx_submodular(f, n, solver="greedy")
-    except (BudgetExceededError, InvalidInstanceError):
-        return None, MU_UNAVAILABLE
-    bound = min(f.evaluate(b) for b in result.allocation.bundles)
-    return bound, MU_CERTIFIED
+    return mms_greedy_submodular(f, n), MU_CERTIFIED
 
 
 def build_report(
@@ -333,8 +329,10 @@ def build_report(
     """Audit an allocation against the guarantee that applies to the instance.
 
     Values are recomputed from the allocation; nothing is trusted from the
-    solver. Where the exact oracle is over budget, submodular agents fall
-    back to a certified lower bound on mu (a violation against a lower bound
+    solver. Where the exact oracle is over budget, a submodular agent's mu
+    is 0 exactly when fewer than n goods have value (detect_positive_mms),
+    and is otherwise bounded below by the poorest bundle of the oracle's
+    greedy start (mms_greedy_submodular; a violation against a lower bound
     is still a violation); additive agents report mu as unavailable. The
     submodular delta (default 1/20) must be positive, as in alg_sub.
     """

@@ -112,9 +112,6 @@ class AdditiveInstance:
         out.scales, out.kind, out.n, out.m = self.scales, self.kind, self.n, self.m
         return out
 
-    def row(self, agent: int) -> tuple[Value, ...]:
-        return self.values[agent]
-
     def value(self, agent: int, bundle: Iterable[int]) -> Value:
         """Additive value of a bundle for one agent."""
         row = self.ints[agent]
@@ -171,11 +168,6 @@ class Allocation:
     def is_complete(self) -> bool:
         return len(self.assigned()) == self.m
 
-    def replace(self, agent: int, bundle: Iterable[int]) -> "Allocation":
-        new = list(self.bundles)
-        new[agent] = frozenset(bundle)
-        return Allocation(new, self.m)
-
     def as_lists(self) -> list[list[int]]:
         return [sorted(b) for b in self.bundles]
 
@@ -203,15 +195,3 @@ class MmsCertificate:
     agent: int
     value: Value
     witness: Allocation | None
-
-    def check(self, valuation: object) -> bool:
-        """Re-evaluate the witness; accepts an AdditiveInstance or anything
-        with an evaluate(bundle) method (submodular oracles). A certificate
-        without a witness proves nothing and fails."""
-        if self.witness is None or not self.witness.is_complete():
-            return False
-        if isinstance(valuation, AdditiveInstance):
-            worst = min(valuation.value(self.agent, b) for b in self.witness.bundles)
-        else:
-            worst = min(valuation.evaluate(b) for b in self.witness.bundles)  # type: ignore[attr-defined]
-        return worst == self.value

@@ -14,7 +14,9 @@ lexicographically least good-to-bundle assignment achieving it, so
 witnesses are deterministic and independent of search internals; its memo
 of dead states is cleared at DEAD_MEMO_CAP entries. witness=False skips
 that pass when only the value is wanted. The search is exact but
-exponential; the n^m budget guard keeps it honest.
+exponential; the n^m budget guard keeps it honest. Past that guard,
+mms_greedy_submodular returns the greedy start's poorest bundle alone, a
+lower bound on a submodular share that the audit reports.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular binary-searches a threshold tau and certifies bundles
@@ -133,6 +135,23 @@ def _branch_and_bound(
     return best, assign if hit else None
 
 
+def _greedy_start(
+    n: int, items: Sequence, sizes: Sequence, add: Callable, value: Callable | None
+) -> tuple[list[int], object]:
+    """The items by descending size (ties to the lower index), and the
+    poorest bundle of the greedy n-partition that places them in that order,
+    each onto the bundle whose value is nearest 0."""
+    order = sorted(range(len(items)), key=lambda g: (-sizes[g], g))
+    keys = [0] * n
+    vals = keys if value is None else [value(0)] * n
+    for g in order:
+        k = min(range(n), key=lambda b: abs(vals[b]))
+        keys[k] = add(keys[k], items[g])
+        if value is not None:
+            vals[k] = value(keys[k])
+    return order, min(vals)
+
+
 def _max_min_partition(
     n: int,
     items: Sequence,
@@ -147,21 +166,12 @@ def _max_min_partition(
     the lexicographically least assignment of items to bundles reaching it
     (None unless witness).
 
-    The value pass places items by descending size, starting from a greedy
-    partition (each item onto the bundle whose value is nearest 0), and
-    stops early at upper. The witness pass places items in index order, so
-    its first hit is the lexicographic least.
+    The value pass places items by descending size, starting from the greedy
+    start's poorest bundle, and stops early at upper. The witness pass
+    places items in index order, so its first hit is the lexicographic least.
     """
     m = len(items)
-    order = sorted(range(m), key=lambda g: (-sizes[g], g))
-    keys = [0] * n
-    vals = keys if value is None else [value(0)] * n
-    for g in order:
-        k = min(range(n), key=lambda b: abs(vals[b]))
-        keys[k] = add(keys[k], items[g])
-        if value is not None:
-            vals[k] = value(keys[k])
-    best = min(vals)
+    order, best = _greedy_start(n, items, sizes, add, value)
     if best < upper:
         best, _ = _branch_and_bound(
             n, [items[g] for g in order], [caps[g] for g in order], add, value, best, upper
@@ -233,6 +243,18 @@ def mms_exact_submodular(
         witness,
     )
     return MmsCertificate(agent=0, value=Fraction(best, f.scale), witness=partition)
+
+
+def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
+    """A lower bound on the maximin share of f over n bundles, at any size:
+    the poorest bundle of the exact oracle's greedy start (goods by
+    descending singleton value, each onto the poorest bundle). Any
+    n-partition's poorest bundle is one."""
+    if n < 1:
+        raise InvalidInstanceError("need at least one bundle")
+    singles = [max(0, f.value_int(1 << g)) for g in range(f.m)]
+    _, best = _greedy_start(n, [1 << g for g in range(f.m)], singles, operator.or_, f.value_int)
+    return Fraction(best, f.scale)
 
 
 @dataclass(frozen=True)

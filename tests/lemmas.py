@@ -4,8 +4,9 @@ The solvers never call these; the tests use them to confirm, on concrete
 runs, the structural facts the guarantees rest on: envy-freeness up to one
 or any good (envies, is_ef1, is_efx), envy-freeness up to any good along a
 replayed goods run, the forced pairing shape of its early partial
-allocations, majorization of bundle values, invariance of the maximin share
-under the ordering reduction, the bundle split behind the tau/9 threshold
+allocations, majorization of bundle values, an exact oracle's certificate
+against its witness, invariance of the maximin share under the ordering
+reduction, the bundle split behind the tau/9 threshold
 search, and the partition matroid the slot solvers maximize over.
 """
 
@@ -14,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from mmsfair.envy_graph import RunTrace, _rotate
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
-from mmsfair.model import GOODS, AdditiveInstance, Allocation, Value, as_value
+from mmsfair.model import GOODS, AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from mmsfair.oracles import DEFAULT_ORACLE_BUDGET, PartitionMatroid, mms_exact_additive
 from mmsfair.ordering import is_ordered, to_ordered
 from mmsfair.submodular.valuations import SubmodularValuation
@@ -147,6 +148,19 @@ def check_prefix_structure(instance: AdditiveInstance, trace: RunTrace) -> bool:
         if got != want:
             return False
     return True
+
+
+def check_certificate(cert: MmsCertificate, valuation: object) -> bool:
+    """Re-evaluate a certificate's witness; valuation is an AdditiveInstance
+    or anything with an evaluate(bundle) method (submodular oracles). A
+    certificate without a witness proves nothing and fails."""
+    if cert.witness is None or not cert.witness.is_complete():
+        return False
+    if isinstance(valuation, AdditiveInstance):
+        worst = min(valuation.value(cert.agent, b) for b in cert.witness.bundles)
+    else:
+        worst = min(valuation.evaluate(b) for b in cert.witness.bundles)
+    return worst == cert.value
 
 
 def mms_invariance_check(instance: AdditiveInstance, budget: int | None = None) -> bool:

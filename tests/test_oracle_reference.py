@@ -68,7 +68,7 @@ def submodular_cases(draw):
 @example((AdditiveInstance([[3, 3, 2, 2, 2]]), 0, 2))
 def test_additive_oracle_matches_brute_force(case):
     instance, agent, n = case
-    value, witness = reference_max_min(n, instance.m, row_value(instance.row(agent)))
+    value, witness = reference_max_min(n, instance.m, row_value(instance.values[agent]))
     cert = mms_exact_additive(instance, agent, n=n)
     assert cert.value == value
     assert cert.witness == allocation_of(witness, n, instance.m)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lemmas import mms_invariance_check
 
 from mmsfair.errors import InvalidInstanceError
@@ -97,21 +99,21 @@ class TestLiftAllocation:
             for i in range(n):
                 assert inst.value(i, lifted.bundles[i]) == inst.value(i, oalloc.bundles[i])
 
-    def test_value_never_drops_goods_and_chores(self):
+    @settings(max_examples=300)  # as many cases as the seeded loop it replaced
+    @given(st.sampled_from((GOODS, CHORES)), st.data())
+    def test_value_never_drops_goods_and_chores(self, kind, data):
         # every agent does at least as well on the original as on the ordered copy
-        rng = random.Random(22)
-        for _ in range(300):
-            kind = GOODS if rng.random() < 0.5 else CHORES
-            n, m = rng.randint(1, 5), rng.randint(0, 10)
-            inst = random_instance(rng, kind, n, m)
-            red = to_ordered(inst)
-            oalloc = random_complete_allocation(rng, n, m)
-            lifted = lift_allocation(red, inst, oalloc)
-            assert lifted.is_complete()
-            for i in range(n):
-                assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(
-                    i, oalloc.bundles[i]
-                )
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 10))
+        lo, hi = (0, 100) if kind == GOODS else (-100, 0)
+        values = st.lists(st.integers(lo, hi), min_size=m, max_size=m)
+        inst = AdditiveInstance([data.draw(values) for _ in range(n)], kind=kind)
+        owners = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        oalloc = Allocation([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
+        red = to_ordered(inst)
+        lifted = lift_allocation(red, inst, oalloc)
+        assert lifted.is_complete()
+        for i in range(n):
+            assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(i, oalloc.bundles[i])
 
     def test_chores_regression_mild_positions_pick_before_harsh(self):
         # an agent holding only mild ordered positions must not inherit the

@@ -7,7 +7,9 @@ branch and bound of the exact oracles: n is 1 to 3 and m at most 6. The
 exact oracles' value-only mode must give the full certificate's value and
 the brute-force one, and the full certificate's witness must be the
 lexicographically least optimal assignment, also when the witness pass's
-dead-state memo is cleared at every entry. And
+dead-state memo is cleared at every entry. The greedy-start bound that the
+audit reports past the oracle's budget never exceeds the brute-force share,
+and is positive exactly when the share is. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
 explicit tables.
@@ -25,15 +27,20 @@ from mmsfair.chores import solve_chores
 from mmsfair.envy_graph import solve_additive
 from mmsfair.io import parse_instance, serialize_instance
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
-from mmsfair.oracles import mms_exact_additive, mms_exact_submodular
+from mmsfair.oracles import mms_exact_additive, mms_exact_submodular, mms_greedy_submodular
 from mmsfair.submodular.allocate import alg_sub
-from mmsfair.submodular.valuations import BudgetAdditive, ExplicitTable, WeightedCoverage
+from mmsfair.submodular.valuations import (
+    BudgetAdditive,
+    ExplicitTable,
+    WeightedCoverage,
+    detect_positive_mms,
+)
 
 
 def row_max_min(instance, agent, n):
     """The brute-force maximin value of one additive row and its
     lexicographically least optimal assignment."""
-    row = instance.row(agent)
+    row = instance.values[agent]
 
     def value(mask):
         return sum((v for g, v in enumerate(row) if mask >> g & 1), Fraction(0))
@@ -164,6 +171,16 @@ def test_submodular_oracle_value_only_and_witness(n, f):
     assert cert.witness == allocation_of(assign, n, f.m)
     with mock.patch.object(oracles, "DEAD_MEMO_CAP", 1):
         assert mms_exact_submodular(f, n).witness == cert.witness
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 6).flatmap(lambda m: st.one_of(coverage(m), budget_additive(m))),
+)
+def test_greedy_bound_never_exceeds_share(n, f):
+    bound = mms_greedy_submodular(f, n)
+    assert 0 <= bound <= valuation_mu(f, n)
+    assert (bound > 0) == detect_positive_mms(f, n)
 
 
 def public_data(f):

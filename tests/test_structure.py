@@ -10,6 +10,7 @@ analysis tools) lives under tests/, not in the package.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -53,39 +54,77 @@ def _perfbench_names() -> set[str]:
     return names
 
 
-# Public defs that no src/ code uses, kept on purpose: name -> reason.
+# Public defs that no src/ code uses, kept on purpose: name (Class.method
+# for a method) -> reason.
 TEST_ONLY_ALLOWED = {
     "lpt_chores_partition": "chores.py's exact pairing for at most 2n chores, "
     "a standalone helper that README documents and the chores demo runs",
 }
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is read as a variable or an attribute."""
+def _references(tree: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
+    """How often each name is read as a variable or an attribute (or only
+    as what kinds names)."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     )
 
 
+def _public(body: list) -> list:
+    return [
+        node
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
 def test_no_test_only_code_in_src():
-    """Every public module-level function or class in src/ is used by other
-    src/ code, exported, wrapped by the benchmark's tracer, or allowlisted;
-    code that only the tests call belongs with the tests."""
+    """Every public module-level function or class in src/, and every public
+    method of a src/ class, is used by other src/ code, exported, wrapped by
+    the benchmark's tracer, or allowlisted; code that only the tests call
+    belongs with the tests. A method counts as used when some src/ code
+    outside it reads an attribute of its name."""
     trees = {
         path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
         for path in PACKAGE.rglob("*.py")
     }
     references = sum(map(_references, trees.values()), Counter())
+    attributes = sum((_references(t, ast.Attribute) for t in trees.values()), Counter())
     kept = set(mmsfair.__all__) | set(mmsfair.submodular.__all__) | _perfbench_names()
     unused = {
         node.name: name
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in kept
-        and references[node.name] == _references(node)[node.name]
+        for node in _public(tree.body)
+        if node.name not in kept and references[node.name] == _references(node)[node.name]
     }
+    unused.update(
+        (f"{cls.name}.{node.name}", name)
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in _public(cls.body)
+        if node.name not in kept
+        and attributes[node.name] == _references(node, ast.Attribute)[node.name]
+    )
     assert unused.keys() == TEST_ONLY_ALLOWED.keys(), unused
+
+
+def test_tracer_targets_resolve():
+    """Every (module, function) of perfbench/tracer.py's SPANS and every
+    (module, class, method) of its HOT names something in src/: install()
+    getattrs each one, so a renamed or deleted target breaks every traced
+    benchmark run."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and node.targets[0].id in ("SPANS", "HOT")
+    }
+    assert tables["SPANS"] and tables["HOT"]
+    for module, function, _ in tables["SPANS"]:
+        assert callable(getattr(importlib.import_module(module), function, None)), function
+    for module, cls, method, _ in tables["HOT"]:
+        owner = getattr(importlib.import_module(module), cls, None)
+        assert callable(getattr(owner, method, None)), f"{cls}.{method}"

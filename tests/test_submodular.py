@@ -107,19 +107,14 @@ class TestBudgetAdditive:
         f = BudgetAdditive((2, 2), 3)
         assert f.evaluate([0]) == 2
         assert f.evaluate([0, 1]) == 3
-        assert f.marginal_mask(0, 1) == 2
-        assert f.marginal_mask(0b01, 1) == 1
+        assert f.evaluate([1]) == 2
+        assert f.evaluate([0, 1]) - f.evaluate([0]) == 1
 
     def test_validation(self):
         with pytest.raises(InvalidInstanceError):
             BudgetAdditive((-1,), 1)
         with pytest.raises(InvalidInstanceError):
             BudgetAdditive((1,), -1)
-
-    def test_marginal_of_member_rejected(self):
-        f = BudgetAdditive((1, 1), 2)
-        with pytest.raises(InvalidInstanceError):
-            f.marginal_mask(0b01, 0)
 
 
 class TestMarginalValuation:

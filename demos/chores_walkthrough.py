@@ -1,9 +1,8 @@
-"""Chores variants: sink-based allocation for many chores, pairing for few."""
+"""Chores: sink-based envy-graph allocation, audited against exact shares."""
 
 import random
-from fractions import Fraction
 
-from mmsfair.chores import lpt_chores_partition, solve_chores
+from mmsfair.chores import solve_chores
 from mmsfair.model import CHORES, AdditiveInstance
 from mmsfair.oracles import mms_exact_additive
 
@@ -29,23 +28,5 @@ def many_chores():
         assert v * 3 * n >= (4 * n - 1) * mu
 
 
-def few_chores():
-    # With at most 2n chores and identical agents, pairing heaviest with
-    # lightest is not just close, it is optimal whenever no chore dominates.
-    rng = random.Random(13)
-    n = 3
-    vals = tuple(sorted(-rng.randint(1, 30) for _ in range(2 * n)))
-    print(f"\n{n} identical agents, chores {list(vals)}")
-    alloc = lpt_chores_partition(vals, n)
-    worst = min(sum((vals[g] for g in b), Fraction(0)) for b in alloc.bundles)
-    mu = mms_exact_additive(AdditiveInstance([vals], kind=CHORES), 0, n=n).value
-    print(f"pairing bundles: {alloc.as_lists()}")
-    print(f"worst bundle {worst}, exact share {mu}")
-    if 3 * vals[-1] < mu:
-        assert worst == mu
-        print("mildest chore is small relative to the share: pairing is exact")
-
-
 if __name__ == "__main__":
     many_chores()
-    few_chores()

@@ -41,7 +41,6 @@ from .oracles import (
 from .submodular import (
     BudgetAdditive,
     ExplicitTable,
-    MarginalValuation,
     SubmodularValuation,
     ThresholdState,
     WeightedCoverage,
@@ -60,7 +59,6 @@ __all__ = [
     "FairDivisionError",
     "GOODS",
     "InvalidInstanceError",
-    "MarginalValuation",
     "MmsApproxResult",
     "MmsCertificate",
     "NotOrderedError",

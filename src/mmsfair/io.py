@@ -43,6 +43,7 @@ from .submodular.valuations import (
     SubmodularValuation,
     WeightedCoverage,
     detect_positive_mms,
+    shared_ground,
 )
 
 FORMAT_VERSION = 1
@@ -215,15 +216,11 @@ def serialize_instance(
         }
     else:
         agents = list(instance)
-        if not agents:
-            raise InvalidInstanceError("need at least one agent")
-        m = agents[0].m
-        if any(f.m != m for f in agents):
-            raise InvalidInstanceError("agents must share one ground set")
+        n, m = shared_ground(agents)
         doc = {
             "version": FORMAT_VERSION,
             "kind": KIND_SUBMODULAR,
-            "n": len(agents),
+            "n": n,
             "m": m,
             "agents": [_serialize_agent_valuation(f) for f in agents],
         }
@@ -328,18 +325,20 @@ def build_report(
 ) -> SolutionReport:
     """Audit an allocation against the guarantee that applies to the instance.
 
-    Values are recomputed from the allocation; nothing is trusted from the
-    solver. Where the exact oracle is over budget, a submodular agent's mu
-    is 0 exactly when fewer than n goods have value (detect_positive_mms),
-    and is otherwise bounded below by the poorest bundle of the oracle's
-    greedy start (mms_greedy_submodular; a violation against a lower bound
-    is still a violation); additive agents report mu as unavailable. The
-    submodular delta (default 1/20) must be positive, as in alg_sub.
+    The allocation must be complete, a partition of all m goods, as every
+    solver returns; submodular agents must share one ground set. Values are
+    recomputed from the allocation; nothing is trusted from the solver.
+    Where the exact oracle is over budget, a submodular agent's mu is 0
+    exactly when fewer than n goods have value (detect_positive_mms), and is
+    otherwise bounded below by the poorest bundle of the oracle's greedy
+    start (mms_greedy_submodular; a violation against a lower bound is still
+    a violation); additive agents report mu as unavailable. The submodular
+    delta (default 1/20) must be positive, as in alg_sub.
     """
     kind = kind_of(instance)
     if kind == KIND_SUBMODULAR:
         agents_f = list(instance)
-        n, m = len(agents_f), agents_f[0].m
+        n, m = shared_ground(agents_f)
         if delta is None:
             delta = Fraction(1, 20)
         elif delta <= 0:
@@ -348,6 +347,8 @@ def build_report(
         n, m = instance.n, instance.m
     if allocation.n != n or allocation.m != m:
         raise InvalidInstanceError("allocation shape does not match the instance")
+    if not allocation.is_complete():
+        raise InvalidInstanceError("allocation leaves goods unassigned")
     if kind == KIND_SUBMODULAR:
         values = [agents_f[i].evaluate(allocation.bundles[i]) for i in range(n)]
         mus = [_mms_submodular(agents_f[i], n, budget) for i in range(n)]

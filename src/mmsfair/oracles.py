@@ -257,14 +257,6 @@ def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
     return Fraction(best, f.scale)
 
 
-@dataclass(frozen=True)
-class PartitionMatroid:
-    """Ground set (good, slot) pairs; independent = at most one slot per good."""
-
-    goods: tuple[int, ...]
-    slots: int
-
-
 class SlotObjective:
     """g(S) = sum over slots k of min(cap, f(S_k)) for S a set of (good, slot) pairs.
 
@@ -303,10 +295,10 @@ class SlotObjective:
         return Fraction(total, self.valuation.scale * self.cap.denominator)
 
 
-def greedy_matroid_max(
-    objective: SlotObjective, matroid: PartitionMatroid
-) -> set[tuple[int, int]]:
-    """Lazy greedy over the partition matroid; 1/2-approximate for submodular g.
+def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> set[tuple[int, int]]:
+    """Lazy greedy over the partition matroid of the (good, slot) pairs, each
+    good in at most one of the objective's slots; 1/2-approximate for
+    submodular g.
 
     Elements come off a max-heap of cached marginal gains; a stale gain is
     recomputed and pushed back (valid because gains only shrink). Gains are
@@ -316,21 +308,22 @@ def greedy_matroid_max(
     set: every good lands in some slot.
     """
     chosen: set[tuple[int, int]] = set()
-    slot_masks = [0] * matroid.slots
-    slot_vals = [0] * matroid.slots
+    slots = objective.slots
+    slot_masks = [0] * slots
+    slot_vals = [0] * slots
     capped = objective.capped_int
 
     def gain(g: int, k: int) -> int:
         return capped(slot_masks[k] | (1 << g)) - slot_vals[k]
 
     heap = []
-    for g in matroid.goods:
+    for g in goods:
         first = -capped(1 << g)  # every slot starts empty
-        heap.extend((first, g, k, 0) for k in range(matroid.slots))
+        heap.extend((first, g, k, 0) for k in range(slots))
     heapq.heapify(heap)
     version = 0
     placed: set[int] = set()
-    while heap and len(placed) < len(matroid.goods):
+    while heap and len(placed) < len(goods):
         neg, g, k, stamp = heapq.heappop(heap)
         if g in placed:
             continue
@@ -346,23 +339,21 @@ def greedy_matroid_max(
 
 
 def exhaustive_matroid_max(
-    objective: SlotObjective,
-    matroid: PartitionMatroid,
-    budget: int = 1 << 24,
+    objective: SlotObjective, goods: Sequence[int], budget: int = 1 << 24
 ) -> set[tuple[int, int]]:
-    """Exact maximizer of the capped slot objective over the partition matroid.
+    """Exact maximizer of the capped slot objective over greedy_matroid_max's matroid.
 
     Slots are interchangeable under SlotObjective, so this runs an exact
     unlabeled-partition dynamic program over subsets of the goods (on the
     objective's capped ints), then labels the parts with slots. Cost is
     about 3^q for q goods.
     """
-    goods = list(matroid.goods)
     q = len(goods)
+    slots = objective.slots
     if q == 0:
         return set()
-    if 3**q * max(1, matroid.slots) > budget:
-        raise BudgetExceededError("partition maximization", 3**q * matroid.slots, budget)
+    if 3**q * slots > budget:
+        raise BudgetExceededError("partition maximization", 3**q * slots, budget)
 
     def global_mask(local: int) -> int:
         mask = 0
@@ -373,7 +364,6 @@ def exhaustive_matroid_max(
 
     capped_int = [objective.capped_int(global_mask(s)) for s in range(1 << q)]
 
-    slots = matroid.slots
     full = (1 << q) - 1
     neg = -1
     best_prev = [0] + [neg] * full  # zero slots: only the empty set is feasible
@@ -419,7 +409,7 @@ def exhaustive_matroid_max(
 # needs, so a solver factor at least this large certifies it exactly.
 ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
 
-MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, PartitionMatroid], set], Value]] = {
+MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, Sequence[int]], set], Value]] = {
     "exhaustive": (exhaustive_matroid_max, Fraction(1)),
     "greedy": (greedy_matroid_max, Fraction(1, 2)),
 }
@@ -432,7 +422,6 @@ class MmsApproxResult:
     allocation: Allocation
     bound: Value  # largest accepted threshold tau*; bundles certify tau*/9
     certified: bool  # False when the solver factor cannot back the certificate
-    solver: str
 
 
 def threshold_probe(
@@ -472,9 +461,8 @@ def threshold_probe(
     high_set = set(high)
     rest = [g for g in range(m) if g not in high_set]
     cap = Fraction(4, 9) * tau
-    matroid = PartitionMatroid(goods=tuple(rest), slots=2 * r)
     objective = SlotObjective(f, cap=cap, slots=2 * r)
-    independent = solve(objective, matroid)
+    independent = solve(objective, rest)
     if 9 * objective.evaluate(independent) < 8 * factor * r * tau:
         return None
 
@@ -519,7 +507,7 @@ def mms_approx_submodular(
     if total > 0:
         top = threshold_probe(f, n, total, solver)
         if top is not None:
-            return MmsApproxResult(allocation=top, bound=total, certified=certified, solver=solver)
+            return MmsApproxResult(allocation=top, bound=total, certified=certified)
         hi = total
         for _ in range(64):
             if hi <= lo * (1 + epsilon):
@@ -534,4 +522,4 @@ def mms_approx_submodular(
         worst = min(f.evaluate(b) for b in lo_alloc.bundles)
         if 9 * worst < lo:
             raise RuntimeError("certified partition failed its own bound")
-    return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=certified, solver=solver)
+    return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=certified)

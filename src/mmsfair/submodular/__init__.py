@@ -1,30 +1,26 @@
 """Submodular side of the package: valuation oracles, and the threshold
 round robin with its self-calibrating wrapper.
 
-The multilinear extensions through which the paper proves the 1/10 bound
-are analysis, not algorithm: no solver, audit or command computes one, so
-they live with the tests (tests/multilinear.py).
+The multilinear extensions and the contraction f_H through which the paper
+proves the 1/10 bound are analysis, not algorithm: no solver, audit or
+command computes one, so they live with the tests (tests/multilinear.py),
+as does the full admissibility check of a valuation (tests/lemmas.py).
 """
 
 from .allocate import ThresholdState, alg_sub, round_robin
 from .valuations import (
     BudgetAdditive,
     ExplicitTable,
-    MarginalValuation,
-    SubmodularityReport,
     SubmodularValuation,
     WeightedCoverage,
     detect_positive_mms,
     goods_of,
     mask_of,
-    verify_submodular,
 )
 
 __all__ = [
     "BudgetAdditive",
     "ExplicitTable",
-    "MarginalValuation",
-    "SubmodularityReport",
     "SubmodularValuation",
     "ThresholdState",
     "WeightedCoverage",
@@ -33,5 +29,4 @@ __all__ = [
     "goods_of",
     "mask_of",
     "round_robin",
-    "verify_submodular",
 ]

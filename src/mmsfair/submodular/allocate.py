@@ -24,16 +24,7 @@ from typing import Sequence
 
 from ..errors import InvalidInstanceError
 from ..model import Allocation, Value, as_value
-from .valuations import SubmodularValuation, detect_positive_mms, mask_of
-
-
-def _check_shared_ground(valuations: Sequence[SubmodularValuation]) -> tuple[int, int]:
-    if not valuations:
-        raise InvalidInstanceError("need at least one agent")
-    m = valuations[0].m
-    if any(v.m != m for v in valuations):
-        raise InvalidInstanceError("all agents must share one ground set")
-    return len(valuations), m
+from .valuations import SubmodularValuation, detect_positive_mms, mask_of, shared_ground
 
 
 def round_robin(
@@ -47,7 +38,7 @@ def round_robin(
     Values are compared as the valuations' scaled ints; ties go to the
     lowest good.
     """
-    n, m = _check_shared_ground(valuations)
+    n, m = shared_ground(valuations)
     taus = [as_value(t) for t in thresholds]
     if len(taus) != n:
         raise InvalidInstanceError("need one threshold per agent")
@@ -86,10 +77,10 @@ def _clears_tenth(f: SubmodularValuation, mask: int, tau: Value) -> bool:
 
 @dataclass(frozen=True)
 class ThresholdState:
-    """Where the threshold search ended up."""
+    """Where the threshold search ended up: the search ends only once every
+    agent it runs clears a tenth of its threshold."""
 
     thresholds: tuple[Value, ...]
-    unsatisfied: frozenset[int]
     iterations: int
     excluded: frozenset[int]  # agents with zero maximin share, left out of the loop
 
@@ -117,7 +108,7 @@ def alg_sub(
     whose threshold has fallen to its maximin share never fails again, which
     bounds the decay count by ceil(log_{1+delta}(v_i(all)/mu_i)) + 1.
     """
-    n, m = _check_shared_ground(valuations)
+    n, m = shared_ground(valuations)
     delta = as_value(delta)
     if delta <= 0:
         raise InvalidInstanceError("delta must be positive")
@@ -128,7 +119,6 @@ def alg_sub(
         alloc = round_robin(valuations, [Fraction(0)] * n)
         state = ThresholdState(
             thresholds=tuple(Fraction(0) for _ in range(n)),
-            unsatisfied=frozenset(),
             iterations=0,
             excluded=excluded,
         )
@@ -168,7 +158,6 @@ def alg_sub(
     full_taus = tuple(taus.get(i, Fraction(0)) for i in range(n))
     state = ThresholdState(
         thresholds=full_taus,
-        unsatisfied=frozenset(),
         iterations=iterations,
         excluded=excluded,
     )

@@ -15,14 +15,14 @@ looked at (89 to 1,085 masks per valuation after alg_sub and the audit's
 greedy bound, on four benchmark instances with m of 41 to 59).
 
 A valuation is admissible when it is normalized (empty set worth 0),
-non-negative, monotone, and submodular. verify_submodular checks all four,
-exhaustively up to 10 goods and by seeded sampling beyond that.
+non-negative, monotone, and submodular. The three families are admissible
+by construction; an explicit table is checked only for the inequality the
+exact oracle's bounds rest on (ExplicitTable), and the full check lives
+with the tests (tests/lemmas.py).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, or_
@@ -30,6 +30,16 @@ from typing import Iterable, Sequence
 
 from ..errors import InvalidInstanceError
 from ..model import Value, ValueLike, as_value, scale_to_ints
+
+
+def shared_ground(valuations: Sequence[SubmodularValuation]) -> tuple[int, int]:
+    """(n, m) for n >= 1 agents whose valuations share one ground set of m goods."""
+    if not valuations:
+        raise InvalidInstanceError("need at least one agent")
+    m = valuations[0].m
+    if any(v.m != m for v in valuations):
+        raise InvalidInstanceError("all agents must share one ground set")
+    return len(valuations), m
 
 
 def mask_of(goods: Iterable[int], m: int) -> int:
@@ -112,8 +122,9 @@ class ExplicitTable(SubmodularValuation):
     mask (bit k = good k), and ints[mask] == scale * table[mask]. The
     constructor checks shape, normalization and that no good adds more to a
     bundle than max(0, its own value), the inequality the exact oracle's
-    bounds rest on (an m 2^m scan); run verify_submodular to validate the
-    rest.
+    bounds rest on (an m 2^m scan). Submodularity itself is not checked:
+    solvers and the audit accept any table that passes, and the guarantees
+    hold only for the submodular ones.
     """
 
     __slots__ = ("table", "ints")
@@ -204,124 +215,6 @@ class BudgetAdditive(SubmodularValuation):
         weights = self._weight_bytes
         total = sum(map(list.__getitem__, weights, mask.to_bytes(len(weights), "little")))
         return min(self._cap_int, total)
-
-
-class MarginalValuation(SubmodularValuation):
-    """The contraction f_H(S) = f(H + S) - f(H) of a valuation onto [m] \\ H.
-
-    Shares the base oracle's ground-set indexing: goods in H must not appear
-    in queried bundles. Contractions of submodular functions stay normalized,
-    non-negative, monotone and submodular.
-    """
-
-    __slots__ = ("base", "h_mask")
-
-    def __init__(self, base: SubmodularValuation, h: Iterable[int]):
-        super().__init__(base.m, base.scale)
-        self.base = base
-        self.h_mask = mask_of(h, base.m)
-
-    def _value_int_raw(self, mask: int) -> int:
-        if mask & self.h_mask:
-            raise InvalidInstanceError("bundle overlaps the contracted set")
-        return self.base.value_int(mask | self.h_mask) - self.base.value_int(self.h_mask)
-
-
-@dataclass(frozen=True)
-class SubmodularityReport:
-    """Outcome of checking a set-function oracle for admissibility.
-
-    ok is True when every check passed; the report is truthy exactly then.
-    On failure, reason names the broken property and violation holds the
-    offending (A, B, g): for a submodularity break, A is a proper subset of B,
-    g lies outside B, and g's marginal onto A is smaller than onto B; for a
-    monotonicity break B = A + g lost value; for a negative value A = B names
-    the bundle and g is None. exhaustive is False when only a seeded sample
-    of nested pairs was checked (large ground sets).
-    """
-
-    ok: bool
-    reason: str | None = None
-    violation: tuple[tuple[int, ...], tuple[int, ...], int | None] | None = None
-    exhaustive: bool = True
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _admissibility_trial(
-    f: SubmodularValuation, a: int, b: int, g: int | None, exhaustive: bool
-) -> SubmodularityReport | None:
-    """Check one nested pair a <= b with g outside b; None means no violation."""
-    va = f.value_mask(a)
-    if va < 0:
-        bad = tuple(goods_of(a))
-        return SubmodularityReport(False, "negative value", (bad, bad, None), exhaustive)
-    if g is None:
-        return None
-    bit = 1 << g
-    gain_a = f.value_mask(a | bit) - va
-    if gain_a < 0:
-        return SubmodularityReport(
-            False,
-            "not monotone",
-            (tuple(goods_of(a)), tuple(goods_of(a | bit)), g),
-            exhaustive,
-        )
-    if b != a:
-        gain_b = f.value_mask(b | bit) - f.value_mask(b)
-        if gain_b > gain_a:
-            return SubmodularityReport(
-                False,
-                "not submodular",
-                (tuple(goods_of(a)), tuple(goods_of(b)), g),
-                exhaustive,
-            )
-    return None
-
-
-def verify_submodular(
-    f: SubmodularValuation, samples: int = 2000, seed: int = 0
-) -> SubmodularityReport:
-    """Check normalization, non-negativity, monotonicity and submodularity.
-
-    Ground sets up to 10 goods are checked exhaustively (every subset, every
-    adjacent pair; an adjacent violation exists whenever any violation does,
-    so this is complete). Larger ground sets get a seeded random sample of
-    nested pairs, so a pass there is evidence, not proof.
-    """
-    m = f.m
-    if f.value_mask(0) != 0:
-        return SubmodularityReport(False, "empty set not worth 0", ((), (), None))
-    exhaustive = m <= 10
-
-    def trials():
-        if exhaustive:
-            for mask in range(1 << m):
-                yield mask, mask, None
-                for g in range(m):
-                    if mask >> g & 1:
-                        continue
-                    yield mask, mask, g
-                    for h in range(m):
-                        if h != g and not mask >> h & 1:
-                            yield mask, mask | (1 << h), g
-        else:
-            rng = random.Random(seed)
-            for _ in range(samples):
-                a = rng.getrandbits(m)
-                free = [g for g in range(m) if not a >> g & 1]
-                if not free:
-                    yield a, a, None
-                else:
-                    g = rng.choice(free)
-                    yield a, a | (rng.getrandbits(m) & ~a & ~(1 << g)), g
-
-    for a, b, g in trials():
-        hit = _admissibility_trial(f, a, b, g, exhaustive)
-        if hit is not None:
-            return hit
-    return SubmodularityReport(True, exhaustive=exhaustive)
 
 
 def detect_positive_mms(f: SubmodularValuation, n: int) -> bool:

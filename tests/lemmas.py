@@ -6,19 +6,21 @@ or any good (envies, is_ef1, is_efx), envy-freeness up to any good along a
 replayed goods run, the forced pairing shape of its early partial
 allocations, majorization of bundle values, an exact oracle's certificate
 against its witness, invariance of the maximin share under the ordering
-reduction, the bundle split behind the tau/9 threshold
-search, and the partition matroid the slot solvers maximize over.
+reduction, the pairing partition behind the chores bound, the
+admissibility of a submodular valuation, the bundle split behind the tau/9
+threshold search, and the partition matroid the slot solvers maximize over.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from mmsfair.envy_graph import RunTrace, _rotate
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
 from mmsfair.model import GOODS, AdditiveInstance, Allocation, MmsCertificate, Value, as_value
-from mmsfair.oracles import DEFAULT_ORACLE_BUDGET, PartitionMatroid, mms_exact_additive
+from mmsfair.oracles import DEFAULT_ORACLE_BUDGET, mms_exact_additive
 from mmsfair.ordering import is_ordered, to_ordered
-from mmsfair.submodular.valuations import SubmodularValuation
+from mmsfair.submodular.valuations import SubmodularValuation, goods_of
 
 
 def envies(instance: AdditiveInstance, allocation: Allocation, i: int, j: int) -> bool:
@@ -209,16 +211,129 @@ def split_bundle(
     return first, items[len(first):]
 
 
-def universe(matroid: PartitionMatroid) -> list[tuple[int, int]]:
-    """Every (good, slot) pair of the matroid's ground set."""
-    return [(g, k) for g in matroid.goods for k in range(matroid.slots)]
+def lpt_chores_partition(values: Sequence[Value], n: int) -> Allocation:
+    """Singleton-then-pairing partition of d <= 2n chores into n bundles.
+
+    Input values must be sorted by non-increasing magnitude (non-decreasing
+    value). With d chores, the 2n - d largest-magnitude chores get singleton
+    bundles and the rest pair the k-th remaining chore with the k-th from the
+    end: {p_{2n-d}, p_{d-1}}, ..., {p_{n-1}, p_n} (0-based). When d <= n every
+    chore is a singleton and n - d bundles stay empty. When the d-th largest
+    magnitude exceeds a third of the optimum's magnitude, this partition
+    achieves the exact maximin value.
+    """
+    vals = [as_value(v) for v in values]
+    d = len(vals)
+    if n < 1:
+        raise InvalidInstanceError("need at least one bundle")
+    if d > 2 * n:
+        raise InvalidInstanceError(f"pairing partition needs at most {2 * n} chores, got {d}")
+    if any(v > 0 for v in vals):
+        raise InvalidInstanceError("chores must have non-positive values")
+    if any(vals[a] > vals[a + 1] for a in range(d - 1)):
+        raise NotOrderedError("chores must be sorted by non-increasing magnitude")
+
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    if d <= n:
+        for k in range(d):
+            bundles[k].add(k)
+    else:
+        singles = 2 * n - d
+        for k in range(singles):
+            bundles[k].add(k)
+        lo, hi = singles, d - 1
+        k = singles
+        while lo < hi:
+            bundles[k] = {lo, hi}
+            lo += 1
+            hi -= 1
+            k += 1
+    return Allocation(bundles, d)
 
 
-def is_independent(matroid: PartitionMatroid, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff pairs use only the matroid's goods and slots, each good at most once."""
+@dataclass(frozen=True)
+class SubmodularityReport:
+    """Outcome of checking a set-function oracle for admissibility.
+
+    ok is True when every check passed; the report is truthy exactly then.
+    On failure, reason names the broken property and violation holds the
+    offending (A, B, g): for a submodularity break, A is a proper subset of B,
+    g lies outside B, and g's marginal onto A is smaller than onto B; for a
+    monotonicity break B = A + g lost value; for a negative value A = B names
+    the bundle and g is None.
+    """
+
+    ok: bool
+    reason: str | None = None
+    violation: tuple[tuple[int, ...], tuple[int, ...], int | None] | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _admissibility_trial(
+    f: SubmodularValuation, a: int, b: int, g: int | None
+) -> SubmodularityReport | None:
+    """Check one nested pair a <= b with g outside b; None means no violation."""
+    va = f.value_mask(a)
+    if va < 0:
+        bad = tuple(goods_of(a))
+        return SubmodularityReport(False, "negative value", (bad, bad, None))
+    if g is None:
+        return None
+    bit = 1 << g
+    gain_a = f.value_mask(a | bit) - va
+    if gain_a < 0:
+        return SubmodularityReport(
+            False, "not monotone", (tuple(goods_of(a)), tuple(goods_of(a | bit)), g)
+        )
+    if b != a:
+        gain_b = f.value_mask(b | bit) - f.value_mask(b)
+        if gain_b > gain_a:
+            return SubmodularityReport(
+                False, "not submodular", (tuple(goods_of(a)), tuple(goods_of(b)), g)
+            )
+    return None
+
+
+def verify_submodular(f: SubmodularValuation) -> SubmodularityReport:
+    """Check normalization, non-negativity, monotonicity and submodularity.
+
+    Exhaustive: every subset, and every adjacent pair (A, A + h) with a good
+    g outside both. An adjacent violation exists whenever any violation
+    does, so a pass is a proof. It costs about 2^m m^2 queries, for small m.
+    """
+    m = f.m
+    if f.value_mask(0) != 0:
+        return SubmodularityReport(False, "empty set not worth 0", ((), (), None))
+    for mask in range(1 << m):
+        trials = [(mask, None)]
+        for g in range(m):
+            if not mask >> g & 1:
+                trials.append((mask, g))
+                trials.extend(
+                    (mask | 1 << h, g) for h in range(m) if h != g and not mask >> h & 1
+                )
+        for b, g in trials:
+            hit = _admissibility_trial(f, mask, b, g)
+            if hit is not None:
+                return hit
+    return SubmodularityReport(True)
+
+
+def universe(goods: Sequence[int], slots: int) -> list[tuple[int, int]]:
+    """Every (good, slot) pair of the partition matroid's ground set."""
+    return [(g, k) for g in goods for k in range(slots)]
+
+
+def is_independent(
+    goods: Sequence[int], slots: int, pairs: Iterable[tuple[int, int]]
+) -> bool:
+    """True iff pairs use only the given goods and slots 0..slots-1, each good
+    at most once."""
     used: set[int] = set()
     for g, k in pairs:
-        if g not in matroid.goods or not 0 <= k < matroid.slots:
+        if g not in goods or not 0 <= k < slots:
             return False
         if g in used:
             return False

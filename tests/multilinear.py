@@ -18,6 +18,9 @@ quantities tie fractional values to integral ones: for x supported inside J,
 F_H(x) equals the sum over j in J of gamma_j * x_j, shrinking J never lowers
 a marginal, and at the uniform point x = (1/n, ..., 1/n) every agent's
 fractional value is at least (1 - 1/e) of its maximin share.
+
+The contraction f_H (MarginalValuation) is the valuation those inequalities
+are stated for: what goods add on top of a fixed set H.
 """
 
 from __future__ import annotations
@@ -34,6 +37,27 @@ from mmsfair.oracles import ONE_MINUS_INV_E_UPPER
 from mmsfair.submodular.valuations import SubmodularValuation, mask_of
 
 _SUPPORT_BUDGET = 20
+
+
+class MarginalValuation(SubmodularValuation):
+    """The contraction f_H(S) = f(H + S) - f(H) of a valuation onto [m] \\ H.
+
+    Shares the base oracle's ground-set indexing: goods in H must not appear
+    in queried bundles. Contractions of submodular functions stay normalized,
+    non-negative, monotone and submodular.
+    """
+
+    __slots__ = ("base", "h_mask")
+
+    def __init__(self, base: SubmodularValuation, h: Iterable[int]):
+        super().__init__(base.m, base.scale)
+        self.base = base
+        self.h_mask = mask_of(h, base.m)
+
+    def _value_int_raw(self, mask: int) -> int:
+        if mask & self.h_mask:
+            raise InvalidInstanceError("bundle overlaps the contracted set")
+        return self.base.value_int(mask | self.h_mask) - self.base.value_int(self.h_mask)
 
 
 class FractionalAllocation:

@@ -21,15 +21,12 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from multilinear import MarginalValuation
+
 from mmsfair.envy_graph import RunTrace, TraceStep, _first_cycle, _rotate, build_envy_graph
 from mmsfair.model import GOODS, AdditiveInstance, Allocation
-from mmsfair.oracles import PartitionMatroid, SlotObjective
-from mmsfair.submodular.valuations import (
-    BudgetAdditive,
-    ExplicitTable,
-    MarginalValuation,
-    goods_of,
-)
+from mmsfair.oracles import SlotObjective
+from mmsfair.submodular.valuations import BudgetAdditive, ExplicitTable, goods_of
 
 
 def edges(graph):
@@ -161,23 +158,23 @@ def reference_value(f, mask):
     return sum((f.weights[e] for e in covered), Fraction(0))
 
 
-def reference_greedy_matroid_max(objective, matroid):
+def reference_greedy_matroid_max(objective, goods):
     """Lazy greedy on Fraction gains, one global version stamp."""
-    f, cap = objective.valuation, objective.cap
+    f, cap, slots = objective.valuation, objective.cap, objective.slots
     chosen = set()
-    slot_masks = [0] * matroid.slots
-    slot_vals = [Fraction(0)] * matroid.slots
+    slot_masks = [0] * slots
+    slot_vals = [Fraction(0)] * slots
 
     def gain(g, k):
         return min(cap, reference_value(f, slot_masks[k] | (1 << g))) - slot_vals[k]
 
     heap = []
-    for g in matroid.goods:
-        for k in range(matroid.slots):
+    for g in goods:
+        for k in range(slots):
             heapq.heappush(heap, (-gain(g, k), g, k, 0))
     version = 0
     placed = set()
-    while heap and len(placed) < len(matroid.goods):
+    while heap and len(placed) < len(goods):
         neg, g, k, stamp = heapq.heappop(heap)
         if g in placed:
             continue
@@ -239,7 +236,7 @@ def reference_threshold_probe(f, n, tau):
     rest = [g for g in range(m) if g not in high]
     cap = Fraction(4, 9) * tau
     objective = SlotObjective(f, cap, 2 * r)
-    independent = reference_greedy_matroid_max(objective, PartitionMatroid(tuple(rest), 2 * r))
+    independent = reference_greedy_matroid_max(objective, rest)
     slot_masks = [0] * (2 * r)
     for g, k in independent:
         slot_masks[k] |= 1 << g

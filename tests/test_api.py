@@ -22,7 +22,6 @@ PUBLIC = [
     "FairDivisionError",
     "GOODS",
     "InvalidInstanceError",
-    "MarginalValuation",
     "MmsApproxResult",
     "MmsCertificate",
     "NotOrderedError",

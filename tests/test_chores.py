@@ -3,12 +3,9 @@
 import random
 
 import pytest
+from lemmas import lpt_chores_partition
 
-from mmsfair.chores import (
-    chores_envy_graph_allocate,
-    lpt_chores_partition,
-    solve_chores,
-)
+from mmsfair.chores import chores_envy_graph_allocate, solve_chores
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
 from mmsfair.model import CHORES, AdditiveInstance, Allocation
 from mmsfair.oracles import mms_exact_additive

@@ -4,11 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from lemmas import verify_submodular
 
 from mmsfair.cli import main
 from mmsfair.io import parse_allocation, parse_instance
 from mmsfair.model import CHORES, AdditiveInstance
-from mmsfair.submodular.valuations import verify_submodular
 
 
 def run(*argv):
@@ -122,6 +122,19 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "VIOLATED" in text
         assert "NO" in text
+
+    def test_incomplete_allocation_is_an_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        write(inst, json.dumps({
+            "version": 1, "kind": "additive-chores", "n": 2, "m": 3,
+            "values": [["-5", "-4", "-3"], ["-1", "-2", "-3"]],
+        }))
+        write(alloc, json.dumps({"version": 1, "m": 3, "bundles": [[], []]}))
+        assert run("verify", "--input", str(inst), "--allocation", str(alloc)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: allocation leaves goods unassigned\n"
 
     @pytest.mark.parametrize("delta", ["0", "-1"])
     def test_submodular_rejects_non_positive_delta(self, tmp_path, capsys, delta):

@@ -1,7 +1,7 @@
 """Seeded generators and the two hand-built fixture instances."""
 
 import pytest
-from lemmas import is_ef1
+from lemmas import is_ef1, verify_submodular
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.generators import (
@@ -18,7 +18,6 @@ from mmsfair.submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
     WeightedCoverage,
-    verify_submodular,
 )
 
 

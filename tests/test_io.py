@@ -355,6 +355,31 @@ class TestBuildReport:
         with pytest.raises(InvalidInstanceError):
             build_report(inst, Allocation([{0, 1}, set()], 2))
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            AdditiveInstance([[-5, -4, -3], [-1, -2, -3]], kind=CHORES),
+            AdditiveInstance([[5, 4, 3], [1, 2, 3]]),
+            [BudgetAdditive((1, 1, 1), 3)] * 2,
+        ],
+        ids=["chores", "goods", "submodular"],
+    )
+    def test_incomplete_allocation_rejected(self, instance):
+        # an allocation that assigns no chores would pass every chores floor
+        for bundles in ([[], []], [[0], [2]]):
+            with pytest.raises(InvalidInstanceError, match="leaves goods unassigned"):
+                build_report(instance, Allocation(bundles, 3))
+
+    def test_every_agent_shares_the_ground_set(self):
+        # agent 1's share would be taken over 8 goods, 4 of them not in play
+        agents = [BudgetAdditive([1] * 4, 4), BudgetAdditive([1] * 8, 8)]
+        with pytest.raises(InvalidInstanceError, match="one ground set"):
+            build_report(agents, Allocation([[0, 1], [2, 3]], 4))
+
+    def test_no_agents_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="at least one agent"):
+            build_report([], Allocation([], 0))
+
 
 class TestReportOutput:
     def test_json_shape(self):

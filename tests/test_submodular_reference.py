@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from multilinear import MarginalValuation
 from reference import (
     reference_greedy_matroid_max,
     reference_max_min,
@@ -25,7 +26,6 @@ from reference import (
 
 from mmsfair import oracles
 from mmsfair.oracles import (
-    PartitionMatroid,
     SlotObjective,
     exhaustive_matroid_max,
     greedy_matroid_max,
@@ -37,7 +37,6 @@ from mmsfair.submodular.allocate import round_robin
 from mmsfair.submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
-    MarginalValuation,
     WeightedCoverage,
 )
 
@@ -114,9 +113,8 @@ def test_greedy_matroid_max_matches_reference(data):
     # a cap with its own denominator, around the values it has to cut
     cap = reference_value(f, (1 << m) - 1) * data.draw(fractions(7)) / 12
     objective = SlotObjective(f, cap, slots)
-    matroid = PartitionMatroid(goods=goods, slots=slots)
-    assert greedy_matroid_max(objective, matroid) == reference_greedy_matroid_max(
-        objective, matroid
+    assert greedy_matroid_max(objective, goods) == reference_greedy_matroid_max(
+        objective, goods
     )
 
 
@@ -127,7 +125,7 @@ def test_exhaustive_matroid_max_reaches_the_optimum(data):
     slots = data.draw(st.integers(1, 3))
     cap = reference_value(f, (1 << m) - 1) * data.draw(fractions(7)) / 12
     objective = SlotObjective(f, cap, slots)
-    pairs = exhaustive_matroid_max(objective, PartitionMatroid(tuple(range(m)), slots))
+    pairs = exhaustive_matroid_max(objective, range(m))
     assert sorted(g for g, _ in pairs) == list(range(m))
 
     def capped_sum(masks):

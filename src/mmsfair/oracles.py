@@ -37,13 +37,15 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
-from .submodular.valuations import SubmodularValuation, goods_of
+from .submodular.valuations import SubmodularValuation, goods_of, mask_of, subset_table
 
 DEFAULT_ORACLE_BUDGET = 10**8
+EXHAUSTIVE_SLOT_BUDGET = 1 << 24  # largest 3^q * slots exhaustive_matroid_max runs
 DEAD_MEMO_CAP = 1 << 18  # dead states the witness pass keeps before it clears its memo
 
 
@@ -190,30 +192,24 @@ def _max_min_partition(
 def mms_exact_additive(
     instance: AdditiveInstance,
     agent: int,
-    n: int | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
     *,
     witness: bool = True,
 ) -> MmsCertificate:
-    """Exact maximin share of one agent over n bundles, with witness.
+    """Exact maximin share of one agent over the instance's n bundles, with witness.
 
-    n defaults to the instance's agent count but can be overridden to ask for
-    the best min-bundle split of a single value row into any bundle count.
     Works for goods and chores alike (chores: the witness maximizes the most
     negative bundle). witness=False skips the witness pass and leaves the
     certificate's witness None.
     """
-    if not 0 <= agent < instance.n:
-        raise InvalidInstanceError(f"agent {agent} out of range [0,{instance.n})")
-    bundles = n if n is not None else instance.n
-    if bundles < 1:
-        raise InvalidInstanceError("need at least one bundle")
-    _check_budget(bundles, instance.m, budget)
+    n = instance.n
+    if not 0 <= agent < n:
+        raise InvalidInstanceError(f"agent {agent} out of range [0,{n})")
+    _check_budget(n, instance.m, budget)
     denom, w = instance.scales[agent], instance.ints[agent]
-    upper = sum(w) // bundles  # the poorest bundle holds at most the mean
+    upper = sum(w) // n  # the poorest bundle holds at most the mean
     best, partition = _max_min_partition(
-        bundles, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper,
-        witness,
+        n, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper, witness
     )
     return MmsCertificate(agent=agent, value=Fraction(best, denom), witness=partition)
 
@@ -258,11 +254,12 @@ def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
 
 
 class SlotObjective:
-    """g(S) = sum over slots k of min(cap, f(S_k)) for S a set of (good, slot) pairs.
+    """g(S) = sum over slots k of min(cap, f(S_k)), for a partition matroid's
+    independent set S given as one bundle mask S_k per slot.
 
-    Monotone and submodular on the pair ground set whenever f is; the cap
-    makes piling value into one slot pointless beyond cap. The solvers
-    compare capped_int values, exact ints.
+    Monotone and submodular on the (good, slot) ground set whenever f is;
+    the cap makes piling value into one slot pointless beyond cap. The
+    solvers compare capped_int values, exact ints.
     """
 
     __slots__ = ("valuation", "cap", "slots", "_top")
@@ -281,33 +278,23 @@ class SlotObjective:
         """min(cap, f(mask)) * f.scale * cap.denominator, an exact int."""
         return min(self._top, self.valuation.value_int(mask) * self.cap.denominator)
 
-    def slot_masks(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
-        masks = [0] * self.slots
-        for g, k in pairs:
-            if not 0 <= k < self.slots:
-                raise InvalidInstanceError(f"slot {k} out of range [0,{self.slots})")
-            bit = 1 << g
-            masks[k] |= bit
-        return masks
-
-    def evaluate(self, pairs: Iterable[tuple[int, int]]) -> Value:
-        total = sum(map(self.capped_int, self.slot_masks(pairs)))
+    def evaluate(self, masks: Iterable[int]) -> Value:
+        total = sum(map(self.capped_int, masks))
         return Fraction(total, self.valuation.scale * self.cap.denominator)
 
 
-def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> set[tuple[int, int]]:
-    """Lazy greedy over the partition matroid of the (good, slot) pairs, each
-    good in at most one of the objective's slots; 1/2-approximate for
-    submodular g.
+def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> list[int]:
+    """Lazy greedy over the partition matroid that puts each good in at most
+    one of the objective's slots; 1/2-approximate for submodular g. Returns
+    one bundle mask per slot.
 
-    Elements come off a max-heap of cached marginal gains; a stale gain is
-    recomputed and pushed back (valid because gains only shrink). Gains are
-    the objective's capped ints. Ties break on lowest good then lowest slot;
-    no two entries share a (gain, good, slot) key, so the pop order does not
-    depend on how the heap was built. The result is a maximal independent
-    set: every good lands in some slot.
+    Elements, (good, slot) pairs, come off a max-heap of cached marginal
+    gains; a stale gain is recomputed and pushed back (valid because gains
+    only shrink). Gains are the objective's capped ints. Ties break on
+    lowest good then lowest slot; no two entries share a (gain, good, slot)
+    key, so the pop order does not depend on how the heap was built. Every
+    good lands in some slot.
     """
-    chosen: set[tuple[int, int]] = set()
     slots = objective.slots
     slot_masks = [0] * slots
     slot_vals = [0] * slots
@@ -322,47 +309,39 @@ def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> set[tu
         heap.extend((first, g, k, 0) for k in range(slots))
     heapq.heapify(heap)
     version = 0
-    placed: set[int] = set()
-    while heap and len(placed) < len(goods):
+    placed = 0
+    left = len(goods)
+    while left:
         neg, g, k, stamp = heapq.heappop(heap)
-        if g in placed:
+        if placed >> g & 1:
             continue
         if stamp != version:
             heapq.heappush(heap, (-gain(g, k), g, k, version))
             continue
-        chosen.add((g, k))
-        placed.add(g)
+        placed |= 1 << g
+        left -= 1
         slot_masks[k] |= 1 << g
         slot_vals[k] = capped(slot_masks[k])
         version += 1
-    return chosen
+    return slot_masks
 
 
-def exhaustive_matroid_max(
-    objective: SlotObjective, goods: Sequence[int], budget: int = 1 << 24
-) -> set[tuple[int, int]]:
-    """Exact maximizer of the capped slot objective over greedy_matroid_max's matroid.
+def exhaustive_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> list[int]:
+    """Exact maximizer of the capped slot objective over greedy_matroid_max's
+    matroid, as one bundle mask per slot.
 
     Slots are interchangeable under SlotObjective, so this runs an exact
     unlabeled-partition dynamic program over subsets of the goods (on the
-    objective's capped ints), then labels the parts with slots. Cost is
-    about 3^q for q goods.
+    objective's capped ints, one per subset from subset_table), then labels
+    the parts with slots. Cost is about 3^q for q goods; past
+    EXHAUSTIVE_SLOT_BUDGET it refuses.
     """
     q = len(goods)
     slots = objective.slots
-    if q == 0:
-        return set()
-    if 3**q * slots > budget:
-        raise BudgetExceededError("partition maximization", 3**q * slots, budget)
-
-    def global_mask(local: int) -> int:
-        mask = 0
-        for t in range(q):
-            if local >> t & 1:
-                mask |= 1 << goods[t]
-        return mask
-
-    capped_int = [objective.capped_int(global_mask(s)) for s in range(1 << q)]
+    if 3**q * slots > EXHAUSTIVE_SLOT_BUDGET:
+        raise BudgetExceededError("partition maximization", 3**q * slots, EXHAUSTIVE_SLOT_BUDGET)
+    masks = subset_table([1 << g for g in goods], operator.or_)
+    capped_int = list(map(objective.capped_int, masks))
 
     full = (1 << q) - 1
     neg = -1
@@ -390,26 +369,20 @@ def exhaustive_matroid_max(
         best_prev = best_cur
         choice.append(pick)
 
-    pairs: set[tuple[int, int]] = set()
+    out = [0] * slots
     mask = full
-    slot = 0
-    for layer in range(slots - 1, -1, -1):
-        if not mask:
-            break
-        sub = choice[layer][mask]
-        for t in range(q):
-            if sub >> t & 1:
-                pairs.add((goods[t], slot))
-        slot += 1
+    for slot in range(slots):
+        sub = choice[slots - 1 - slot][mask]
+        out[slot] = masks[sub]
         mask ^= sub
-    return pairs
+    return out
 
 
 # 6322/10000 is a hair above 1 - 1/e, the factor the per-bundle certificate
 # needs, so a solver factor at least this large certifies it exactly.
 ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
 
-MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, Sequence[int]], set], Value]] = {
+MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, Sequence[int]], list[int]], Value]] = {
     "exhaustive": (exhaustive_matroid_max, Fraction(1)),
     "greedy": (greedy_matroid_max, Fraction(1, 2)),
 }
@@ -451,30 +424,22 @@ def threshold_probe(
     # 9 f(g) >= tau, on ints: 9 * scale * f(g) * tau.den >= tau.num * scale
     lhs, rhs = 9 * tau.denominator, tau.numerator * f.scale
     high = [g for g in range(m) if lhs * f.value_int(1 << g) >= rhs]
-    if len(high) >= n:
-        seeds = set(high[:n])
-        bundles = [[h] for h in high[:n]]
-        bundles[0].extend(g for g in range(m) if g not in seeds)
+    seeds = high[:n]
+    left = ((1 << m) - 1) ^ mask_of(seeds, m)  # the goods no seed holds
+    if len(seeds) == n:
+        bundles = [[h] for h in seeds]
+        bundles[0] += goods_of(left)
         return Allocation(bundles, m)
 
     r = n - len(high)
-    high_set = set(high)
-    rest = [g for g in range(m) if g not in high_set]
-    cap = Fraction(4, 9) * tau
-    objective = SlotObjective(f, cap=cap, slots=2 * r)
-    independent = solve(objective, rest)
-    if 9 * objective.evaluate(independent) < 8 * factor * r * tau:
+    objective = SlotObjective(f, cap=Fraction(4, 9) * tau, slots=2 * r)
+    slot_masks = solve(objective, goods_of(left))
+    if 9 * objective.evaluate(slot_masks) < 8 * factor * r * tau:
         return None
 
-    slot_masks = objective.slot_masks(independent)
-    ranked = sorted(range(2 * r), key=lambda k: (-f.value_int(slot_masks[k]), k))
-    kept = [goods_of(slot_masks[k]) for k in ranked[: r - 1]]
-    merged: set[int] = set()
-    for k in ranked[r - 1:]:
-        merged.update(goods_of(slot_masks[k]))
-    assigned = set(g for b in kept for g in b) | merged | high_set
-    merged.update(g for g in range(m) if g not in assigned)
-    bundles = [[h] for h in high] + [sorted(b) for b in kept] + [sorted(merged)]
+    kept = sorted(slot_masks, key=f.value_int, reverse=True)[: r - 1]  # stable: ties by slot
+    merged = left & ~reduce(operator.or_, kept, 0)
+    bundles = [[h] for h in high] + [goods_of(s) for s in kept] + [goods_of(merged)]
     return Allocation(bundles, m)
 
 

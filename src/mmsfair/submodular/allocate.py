@@ -13,30 +13,32 @@ the agent's value for the whole ground set and repeatedly divides the
 thresholds of unsatisfied agents by (1 + delta), rerunning round_robin, until
 everyone clears a tenth of their own threshold. Thresholds then sit above
 mu_i/(1+delta), so every agent gets at least mu_i / (10 (1+delta)).
+
+Both work on bitmasks and compare the valuations' scaled ints; alg_sub
+builds one Allocation, from its final masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log, log1p
 from typing import Sequence
 
 from ..errors import InvalidInstanceError
 from ..model import Allocation, Value, as_value
-from .valuations import SubmodularValuation, detect_positive_mms, mask_of, shared_ground
+from .valuations import SubmodularValuation, detect_positive_mms, goods_of, shared_ground
 
 
 def round_robin(
     valuations: Sequence[SubmodularValuation], thresholds: Sequence[Value]
-) -> Allocation:
+) -> list[int]:
     """Two-phase allocation: singleton grabs at tau_i/10, then max-marginal turns.
 
-    Returns a complete allocation. If phase one retires every agent while
-    goods remain (all thresholds tiny), the leftovers are dealt by continuing
-    the phase-two loop over all agents; monotonicity keeps every guarantee.
-    Values are compared as the valuations' scaled ints; ties go to the
-    lowest good.
+    Returns one bundle mask per agent; together they hold every good. If
+    phase one retires every agent while goods remain (all thresholds tiny),
+    the leftovers are dealt by continuing the phase-two loop over all
+    agents; monotonicity keeps every guarantee. Values are compared as the
+    valuations' scaled ints; ties go to the lowest good.
     """
     n, m = shared_ground(valuations)
     taus = [as_value(t) for t in thresholds]
@@ -49,7 +51,7 @@ def round_robin(
     for i in range(n):
         value = valuations[i].value_int
         best = max(free, key=lambda g: (value(1 << g), -g), default=-1)
-        if best >= 0 and _clears_tenth(valuations[i], 1 << best, taus[i]):
+        if best >= 0 and _clears_tenth(valuations[i], value(1 << best), taus[i]):
             masks[i] = 1 << best
             free.remove(best)
         else:
@@ -65,14 +67,13 @@ def round_robin(
             best = max(free, key=lambda g: (value(mask | 1 << g), -g))
             masks[i] |= 1 << best
             free.remove(best)
-
-    bundles = [[g for g in range(m) if masks[i] >> g & 1] for i in range(n)]
-    return Allocation(bundles, m)
+    return masks
 
 
-def _clears_tenth(f: SubmodularValuation, mask: int, tau: Value) -> bool:
-    """10 f(mask) >= tau, compared as 10 * scale * f(mask) * tau.den >= tau.num * scale."""
-    return 10 * f.value_int(mask) * tau.denominator >= tau.numerator * f.scale
+def _clears_tenth(f: SubmodularValuation, value: int, tau: Value) -> bool:
+    """10 f(S) >= tau for value = f.value_int(S) = scale * f(S), compared as
+    10 * value * tau.den >= tau.num * scale."""
+    return 10 * value * tau.denominator >= tau.numerator * f.scale
 
 
 @dataclass(frozen=True)
@@ -85,17 +86,6 @@ class ThresholdState:
     excluded: frozenset[int]  # agents with zero maximin share, left out of the loop
 
 
-def _log1p(r: Fraction) -> float:
-    """ln(1 + r) for a rational r >= 0 of any size.
-
-    math.log takes ints of any size, so a ratio beyond the float range (a
-    huge total over a tiny singleton) cannot overflow; below 1, log1p of the
-    correctly rounded quotient keeps small r accurate.
-    """
-    p, q = r.numerator, r.denominator
-    return log1p(p / q) if p < q else log(p + q) - log(q)
-
-
 def alg_sub(
     valuations: Sequence[SubmodularValuation],
     delta: Value = Fraction(1, 20),
@@ -104,9 +94,17 @@ def alg_sub(
 
     Agents without n positive singletons have maximin share zero; they are
     excluded from the run and receive empty bundles (any bundle meets a zero
-    guarantee). For the rest, thresholds decay geometrically, and an agent
-    whose threshold has fallen to its maximin share never fails again, which
-    bounds the decay count by ceil(log_{1+delta}(v_i(all)/mu_i)) + 1.
+    guarantee). For the rest, thresholds decay geometrically until every
+    agent clears a tenth of its own.
+
+    An agent whose threshold is at most ten times its smallest positive
+    singleton value never fails: fewer than n goods go before its turn in
+    phase one, so a good worth that much is still free and retires it, and
+    a monotone f keeps the bundle at least as valuable as that good. That
+    is checked after every round, and since each failure shrinks a
+    threshold by 1 + delta, it also ends the loop. A table that breaks it
+    is not monotone: InvalidInstanceError names the agent and a good worth
+    more alone than the agent's whole bundle.
     """
     n, m = shared_ground(valuations)
     delta = as_value(delta)
@@ -114,51 +112,46 @@ def alg_sub(
         raise InvalidInstanceError("delta must be positive")
 
     kept = [i for i in range(n) if detect_positive_mms(valuations[i], n)]
-    excluded = frozenset(range(n)) - frozenset(kept)
-    if not kept:
-        alloc = round_robin(valuations, [Fraction(0)] * n)
-        state = ThresholdState(
-            thresholds=tuple(Fraction(0) for _ in range(n)),
-            iterations=0,
-            excluded=excluded,
-        )
-        return alloc, state
-
-    taus = {i: valuations[i].total() for i in kept}
-    # ceiling on loop count: phase one must retire agent i once tau_i falls to
-    # ten times its smallest positive singleton, so decays per agent are finite
-    cap = 2 * len(kept)
-    for i in kept:
-        floor = min(
-            valuations[i].singleton(g)
-            for g in range(m)
-            if valuations[i].singleton(g) > 0
-        )
-        cap += 2 + ceil(_log1p(taus[i] / floor) / _log1p(delta))
-
-    unsat = set(kept)
+    taus = [Fraction(0)] * n
+    masks = [0] * n if kept else round_robin(valuations, taus)
     iterations = 0
+    for i in kept:
+        taus[i] = valuations[i].total()
+    singles = [1 << g for g in range(m)]
+    floors = {i: min(v for v in map(valuations[i].value_int, singles) if v > 0) for i in kept}
     sub_vals = [valuations[i] for i in kept]
-    alloc = Allocation([[] for _ in range(n)], m)
+    unsat = kept
     while unsat:
         iterations += 1
-        if iterations > cap:
-            raise RuntimeError("threshold search failed to converge")
         for i in unsat:
             taus[i] /= 1 + delta
-        sub_alloc = round_robin(sub_vals, [taus[i] for i in kept])
-        bundles: list[frozenset[int]] = [frozenset() for _ in range(n)]
-        for k, i in enumerate(kept):
-            bundles[i] = sub_alloc.bundles[k]
-        alloc = Allocation(bundles, m)
-        unsat = {
-            i for i in kept if not _clears_tenth(valuations[i], mask_of(bundles[i], m), taus[i])
-        }
+        for i, mask in zip(kept, round_robin(sub_vals, [taus[i] for i in kept])):
+            masks[i] = mask
+        unsat = [
+            i for i in kept
+            if not _clears_tenth(valuations[i], valuations[i].value_int(masks[i]), taus[i])
+        ]
+        for i in unsat:
+            if _clears_tenth(valuations[i], floors[i], taus[i]):
+                _not_monotone(i, valuations[i], masks[i])
 
-    full_taus = tuple(taus.get(i, Fraction(0)) for i in range(n))
     state = ThresholdState(
-        thresholds=full_taus,
+        thresholds=tuple(taus),
         iterations=iterations,
-        excluded=excluded,
+        excluded=frozenset(range(n)) - frozenset(kept),
     )
-    return alloc, state
+    return Allocation([goods_of(mask) for mask in masks], m), state
+
+
+def _not_monotone(i: int, f: SubmodularValuation, mask: int) -> None:
+    """Raise for agent i, whose bundle mask failed a threshold that its
+    smallest positive singleton clears: some good of the bundle must be
+    worth more alone than the whole bundle."""
+    whole = f.value_int(mask)
+    for g in goods_of(mask):
+        if f.value_int(1 << g) > whole:
+            raise InvalidInstanceError(
+                f"agent {i}'s valuation is not monotone: good {g} alone is worth "
+                f"{f.value_mask(1 << g)}, its bundle {goods_of(mask)} only {f.value_mask(mask)}"
+            )
+    raise RuntimeError(f"agent {i} failed a threshold its smallest positive singleton clears")

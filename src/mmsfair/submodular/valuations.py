@@ -7,6 +7,10 @@ on ints throughout; value_mask(mask) is the public rational answer,
 Fraction(value_int(mask), scale). The hot loops (round robin, the threshold
 probe, the exact oracle) compare these ints, scaled by a threshold's
 denominator where one is involved, so no Fraction arithmetic runs per query.
+subset_table is the one helper that tabulates a fold over every subset of
+a list: the coverage and budget-additive families keep one table per byte
+of the mask, and the exhaustive slot solver one of the masks of every
+subset of its goods.
 
 Each instance memoizes value_int by mask for its lifetime, and only the
 queries made bound the memo: 2^m entries at most under the exact oracle,
@@ -17,7 +21,8 @@ greedy bound, on four benchmark instances with m of 41 to 59).
 A valuation is admissible when it is normalized (empty set worth 0),
 non-negative, monotone, and submodular. The three families are admissible
 by construction; an explicit table is checked only for the inequality the
-exact oracle's bounds rest on (ExplicitTable), and the full check lives
+exact oracle's bounds rest on (ExplicitTable), alg_sub rejects a table
+whose missing monotonicity breaks its loop guard, and the full check lives
 with the tests (tests/lemmas.py).
 """
 
@@ -61,17 +66,20 @@ def goods_of(mask: int) -> list[int]:
     return out
 
 
+def subset_table(items: Sequence, combine) -> list:
+    """table[s] folds combine over items[k] for the set bits k of s,
+    starting from 0 (so table[0] = 0): one combine per subset, each built
+    from the subset without its highest item."""
+    table = [0]
+    for item in items:
+        table += [combine(t, item) for t in table]
+    return table
+
+
 def _byte_tables(items: Sequence[int], combine) -> list[list[int]]:
-    """One table per run of 8 items: tables[c][b] folds combine over the
-    items 8c + k for the set bits k of the byte b (0 for b = 0). A fold over
-    a mask's set bits then takes one lookup per byte of the mask."""
-    tables = []
-    for base in range(0, len(items), 8):
-        table = [0]
-        for item in items[base:base + 8]:
-            table += [combine(t, item) for t in table]
-        tables.append(table)
-    return tables
+    """subset_table of each run of 8 items: a fold over a mask's set bits
+    then takes one lookup per byte of the mask."""
+    return [subset_table(items[base:base + 8], combine) for base in range(0, len(items), 8)]
 
 
 class SubmodularValuation:
@@ -107,9 +115,6 @@ class SubmodularValuation:
 
     def evaluate(self, bundle: Iterable[int]) -> Value:
         return self.value_mask(mask_of(bundle, self.m))
-
-    def singleton(self, g: int) -> Value:
-        return self.value_mask(1 << g)
 
     def total(self) -> Value:
         return self.value_mask((1 << self.m) - 1)
@@ -229,7 +234,7 @@ def detect_positive_mms(f: SubmodularValuation, n: int) -> bool:
         raise InvalidInstanceError("need at least one agent")
     hits = 0
     for g in range(f.m):
-        if f.singleton(g) > 0:
+        if f.value_int(1 << g) > 0:
             hits += 1
             if hits >= n:
                 return True

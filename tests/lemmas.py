@@ -197,7 +197,7 @@ def split_bundle(
     if tau <= 0:
         raise InvalidInstanceError("tau must be positive")
     items = sorted(set(bundle))
-    if any(9 * f.singleton(g) >= tau for g in items):
+    if any(9 * f.value_mask(1 << g) >= tau for g in items):
         raise InvalidInstanceError("split needs all singletons below tau/9")
     if f.evaluate(items) < tau:
         raise InvalidInstanceError("split needs a bundle worth at least tau")
@@ -321,21 +321,13 @@ def verify_submodular(f: SubmodularValuation) -> SubmodularityReport:
     return SubmodularityReport(True)
 
 
-def universe(goods: Sequence[int], slots: int) -> list[tuple[int, int]]:
-    """Every (good, slot) pair of the partition matroid's ground set."""
-    return [(g, k) for g in goods for k in range(slots)]
-
-
-def is_independent(
-    goods: Sequence[int], slots: int, pairs: Iterable[tuple[int, int]]
-) -> bool:
-    """True iff pairs use only the given goods and slots 0..slots-1, each good
-    at most once."""
-    used: set[int] = set()
-    for g, k in pairs:
-        if g not in goods or not 0 <= k < slots:
+def is_independent(goods: Sequence[int], slots: int, masks: Sequence[int]) -> bool:
+    """True iff masks holds one bundle mask per slot of the partition
+    matroid, using only the given goods, each at most once."""
+    allowed = sum(1 << g for g in set(goods))
+    used = 0
+    for mask in masks:
+        if mask & used or mask & ~allowed:
             return False
-        if g in used:
-            return False
-        used.add(g)
-    return True
+        used |= mask
+    return len(masks) == slots

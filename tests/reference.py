@@ -159,9 +159,9 @@ def reference_value(f, mask):
 
 
 def reference_greedy_matroid_max(objective, goods):
-    """Lazy greedy on Fraction gains, one global version stamp."""
+    """Lazy greedy on Fraction gains, one global version stamp; one bundle
+    mask per slot."""
     f, cap, slots = objective.valuation, objective.cap, objective.slots
-    chosen = set()
     slot_masks = [0] * slots
     slot_vals = [Fraction(0)] * slots
 
@@ -181,16 +181,16 @@ def reference_greedy_matroid_max(objective, goods):
         if stamp != version:
             heapq.heappush(heap, (-gain(g, k), g, k, version))
             continue
-        chosen.add((g, k))
         placed.add(g)
         slot_masks[k] |= 1 << g
         slot_vals[k] = min(cap, reference_value(f, slot_masks[k]))
         version += 1
-    return chosen
+    return slot_masks
 
 
 def reference_round_robin(valuations, thresholds):
-    """Singleton grabs at tau_i/10, then max-marginal turns, on Fractions."""
+    """Singleton grabs at tau_i/10, then max-marginal turns, on Fractions;
+    one bundle mask per agent."""
     n, m = len(valuations), valuations[0].m
     free = set(range(m))
     masks = [0] * n
@@ -219,7 +219,7 @@ def reference_round_robin(valuations, thresholds):
                     best, best_gain = g, gain
             masks[i] |= 1 << best
             free.discard(best)
-    return Allocation([[g for g in range(m) if masks[i] >> g & 1] for i in range(n)], m)
+    return masks
 
 
 def reference_threshold_probe(f, n, tau):
@@ -236,10 +236,7 @@ def reference_threshold_probe(f, n, tau):
     rest = [g for g in range(m) if g not in high]
     cap = Fraction(4, 9) * tau
     objective = SlotObjective(f, cap, 2 * r)
-    independent = reference_greedy_matroid_max(objective, rest)
-    slot_masks = [0] * (2 * r)
-    for g, k in independent:
-        slot_masks[k] |= 1 << g
+    slot_masks = reference_greedy_matroid_max(objective, rest)
     achieved = sum((min(cap, reference_value(f, s)) for s in slot_masks), Fraction(0))
     if 9 * achieved < 8 * Fraction(1, 2) * r * tau:
         return None

@@ -105,10 +105,10 @@ class TestPairingPartition:
     def test_four_chores_two_bundles(self):
         alloc = lpt_chores_partition([-5, -4, -3, -2], 2)
         assert alloc.bundles == (frozenset({0, 3}), frozenset({1, 2}))
-        inst = AdditiveInstance([[-5, -4, -3, -2]], kind=CHORES)
+        inst = AdditiveInstance([[-5, -4, -3, -2]] * 2, kind=CHORES)
         values = [inst.value(0, b) for b in alloc.bundles]
         assert min(values) == -7
-        assert mms_exact_additive(inst, 0, n=2).value == -7
+        assert mms_exact_additive(inst, 0).value == -7
 
     def test_fewer_chores_than_bundles(self):
         alloc = lpt_chores_partition([-5, -4], 3)
@@ -121,8 +121,8 @@ class TestPairingPartition:
     def test_odd_count_keeps_one_singleton(self):
         alloc = lpt_chores_partition([-9, -7, -5], 2)
         assert alloc.bundles == (frozenset({0}), frozenset({1, 2}))
-        inst = AdditiveInstance([[-9, -7, -5]], kind=CHORES)
-        assert mms_exact_additive(inst, 0, n=2).value == -12
+        inst = AdditiveInstance([[-9, -7, -5]] * 2, kind=CHORES)
+        assert mms_exact_additive(inst, 0).value == -12
 
     def test_no_chores(self):
         alloc = lpt_chores_partition([], 2)
@@ -154,8 +154,8 @@ class TestPairingPartition:
             n = rng.randint(1, 4)
             d = rng.randint(1, 2 * n)
             vals = sorted((-rng.randint(1, 30) for _ in range(d)))
-            inst = AdditiveInstance([vals], kind=CHORES)
-            mu = mms_exact_additive(inst, 0, n=n).value
+            inst = AdditiveInstance([vals] * n, kind=CHORES)
+            mu = mms_exact_additive(inst, 0).value
             alloc = lpt_chores_partition(vals, n)
             low = min(inst.value(0, b) for b in alloc.bundles)
             assert low <= mu

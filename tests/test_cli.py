@@ -276,6 +276,20 @@ class TestInputErrors:
             "more than max(0, its own value 0)\n"
         )
 
+    def test_non_monotone_table_is_an_input_error(self, tmp_path, capsys):
+        # f(all) = -3 < f({0}) = 6: alg_sub names the agent and the good,
+        # and the command exits 1 with one error line, not a traceback
+        inst = tmp_path / "inst.json"
+        table = {"family": "explicit", "table": ["0", "6", "2", "-3"]}
+        doc = {"version": 1, "kind": "submodular", "n": 1, "m": 2, "agents": [table]}
+        write(inst, json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve-submodular", "--input", str(inst)) == 1
+        assert capsys.readouterr().err == (
+            "error: agent 0's valuation is not monotone: good 0 alone is worth 6, "
+            "its bundle [0, 1] only -3\n"
+        )
+
     def test_generate_bad_range(self, tmp_path):
         assert run(
             "generate", "--kind", "uniform-additive", "--n", "2", "--m", "3",

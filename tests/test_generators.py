@@ -149,7 +149,7 @@ class TestFixtureSubmodularGap:
         f1, f2 = fixture_submodular_gap()
         for f in (f1, f2):
             assert f.m == 4
-            assert all(f.singleton(g) == 1 for g in range(4))
+            assert all(f.value_mask(1 << g) == 1 for g in range(4))
             assert f.evaluate([0, 1, 2]) == 2.5
             assert f.evaluate([0, 1, 2, 3]) == 3
         assert f1.evaluate([0, 1]) == 2

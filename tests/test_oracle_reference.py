@@ -69,7 +69,8 @@ def submodular_cases(draw):
 def test_additive_oracle_matches_brute_force(case):
     instance, agent, n = case
     value, witness = reference_max_min(n, instance.m, row_value(instance.values[agent]))
-    cert = mms_exact_additive(instance, agent, n=n)
+    row = instance.values[agent]
+    cert = mms_exact_additive(AdditiveInstance([row] * n, kind=instance.kind), 0)
     assert cert.value == value
     assert cert.witness == allocation_of(witness, n, instance.m)
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from lemmas import check_certificate, is_independent, split_bundle, universe
+from lemmas import check_certificate, is_independent, split_bundle
 
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
@@ -63,16 +63,16 @@ class TestExactAdditive:
         assert cert.value == 11
         assert cert.witness.bundles == (frozenset({0, 1, 2}),)
 
-    def test_bundle_count_override(self):
-        inst = AdditiveInstance([[5, 5, 5, 5]])
-        assert mms_exact_additive(inst, 0, n=2).value == 10
-        assert mms_exact_additive(inst, 0, n=3).value == 5
-        assert mms_exact_additive(inst, 0, n=4).value == 5
-        assert mms_exact_additive(inst, 0, n=5).value == 0
+    def test_bundle_count_is_agent_count(self):
+        row = [5, 5, 5, 5]
+        assert mms_exact_additive(AdditiveInstance([row] * 2), 0).value == 10
+        assert mms_exact_additive(AdditiveInstance([row] * 3), 0).value == 5
+        assert mms_exact_additive(AdditiveInstance([row] * 4), 0).value == 5
+        assert mms_exact_additive(AdditiveInstance([row] * 5), 0).value == 0
 
     def test_chores_witness_is_pairing(self):
-        inst = AdditiveInstance([[-5, -4, -3, -2]], kind=CHORES)
-        cert = mms_exact_additive(inst, 0, n=2)
+        inst = AdditiveInstance([[-5, -4, -3, -2]] * 2, kind=CHORES)
+        cert = mms_exact_additive(inst, 0)
         assert cert.value == -7
         assert cert.witness.bundles == (frozenset({0, 3}), frozenset({1, 2}))
         assert check_certificate(cert, inst)
@@ -111,15 +111,13 @@ class TestExactAdditive:
         for _ in range(20):
             m = rng.randint(1, 7)
             row = [rng.randint(0, 12) for _ in range(m)]
-            base = mms_exact_additive(AdditiveInstance([row]), 0, n=2).value
-            scaled = mms_exact_additive(
-                AdditiveInstance([[7 * v for v in row]]), 0, n=2
-            ).value
+            base = mms_exact_additive(AdditiveInstance([row] * 2), 0).value
+            scaled = mms_exact_additive(AdditiveInstance([[7 * v for v in row]] * 2), 0).value
             assert scaled == 7 * base
 
     def test_fractional_values(self):
-        inst = AdditiveInstance([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]])
-        cert = mms_exact_additive(inst, 0, n=2)
+        inst = AdditiveInstance([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]] * 2)
+        cert = mms_exact_additive(inst, 0)
         assert cert.value == Fraction(1, 2)
         assert check_certificate(cert, inst)
 
@@ -129,8 +127,8 @@ class TestExactAdditive:
             n = rng.randint(1, 4)
             m = rng.randint(0, 8)
             row = [rng.randint(0, 15) for _ in range(m)]
-            inst = AdditiveInstance([row] * max(1, n))
-            cert = mms_exact_additive(inst, 0, n=n)
+            inst = AdditiveInstance([row] * n)
+            cert = mms_exact_additive(inst, 0)
             assert check_certificate(cert, inst)
             # no partition does better: spot-check a few random ones
             for _ in range(10):
@@ -205,22 +203,19 @@ class TestExactSubmodular:
 
 
 class TestPartitionMatroid:
-    def test_universe(self):
-        assert universe((2, 5), 2) == [(2, 0), (2, 1), (5, 0), (5, 1)]
-
     def test_independence(self):
         goods = (0, 1)
-        assert is_independent(goods, 3, [(0, 1), (1, 2)])
-        assert not is_independent(goods, 3, [(0, 0), (0, 1)])  # good reused
-        assert not is_independent(goods, 3, [(2, 0)])  # foreign good
-        assert not is_independent(goods, 3, [(0, 3)])  # slot out of range
+        assert is_independent(goods, 3, [0b00, 0b01, 0b10])
+        assert not is_independent(goods, 3, [0b01, 0b01, 0b00])  # good reused
+        assert not is_independent(goods, 3, [0b100, 0, 0])  # foreign good
+        assert not is_independent(goods, 3, [0b01, 0b10])  # not one mask per slot
 
 
 class TestSlotObjective:
     def test_capped_sum(self):
         f = BudgetAdditive((2, 2, 2), 6)
         obj = SlotObjective(f, cap=Fraction(3), slots=2)
-        assert obj.evaluate([(0, 0), (1, 0), (2, 1)]) == 3 + 2
+        assert obj.evaluate([0b011, 0b100]) == 3 + 2
 
     def test_validation(self):
         f = BudgetAdditive((1,), 1)
@@ -228,9 +223,6 @@ class TestSlotObjective:
             SlotObjective(f, cap=Fraction(1), slots=0)
         with pytest.raises(InvalidInstanceError):
             SlotObjective(f, cap=Fraction(-1), slots=1)
-        obj = SlotObjective(f, cap=Fraction(1), slots=1)
-        with pytest.raises(InvalidInstanceError):
-            obj.slot_masks([(0, 5)])
 
 
 class TestMatroidMaximizers:
@@ -250,7 +242,7 @@ class TestMatroidMaximizers:
             obj = SlotObjective(f, cap=cap, slots=slots)
             chosen = greedy_matroid_max(obj, range(m))
             assert is_independent(range(m), slots, chosen)
-            assert {g for g, _ in chosen} == set(range(m))
+            assert sum(chosen) == (1 << m) - 1  # disjoint, so every good placed
 
     def test_greedy_reaches_half_of_exact(self):
         rng = random.Random(97)
@@ -267,14 +259,15 @@ class TestMatroidMaximizers:
     def test_empty_universe(self):
         f = BudgetAdditive((1,), 1)
         obj = SlotObjective(f, cap=Fraction(1), slots=2)
-        assert exhaustive_matroid_max(obj, ()) == set()
-        assert greedy_matroid_max(obj, ()) == set()
+        assert exhaustive_matroid_max(obj, ()) == [0, 0]
+        assert greedy_matroid_max(obj, ()) == [0, 0]
 
     def test_exhaustive_budget_guard(self):
+        # 3^16 * 2 > EXHAUSTIVE_SLOT_BUDGET = 2^24
         f = BudgetAdditive((1,) * 16, 16)
         obj = SlotObjective(f, cap=Fraction(4), slots=2)
         with pytest.raises(BudgetExceededError):
-            exhaustive_matroid_max(obj, range(16), budget=1000)
+            exhaustive_matroid_max(obj, range(16))
 
     def test_solver_registry(self):
         assert set(MATROID_SOLVERS) == {"exhaustive", "greedy"}

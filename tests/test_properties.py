@@ -12,7 +12,9 @@ audit reports past the oracle's budget never exceeds the brute-force share,
 and is positive exactly when the share is. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
-explicit tables.
+explicit tables. alg_sub, on any table that ExplicitTable accepts, monotone
+or not, allocates or raises InvalidInstanceError, and on monotone tables it
+allocates.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from reference import reference_max_min, reference_value
 
 from mmsfair import oracles
 from mmsfair.chores import solve_chores
+from mmsfair.errors import InvalidInstanceError
 from mmsfair.envy_graph import solve_additive
 from mmsfair.io import parse_instance, serialize_instance
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
@@ -142,6 +145,41 @@ def test_alg_sub_floor_against_brute_force(valuations, delta):
     for i, f in enumerate(valuations):
         value = f.evaluate(allocation.bundles[i])
         assert value * 10 * (1 + delta) >= valuation_mu(f, n)
+
+
+@st.composite
+def accepted_tables(draw, m):
+    """Any int table over -3..8 that ExplicitTable accepts, monotone or not:
+    entry by entry, f(S) for |S| >= 2 is drawn at most f(S - g) + max(0,
+    f({g})) for every g in S, the constructor's one check. Half the draws
+    also keep f(S) at least every f(S - g), so they are monotone."""
+    monotone = draw(st.booleans())
+    table = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        below = [mask ^ (1 << g) for g in range(m) if mask >> g & 1]
+        lo = max(table[s] for s in below) if monotone else -3
+        hi = 8 if below == [0] else min(table[s] + max(0, table[mask ^ s]) for s in below)
+        table[mask] = draw(st.integers(lo, min(8, hi)))
+    return table
+
+
+def is_monotone(table, m):
+    return all(table[s] <= table[s | 1 << g] for s in range(1 << m) for g in range(m))
+
+
+@given(st.data())
+def test_alg_sub_on_any_accepted_table(data):
+    """alg_sub allocates or raises InvalidInstanceError on any table the
+    constructor accepts, and never raises on monotone ones."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 5))
+    tables = [data.draw(accepted_tables(m)) for _ in range(n)]
+    try:
+        allocation, _ = alg_sub([ExplicitTable(m, t) for t in tables])
+    except InvalidInstanceError:
+        assert not all(is_monotone(t, m) for t in tables)
+    else:
+        assert allocation.is_complete()
 
 
 @given(st.one_of(additive_instances(GOODS), additive_instances(CHORES)), st.data())

@@ -127,3 +127,24 @@ def test_tracer_targets_resolve():
     for module, cls, method, _ in tables["HOT"]:
         owner = getattr(importlib.import_module(module), cls, None)
         assert callable(getattr(owner, method, None)), f"{cls}.{method}"
+
+
+def test_no_floats_outside_cli():
+    """Solvers, oracles, the audit and the file format run on ints and
+    Fractions: only cli.py, which prints ratios, may name float. No other
+    module has a float literal or imports from math anything but lcm."""
+    offenders = []
+    for path in PACKAGE.rglob("*.py"):
+        name = path.relative_to(PACKAGE).as_posix()
+        if name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Import) and any(a.name == "math" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "math"
+                and any(a.name != "lcm" for a in node.names)
+            ):
+                offenders.append((name, node.lineno))
+    assert not offenders

@@ -219,28 +219,23 @@ class TestDetectPositiveMms:
 class TestRoundRobin:
     def test_unit_goods_two_agents(self):
         f = BudgetAdditive((1, 1, 1, 1), 4)
-        alloc = round_robin([f, f], [Fraction(2), Fraction(2)])
-        assert alloc.bundles == (frozenset({0, 2}), frozenset({1, 3}))
+        assert round_robin([f, f], [Fraction(2), Fraction(2)]) == [0b0101, 0b1010]
 
     def test_zero_thresholds_spread_leftovers(self):
         f = BudgetAdditive((1,) * 5, 5)
-        alloc = round_robin([f, f], [Fraction(0), Fraction(0)])
-        assert alloc.bundles == (frozenset({0, 2, 4}), frozenset({1, 3}))
+        assert round_robin([f, f], [Fraction(0), Fraction(0)]) == [0b10101, 0b01010]
 
     def test_fewer_goods_than_agents(self):
         f = BudgetAdditive((1, 1), 2)
-        alloc = round_robin([f, f, f], [Fraction(0)] * 3)
-        assert alloc.bundles == (frozenset({0}), frozenset({1}), frozenset())
+        assert round_robin([f, f, f], [Fraction(0)] * 3) == [0b01, 0b10, 0]
 
     def test_single_agent(self):
         f = BudgetAdditive((2, 1), 3)
-        alloc = round_robin([f], [Fraction(0)])
-        assert alloc.bundles == (frozenset({0, 1}),)
+        assert round_robin([f], [Fraction(0)]) == [0b11]
 
     def test_unmet_threshold_keeps_agent_in_rotation(self):
         f = BudgetAdditive((1, 1, 1, 1), 4)
-        alloc = round_robin([f, f], [Fraction(50), Fraction(0)])
-        assert alloc.bundles == (frozenset({1, 2, 3}), frozenset({0}))
+        assert round_robin([f, f], [Fraction(50), Fraction(0)]) == [0b1110, 0b0001]
 
     def test_validation(self):
         f = BudgetAdditive((1,), 1)
@@ -266,8 +261,7 @@ class TestRoundRobin:
                     taus.append(mms_exact_submodular(fs[i], n).value)
                 else:
                     taus.append(10 * fs[i].total() + 1)
-            alloc = round_robin(fs, taus)
-            got = fs[target].evaluate(alloc.bundles[target])
+            got = fs[target].value_mask(round_robin(fs, taus)[target])
             assert 10 * got >= taus[target]
 
 
@@ -320,6 +314,33 @@ class TestAlgSub:
         f = BudgetAdditive((1,), 1)
         with pytest.raises(InvalidInstanceError):
             alg_sub([f], delta=0)
+
+    @pytest.mark.parametrize(
+        "n, m, iterations", [(11, 44, 2), (12, 48, 4), (20, 60, 15), (30, 90, 23)]
+    )
+    def test_identical_agents_decay(self, n, m, iterations):
+        f = BudgetAdditive([1] * m, m)
+        alloc, state = alg_sub([f] * n)
+        assert state.iterations == iterations
+        assert alloc.is_complete()
+        # every agent clears a tenth of its decayed threshold
+        for i in range(n):
+            assert 10 * f.evaluate(alloc.bundles[i]) >= state.thresholds[i]
+            assert state.thresholds[i] < m
+
+    def test_non_monotone_table_names_a_witness(self):
+        # f(all) = -3 < f({0}) = 6: no threshold decay can satisfy the agent
+        f = ExplicitTable(2, ["0", "6", "2", "-3"])
+        with pytest.raises(InvalidInstanceError, match="agent 0's valuation is not monotone"):
+            alg_sub([f])
+
+    def test_non_monotone_tables_can_still_allocate(self):
+        # both tables lose value on the pair, but each agent's single good
+        # clears a tenth of its threshold after one round
+        fs = [ExplicitTable(2, ["0", "1", "5", "-3"]), ExplicitTable(2, ["0", "1", "5", "1"])]
+        alloc, state = alg_sub(fs)
+        assert alloc.bundles == (frozenset({1}), frozenset({0}))
+        assert state.iterations == 1
 
     def test_guarantee_against_oracle(self):
         rng = random.Random(139)

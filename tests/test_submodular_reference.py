@@ -9,7 +9,9 @@ references in tests/reference.py return.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -125,8 +127,9 @@ def test_exhaustive_matroid_max_reaches_the_optimum(data):
     slots = data.draw(st.integers(1, 3))
     cap = reference_value(f, (1 << m) - 1) * data.draw(fractions(7)) / 12
     objective = SlotObjective(f, cap, slots)
-    pairs = exhaustive_matroid_max(objective, range(m))
-    assert sorted(g for g, _ in pairs) == list(range(m))
+    chosen = exhaustive_matroid_max(objective, range(m))
+    assert len(chosen) == slots
+    assert sum(chosen) == reduce(or_, chosen) == (1 << m) - 1  # disjoint, every good placed
 
     def capped_sum(masks):
         return sum((min(cap, reference_value(f, s)) for s in masks), Fraction(0))
@@ -137,7 +140,7 @@ def test_exhaustive_matroid_max_reaches_the_optimum(data):
         for g, k in enumerate(assign):
             masks[k] |= 1 << g
         best = max(best, capped_sum(masks))
-    assert objective.evaluate(pairs) == best == capped_sum(objective.slot_masks(pairs))
+    assert objective.evaluate(chosen) == best == capped_sum(chosen)
 
 
 @given(data=st.data())

@@ -18,23 +18,24 @@ def main():
         print(f"  agent {i} values: {[int(v) for v in row]}")
 
     # Step 1: reduce to a common ordering. Every agent's row becomes sorted
-    # descending; the permutations remember which original good sits where.
-    red = to_ordered(inst)
+    # descending, ties by original index.
+    ordered = to_ordered(inst)
     print("\nordered rows:")
-    for i, row in enumerate(red.ordered.values):
+    for i, row in enumerate(ordered.values):
         print(f"  agent {i}: {[int(v) for v in row]}")
 
     # Step 2: hand out goods best-first, always to an agent nobody envies,
     # rotating bundles along envy cycles whenever the graph has no source.
-    alloc, trace = envy_graph_allocate(red.ordered)
+    alloc, trace = envy_graph_allocate(ordered)
     print("\nallocation trace on the ordered copy:")
     for step in trace.steps:
         note = f" (rotated {len(step.cycles)} cycle)" if step.cycles else ""
         print(f"  good {step.item} -> agent {step.agent}{note}")
 
     # Step 3: lift back to the original goods. Each agent swaps every ordered
-    # good for one it likes at least as much, so values never drop.
-    lifted = lift_allocation(red, inst, alloc)
+    # good for one it likes at least as much, so values never drop; the lift
+    # sorts each original row again to know every agent's order.
+    lifted = lift_allocation(inst, alloc)
     print("\nfinal bundles on the original instance:")
     for i, bundle in enumerate(lifted.as_lists()):
         v = inst.value(i, bundle)

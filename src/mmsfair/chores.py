@@ -29,7 +29,5 @@ def chores_envy_graph_allocate(instance: AdditiveInstance) -> tuple[Allocation, 
 
 def solve_chores(instance: AdditiveInstance) -> Allocation:
     """Full chores pipeline: order the instance, allocate to sinks, lift back."""
-    reduction = to_ordered(instance)
-    ordered_alloc, _ = chores_envy_graph_allocate(reduction.ordered)
-    return lift_allocation(reduction, instance, ordered_alloc)
+    return lift_allocation(instance, chores_envy_graph_allocate(to_ordered(instance))[0])
 

@@ -51,7 +51,7 @@ from .oracles import (
     mms_exact_additive,
     mms_exact_submodular,
 )
-from .submodular.allocate import alg_sub
+from .submodular.allocate import DEFAULT_DELTA, alg_sub
 from .submodular.valuations import BudgetAdditive
 
 
@@ -284,7 +284,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
     lo = _field(entry, "lo", int, where, -100 if chores else 0)
     hi = _field(entry, "hi", int, where, 0 if chores else 100)
     base_seed = _field(entry, "seed", int, where, 0)
-    delta = _parse_value(entry.get("delta", "1/20"), f"{where}.delta")
+    delta = _parse_value(entry["delta"], f"{where}.delta") if "delta" in entry else DEFAULT_DELTA
     if delta <= 0:
         raise FairDivisionError(f"{where}.delta: expected a positive value, got {delta}")
     budget = _field(entry, "oracle-budget", int, where, DEFAULT_ORACLE_BUDGET)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_io_flags(p)
         _add_budget_flag(p)
         if kind == KIND_SUBMODULAR:
-            p.add_argument("--delta", type=_rational, default=Fraction(1, 20), metavar="P/Q")
+            p.add_argument("--delta", type=_rational, default=DEFAULT_DELTA, metavar="P/Q")
         p.add_argument("--allocation-out", default=None, help=out_help)
         p.set_defaults(handler=_cmd_solve, instance_kind=kind)
 
@@ -446,11 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_budget_flag(p)
     p.add_argument("--allocation", required=True, help="allocation file to audit")
-    p.add_argument("--delta", type=_rational, default=Fraction(1, 20), metavar="P/Q")
+    p.add_argument("--delta", type=_rational, default=DEFAULT_DELTA, metavar="P/Q")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("generate", help="write a seeded random instance")
-    _add_io_flags(p, needs_input=False)
+    p.add_argument("--output", default=None, help="where to write the instance (default stdout)")
     p.add_argument("--kind", required=True, choices=ADDITIVE_KINDS + SUBMODULAR_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("fixtures", help="write a hand-built fixture instance")
-    _add_io_flags(p, needs_input=False)
+    p.add_argument("--output", default=None, help="where to write the instance (default stdout)")
     p.add_argument("--name", required=True, choices=("ef1-not-mms", "submodular-gap"))
     p.add_argument("--n", type=int, default=3, help="agent count for ef1-not-mms")
     p.add_argument("--allocation-out", default=None, help="write the reference allocation")
@@ -475,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (0) or a usage error (2)
+        return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
     except (FairDivisionError, OSError) as exc:

@@ -29,8 +29,7 @@ partial allocations later. On ordered goods instances every partial
 allocation along the way is envy-free up to any good; the final allocation,
 lifted back to the original instance, gives every agent at least 2n/(3n-1) of
 its maximin share. The lift (ordering.lift_allocation) walks one cursor per
-agent over the reduction's sort permutation, which must be the canonical one
-from to_ordered.
+agent over that agent's row sorted the way to_ordered sorts it.
 """
 
 from __future__ import annotations
@@ -205,6 +204,4 @@ def solve_additive(instance: AdditiveInstance) -> Allocation:
     The returned allocation gives every agent i at least 2n/(3n-1) times its
     maximin share: v_i(A_i) * (3n - 1) >= 2n * mu_i.
     """
-    reduction = to_ordered(instance)
-    ordered_alloc, _ = envy_graph_allocate(reduction.ordered)
-    return lift_allocation(reduction, instance, ordered_alloc)
+    return lift_allocation(instance, envy_graph_allocate(to_ordered(instance))[0])

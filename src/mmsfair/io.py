@@ -37,6 +37,7 @@ from .oracles import (
     mms_exact_submodular,
     mms_greedy_submodular,
 )
+from .submodular.allocate import DEFAULT_DELTA
 from .submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
@@ -333,14 +334,14 @@ def build_report(
     otherwise bounded below by the poorest bundle of the oracle's greedy
     start (mms_greedy_submodular; a violation against a lower bound is still
     a violation); additive agents report mu as unavailable. The submodular
-    delta (default 1/20) must be positive, as in alg_sub.
+    delta (default DEFAULT_DELTA, 1/20) must be positive, as in alg_sub.
     """
     kind = kind_of(instance)
     if kind == KIND_SUBMODULAR:
         agents_f = list(instance)
         n, m = shared_ground(agents_f)
         if delta is None:
-            delta = Fraction(1, 20)
+            delta = DEFAULT_DELTA
         elif delta <= 0:
             raise InvalidInstanceError("delta must be positive")
     else:

@@ -188,10 +188,8 @@ class MmsCertificate:
 
     witness is a complete n-partition of the goods whose minimum bundle value,
     under the certified agent's valuation, equals value, or None when the
-    oracle was asked for the value alone. Certificates for a standalone
-    (agent-free) valuation carry agent 0.
+    oracle was asked for the value alone.
     """
 
-    agent: int
     value: Value
     witness: Allocation | None

@@ -42,7 +42,13 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
-from .submodular.valuations import SubmodularValuation, goods_of, mask_of, subset_table
+from .submodular.valuations import (
+    SubmodularValuation,
+    detect_positive_mms,
+    goods_of,
+    mask_of,
+    subset_table,
+)
 
 DEFAULT_ORACLE_BUDGET = 10**8
 EXHAUSTIVE_SLOT_BUDGET = 1 << 24  # largest 3^q * slots exhaustive_matroid_max runs
@@ -211,7 +217,7 @@ def mms_exact_additive(
     best, partition = _max_min_partition(
         n, w, [abs(x) for x in w], [max(0, x) for x in w], operator.add, None, upper, witness
     )
-    return MmsCertificate(agent=agent, value=Fraction(best, denom), witness=partition)
+    return MmsCertificate(value=Fraction(best, denom), witness=partition)
 
 
 def mms_exact_submodular(
@@ -238,7 +244,7 @@ def mms_exact_submodular(
         n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_int, upper,
         witness,
     )
-    return MmsCertificate(agent=0, value=Fraction(best, f.scale), witness=partition)
+    return MmsCertificate(value=Fraction(best, f.scale), witness=partition)
 
 
 def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
@@ -469,21 +475,24 @@ def mms_approx_submodular(
     lo = Fraction(0)
     lo_alloc = threshold_probe(f, n, lo, solver)
     assert lo_alloc is not None
-    if total > 0:
-        top = threshold_probe(f, n, total, solver)
-        if top is not None:
-            return MmsApproxResult(allocation=top, bound=total, certified=certified)
-        hi = total
-        for _ in range(64):
-            if hi <= lo * (1 + epsilon):
-                break
-            mid = (lo + hi) / 2
-            alloc = threshold_probe(f, n, mid, solver)
-            if alloc is None:
-                hi = mid
-            else:
-                lo, lo_alloc = mid, alloc
-    if certified and lo > 0:
+    # a bundle is worth at most its positive singletons, so with fewer than n
+    # of them every slot objective falls short and every tau > 0 is rejected
+    if not (total > 0 and detect_positive_mms(f, n)):
+        return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=certified)
+    top = threshold_probe(f, n, total, solver)
+    if top is not None:
+        return MmsApproxResult(allocation=top, bound=total, certified=certified)
+    hi = total
+    # the seeds accept every tau up to 9 times the n-th largest singleton,
+    # so lo turns positive and the width test ends the search
+    while hi > lo * (1 + epsilon):
+        mid = (lo + hi) / 2
+        alloc = threshold_probe(f, n, mid, solver)
+        if alloc is None:
+            hi = mid
+        else:
+            lo, lo_alloc = mid, alloc
+    if certified:
         worst = min(f.evaluate(b) for b in lo_alloc.bundles)
         if 9 * worst < lo:
             raise RuntimeError("certified partition failed its own bound")

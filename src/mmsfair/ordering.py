@@ -6,29 +6,17 @@ non-decreasing (position 0 holds the largest |value| either way). Any additive
 instance can be reduced to an ordered one by sorting each row independently;
 an allocation computed for the ordered instance is then lifted back through a
 picking sequence, and each agent ends up at least as well off on the original
-instance as it was on the ordered one.
+instance as it was on the ordered one. The sort is a function of the row, so
+the lift derives each agent's order from the original instance itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge
 from typing import Sequence
 
 from .errors import InvalidInstanceError
 from .model import GOODS, AdditiveInstance, Allocation
-
-
-@dataclass(frozen=True)
-class OrderedReduction:
-    """An ordered copy of an instance plus the per-agent sort permutations.
-
-    perms[i][j] is the original index of the good sitting at ordered position
-    j in agent i's row, so ordered.values[i][j] == original.values[i][perms[i][j]].
-    """
-
-    ordered: AdditiveInstance
-    perms: tuple[tuple[int, ...], ...]
 
 
 def is_ordered(instance: AdditiveInstance) -> bool:
@@ -44,24 +32,19 @@ def _canonical_perm(row: Sequence[int]) -> list[int]:
     return sorted(range(len(row)), key=magnitudes.__getitem__, reverse=True)
 
 
-def to_ordered(instance: AdditiveInstance) -> OrderedReduction:
+def to_ordered(instance: AdditiveInstance) -> AdditiveInstance:
     """Sort each agent's values by descending |value|, ties by original index.
 
-    The tie rule makes the permutations (and everything downstream)
+    The tie rule makes the ordered copy (and everything downstream)
     deterministic. Goods rows come out non-increasing, chores rows
     non-decreasing; the multiset of each row is unchanged, so maximin shares
     are unchanged too.
     """
-    perms = tuple(tuple(_canonical_perm(row)) for row in instance.ints)
-    return OrderedReduction(ordered=instance._permuted(perms), perms=perms)
+    return instance._permuted([_canonical_perm(row) for row in instance.ints])
 
 
-def lift_allocation(
-    reduction: OrderedReduction,
-    original: AdditiveInstance,
-    ordered_alloc: Allocation,
-) -> Allocation:
-    """Turn an allocation of the ordered instance into one of the original.
+def lift_allocation(original: AdditiveInstance, ordered_alloc: Allocation) -> Allocation:
+    """Turn an allocation of to_ordered(original) into one of original.
 
     The owner of each ordered position picks its favourite remaining original
     item (highest value; for chores that is the least harmful remaining
@@ -75,22 +58,11 @@ def lift_allocation(
     goods, highest for chores), so an already-ordered instance lifts to the
     same bundle values.
 
-    Each agent's favourite remaining item is found by a cursor over its
-    permutation (reversed for chores), which lists the items best first
-    exactly when the permutation is to_ordered's canonical one; any other
-    permutation is rejected.
+    Each agent's favourite remaining item is found by a cursor over its row's
+    canonical order (to_ordered's sort, reversed for chores), which lists the
+    items best first.
     """
     m = original.m
-    ordered = reduction.ordered
-    # a row is its scale and its ints; one scale per agent, so this compares n too
-    if ordered.scales != original.scales or ordered.m != m or ordered.kind != original.kind:
-        raise InvalidInstanceError("reduction does not belong to this instance")
-    for i, perm in enumerate(reduction.perms):
-        row = original.ints[i]
-        if list(perm) != _canonical_perm(row):
-            raise InvalidInstanceError("reduction permutation is not to_ordered's order")
-        if ordered.ints[i] != tuple(map(row.__getitem__, perm)):
-            raise InvalidInstanceError("reduction does not belong to this instance")
     if ordered_alloc.m != m or ordered_alloc.n != original.n:
         raise InvalidInstanceError("ordered allocation shape does not match instance")
     if not ordered_alloc.is_complete():
@@ -102,7 +74,8 @@ def lift_allocation(
             owner[j] = i
 
     goods = original.kind == GOODS
-    cursors = [iter(perm if goods else perm[::-1]) for perm in reduction.perms]
+    perms = map(_canonical_perm, original.ints)
+    cursors = [iter(perm if goods else perm[::-1]) for perm in perms]
     taken = [False] * m
     bundles: list[set[int]] = [set() for _ in range(original.n)]
     for j in range(m) if goods else range(m - 1, -1, -1):

@@ -28,6 +28,8 @@ from ..errors import InvalidInstanceError
 from ..model import Allocation, Value, as_value
 from .valuations import SubmodularValuation, detect_positive_mms, goods_of, shared_ground
 
+DEFAULT_DELTA = Fraction(1, 20)  # alg_sub's decay step, and the audit's and CLI's default
+
 
 def round_robin(
     valuations: Sequence[SubmodularValuation], thresholds: Sequence[Value]
@@ -88,7 +90,7 @@ class ThresholdState:
 
 def alg_sub(
     valuations: Sequence[SubmodularValuation],
-    delta: Value = Fraction(1, 20),
+    delta: Value = DEFAULT_DELTA,
 ) -> tuple[Allocation, ThresholdState]:
     """Allocate without knowing maximin shares; guarantee mu_i / (10 (1+delta)).
 

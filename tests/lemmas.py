@@ -152,14 +152,15 @@ def check_prefix_structure(instance: AdditiveInstance, trace: RunTrace) -> bool:
     return True
 
 
-def check_certificate(cert: MmsCertificate, valuation: object) -> bool:
-    """Re-evaluate a certificate's witness; valuation is an AdditiveInstance
-    or anything with an evaluate(bundle) method (submodular oracles). A
-    certificate without a witness proves nothing and fails."""
+def check_certificate(cert: MmsCertificate, valuation: object, agent: int = 0) -> bool:
+    """Re-evaluate a certificate's witness; valuation is an AdditiveInstance,
+    read through the given agent's row, or anything with an evaluate(bundle)
+    method (submodular oracles). A certificate without a witness proves
+    nothing and fails."""
     if cert.witness is None or not cert.witness.is_complete():
         return False
     if isinstance(valuation, AdditiveInstance):
-        worst = min(valuation.value(cert.agent, b) for b in cert.witness.bundles)
+        worst = min(valuation.value(agent, b) for b in cert.witness.bundles)
     else:
         worst = min(valuation.evaluate(b) for b in cert.witness.bundles)
     return worst == cert.value
@@ -174,7 +175,7 @@ def mms_invariance_check(instance: AdditiveInstance, budget: int | None = None) 
     """
     if budget is None:
         budget = DEFAULT_ORACLE_BUDGET
-    ordered = to_ordered(instance).ordered
+    ordered = to_ordered(instance)
     for i in range(instance.n):
         before = mms_exact_additive(instance, i, budget=budget)
         after = mms_exact_additive(ordered, i, budget=budget)

@@ -95,7 +95,7 @@ def reference_allocate_ordered(instance, pick):
 
 
 def reference_lift(original, ordered_alloc):
-    """The picking-sequence lift by full rescans; ignores the permutations.
+    """The picking-sequence lift by full rescans of the original rows; sorts nothing.
 
     Goods walk the ordered positions forward and pick the highest remaining
     value, ties to the lowest index; chores walk backward and pick the

@@ -104,11 +104,11 @@ def test_lifting_never_loses_value():
         m = rng.randint(n, 12)
         lo, hi = (-100, 0) if kind == "chores" else (0, 100)
         inst = generate(GeneratorSpec(kind, n, m, lo=lo, hi=hi, seed=rng.getrandbits(32)))
-        red = to_ordered(inst)
+        ordered = to_ordered(inst)
         oalloc = random_complete_allocation(rng, n, m)
-        lifted = lift_allocation(red, inst, oalloc)
+        lifted = lift_allocation(inst, oalloc)
         for i in range(n):
-            assert inst.value(i, lifted.bundles[i]) >= red.ordered.value(
+            assert inst.value(i, lifted.bundles[i]) >= ordered.value(
                 i, oalloc.bundles[i]
             )
     print("PASS: lift kept every agent's value on 100 random pairs")

@@ -252,6 +252,23 @@ class TestInputErrors:
     def test_missing_file(self, tmp_path):
         assert run("solve-additive", "--input", str(tmp_path / "nope.json")) == 1
 
+    def test_missing_required_flag_is_a_usage_error(self, capsys):
+        # exit 2 means a violated guarantee, never a mistyped command line
+        assert run("solve-additive") == 1
+        assert "--input" in capsys.readouterr().err
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        assert run("bogus") == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_ignored_format_flag_is_refused(self):
+        assert run("generate", "--kind", "chores", "--n", "2", "--m", "3",
+                   "--format", "table") == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert run("--help") == 0
+        assert capsys.readouterr().out.startswith("usage: mmsfair")
+
     def test_bad_json(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write(inst, "{broken")

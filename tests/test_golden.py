@@ -96,7 +96,7 @@ def corpus(work: Path) -> dict[str, dict]:
         argv = ["generate", "--kind", kind, "--n", str(n), "--m", str(m), "--seed", "3"]
         if span is not None:
             argv += ["--lo", str(span[0]), "--hi", str(span[1])]
-        inst.write_text(record(f"generate {kind}", argv + ["--format", "json"]))
+        inst.write_text(record(f"generate {kind}", argv))
         record(
             f"{solve} {kind}",
             [solve, "--input", str(inst), "--allocation-out", str(alloc), "--format", "json"],
@@ -122,8 +122,7 @@ def corpus(work: Path) -> dict[str, dict]:
     inst.write_text(
         record(
             "fixtures ef1-not-mms",
-            ["fixtures", "--name", "ef1-not-mms", "--n", "3",
-             "--allocation-out", str(alloc), "--format", "json"],
+            ["fixtures", "--name", "ef1-not-mms", "--n", "3", "--allocation-out", str(alloc)],
         )
     )
     record(
@@ -134,7 +133,7 @@ def corpus(work: Path) -> dict[str, dict]:
     inst.write_text(
         record(
             "fixtures submodular-gap",
-            ["fixtures", "--name", "submodular-gap", "--format", "json"],
+            ["fixtures", "--name", "submodular-gap"],
         )
     )
     for command in ("solve-submodular", "mms-exact"):

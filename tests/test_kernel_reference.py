@@ -10,15 +10,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from reference import reference_allocate_ordered, reference_lift
 
 from mmsfair.chores import chores_envy_graph_allocate, solve_chores
 from mmsfair.envy_graph import envy_graph_allocate, solve_additive
-from mmsfair.errors import InvalidInstanceError
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
-from mmsfair.ordering import OrderedReduction, lift_allocation, to_ordered
+from mmsfair.ordering import lift_allocation, to_ordered
 
 KINDS = (GOODS, CHORES)
 PICK = {GOODS: "source", CHORES: "sink"}
@@ -33,7 +32,7 @@ def value_rows(draw, m, sign):
     numerators = draw(st.lists(st.integers(0, hi * q), min_size=m, max_size=m))
     row = [Fraction(sign * p, q) for p in numerators]
     if draw(st.booleans()):
-        row.sort(key=abs, reverse=True)  # already in the reduction's order
+        row.sort(key=abs, reverse=True)  # already in to_ordered's order
     return row
 
 
@@ -68,7 +67,7 @@ def test_int_rows_encode_values(kind, data):
         assert type(value) is Fraction
         assert value == sum((row[g] for g in bundle), Fraction(0))
     # the permuted copy skips validation; the validating constructor agrees
-    ordered = to_ordered(inst).ordered
+    ordered = to_ordered(inst)
     rebuilt = AdditiveInstance(ordered.values, kind)
     assert (ordered.kind, ordered.n, ordered.m) == (rebuilt.kind, rebuilt.n, rebuilt.m)
     assert ordered.values == rebuilt.values
@@ -79,7 +78,7 @@ def test_int_rows_encode_values(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 def test_allocator_matches_reference(kind, data):
-    ordered = to_ordered(data.draw(instances(kind))).ordered
+    ordered = to_ordered(data.draw(instances(kind)))
     alloc, trace = ALLOCATE[kind](ordered)
     ref_alloc, ref_trace = reference_allocate_ordered(ordered, PICK[kind])
     assert alloc == ref_alloc
@@ -92,38 +91,13 @@ def test_allocator_matches_reference(kind, data):
 def test_cursor_lift_matches_reference(kind, data):
     inst = data.draw(instances(kind))
     oalloc = data.draw(allocations(inst.n, inst.m))
-    assert lift_allocation(to_ordered(inst), inst, oalloc) == reference_lift(inst, oalloc)
+    assert lift_allocation(inst, oalloc) == reference_lift(inst, oalloc)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 def test_solver_matches_reference_pipeline(kind, data):
     inst = data.draw(instances(kind))
-    ordered = to_ordered(inst).ordered
+    ordered = to_ordered(inst)
     ref_alloc, _ = reference_allocate_ordered(ordered, PICK[kind])
     assert SOLVE[kind](inst) == reference_lift(inst, ref_alloc)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data())
-def test_lift_rejects_tied_items_swapped_in_perms(kind, data):
-    inst = data.draw(instances(kind))
-    red = to_ordered(inst)
-    ties = [
-        (i, j)
-        for i in range(inst.n)
-        for j in range(inst.m - 1)
-        if red.ordered.values[i][j] == red.ordered.values[i][j + 1]
-    ]
-    assume(ties)
-    i, j = data.draw(st.sampled_from(ties))
-    perm = list(red.perms[i])
-    perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    perms = red.perms[:i] + (tuple(perm),) + red.perms[i + 1:]
-    swapped = OrderedReduction(ordered=red.ordered, perms=perms)
-    # the swap keeps the reduction consistent with the values
-    for k in range(inst.n):
-        assert [inst.values[k][g] for g in perms[k]] == list(red.ordered.values[k])
-    oalloc = data.draw(allocations(inst.n, inst.m))
-    with pytest.raises(InvalidInstanceError):
-        lift_allocation(swapped, inst, oalloc)

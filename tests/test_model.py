@@ -184,21 +184,15 @@ class TestEf1Efx:
 class TestMmsCertificate:
     def test_check_against_instance(self):
         inst = AdditiveInstance([[1, 3, 2], [2, 2, 2]])
-        cert = MmsCertificate(
-            agent=0, value=Fraction(3), witness=Allocation([{0, 2}, {1}], 3)
-        )
+        cert = MmsCertificate(value=Fraction(3), witness=Allocation([{0, 2}, {1}], 3))
         assert check_certificate(cert, inst)
 
     def test_check_rejects_wrong_value(self):
         inst = AdditiveInstance([[1, 3, 2], [2, 2, 2]])
-        cert = MmsCertificate(
-            agent=0, value=Fraction(4), witness=Allocation([{0, 2}, {1}], 3)
-        )
+        cert = MmsCertificate(value=Fraction(4), witness=Allocation([{0, 2}, {1}], 3))
         assert not check_certificate(cert, inst)
 
     def test_check_rejects_partial_witness(self):
         inst = AdditiveInstance([[1, 3, 2]])
-        cert = MmsCertificate(
-            agent=0, value=Fraction(3), witness=Allocation([{1}], 3)
-        )
+        cert = MmsCertificate(value=Fraction(3), witness=Allocation([{1}], 3))
         assert not check_certificate(cert, inst)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from lemmas import check_certificate, is_independent, split_bundle
 
+from mmsfair import oracles
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
 from mmsfair.model import CHORES, AdditiveInstance, Allocation
@@ -53,7 +54,7 @@ class TestExactAdditive:
     def test_equal_goods(self):
         inst = AdditiveInstance([[5, 5, 5, 5]] * 2)
         cert = mms_exact_additive(inst, 1)
-        assert cert.agent == 1
+        assert check_certificate(cert, inst, agent=1)
         assert cert.value == 10
         assert cert.witness.bundles == (frozenset({0, 1}), frozenset({2, 3}))
 
@@ -94,7 +95,7 @@ class TestExactAdditive:
         inst = generate(GeneratorSpec("uniform-additive", n=3, m=40, seed=1))
         certs = [mms_exact_additive(inst, i, budget=3**40) for i in range(3)]
         assert [c.value for c in certs] == [660, 742, 781]
-        assert all(check_certificate(c, inst) for c in certs)
+        assert all(check_certificate(c, inst, i) for i, c in enumerate(certs))
 
     def test_budget_guard(self):
         inst = AdditiveInstance([[1, 2, 3, 4, 5]] * 2)
@@ -405,6 +406,39 @@ class TestMmsApproxSubmodular:
         result = mms_approx_submodular(f, 2)
         assert result.bound == 0
         assert result.allocation.is_complete()
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        # every threshold the search tries, with whether it was accepted
+        probes = []
+
+        def probe(f, n, tau, solver="exhaustive"):
+            alloc = threshold_probe(f, n, tau, solver)
+            probes.append((tau, alloc is not None))
+            return alloc
+
+        monkeypatch.setattr(oracles, "threshold_probe", probe)
+        return probes
+
+    def test_huge_total_still_finds_the_share(self):
+        # mu = 3, but total / 2^64 is still far above every acceptable tau
+        f = BudgetAdditive([10**40, 1, 1, 1], 10**41)
+        result = mms_approx_submodular(f, 2)
+        assert result.certified
+        assert 100 * result.bound >= 99 * mms_exact_submodular(f, 2).value
+        assert 9 * min(f.evaluate(b) for b in result.allocation.bundles) >= result.bound
+
+    def test_tiny_epsilon_is_reached(self, probes):
+        epsilon = Fraction(1, 10**30)
+        result = mms_approx_submodular(BudgetAdditive([1, 9, 8], 10), 3, epsilon=epsilon)
+        rejected = min(tau for tau, accepted in probes if not accepted)
+        assert result.bound < rejected <= result.bound * (1 + epsilon)
+
+    def test_zero_share_takes_one_probe(self, probes):
+        result = mms_approx_submodular(BudgetAdditive([0, 0, 5], 5), 2)
+        assert result.bound == 0
+        assert result.allocation.is_complete()
+        assert probes == [(0, True)]
 
     def test_validation(self):
         f = BudgetAdditive((1,), 1)

@@ -6,9 +6,11 @@ lift and the exact oracle read them from the instance. The submodular
 valuations scale their own weights. No other module may scale rows itself.
 
 Code that only the tests call (lemma checks, reference implementations,
-analysis tools) lives under tests/, not in the package.
+analysis tools) lives under tests/, not in the package. Every command-line
+option is read by the command that accepts it.
 """
 
+import argparse
 import ast
 import importlib
 from collections import Counter
@@ -148,3 +150,48 @@ def test_no_floats_outside_cli():
             ):
                 offenders.append((name, node.lineno))
     assert not offenders
+
+
+def _args_read(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """The fields read as args.<field> or getattr(args, "<field>") by the
+    cli.py function name and by every cli.py function it calls, transitively."""
+    fields: set[str] = set()
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for node in ast.walk(functions[current]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "args":
+                    fields.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                call = node.func.id
+                if call == "getattr" and isinstance(node.args[0], ast.Name):
+                    if node.args[0].id == "args":
+                        fields.add(node.args[1].value)
+                elif call in functions:
+                    todo.append(call)
+    return fields
+
+
+def test_every_cli_option_is_read():
+    """Each subcommand's handler reads every option that subcommand accepts,
+    itself or through a cli.py function it calls: an option that nothing
+    reads would be accepted and silently ignored."""
+    from mmsfair import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, sub in commands.choices.items():
+        fields = _args_read(functions, sub.get_default("handler").__name__)
+        unread += [
+            f"{command} {action.option_strings[0]}"
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction) and action.dest not in fields
+        ]
+    assert not unread

@@ -32,6 +32,7 @@ from .io import (
     KIND_SUBMODULAR,
     MU_UNAVAILABLE,
     _field,
+    _loads,
     _parse_value,
     _table_lines,
     build_report,
@@ -343,13 +344,8 @@ def _run_sweep(entry: dict, index: int) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(_read(args.config))
-    except json.JSONDecodeError as exc:
-        raise FairDivisionError(
-            f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("sweeps"), list):
+    doc = _loads(_read(args.config))
+    if not isinstance(doc.get("sweeps"), list):
         raise FairDivisionError("config must be an object with a 'sweeps' list")
     summaries = [_run_sweep(entry, k) for k, entry in enumerate(doc["sweeps"])]
 

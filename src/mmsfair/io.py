@@ -1,25 +1,28 @@
 """Reading and writing instances, allocations, and solution reports.
 
 Files are JSON. Every rational travels as a string ("p/q" or "p"; bare
-integers are accepted on input), so parse(serialize(x)) reproduces x
-exactly. Explicit submodular tables are stored in subset-mask order: entry k
-is the value of the bundle whose members are the set bits of k, bit 0 being
-good 0; a table where some good adds more to a bundle than max(0, its own
-value) is rejected, because the exact oracle's bounds assume it. Reports
-carry, per agent, the achieved value, the maximin share with its provenance
-(exact, certified-lower-bound, or unavailable), the achieved ratio where it
-is well defined, and the verdict of the division-free guarantee comparison.
-Past the exact oracle's budget, a submodular share is certified from below
-by the poorest bundle of the oracle's greedy n-partition; an additive one
-is unavailable.
+integers, and every other spelling Fraction reads, are accepted on input),
+so parse(serialize(x)) reproduces x exactly. Additive rows go to
+AdditiveInstance as read, so ints and "p/q" strings build no Fraction.
+Explicit submodular tables are stored in subset-mask order: entry k is the
+value of the bundle whose members are the set bits of k, bit 0 being good 0;
+a table where some good adds more to a bundle than max(0, its own value) is
+rejected, because the exact oracle's bounds assume it. Reports carry, per
+agent, the achieved value, the maximin share with its provenance (exact,
+certified-lower-bound, or unavailable), the achieved ratio where it is well
+defined, and the verdict of the division-free guarantee comparison. Past the
+exact oracle's budget, a submodular share is certified from below by the
+poorest bundle of the oracle's greedy n-partition; an additive one is
+unavailable.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import (
@@ -58,7 +61,7 @@ MU_CERTIFIED = "certified-lower-bound"
 MU_UNAVAILABLE = "unavailable"
 
 
-def _fail(field: str, message: str) -> None:
+def _fail(field: str, message: str) -> NoReturn:
     raise InvalidInstanceError(f"{field}: {message}")
 
 
@@ -69,6 +72,8 @@ def _loads(text: str) -> dict:
         raise InvalidInstanceError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an int literal past int()'s digit limit
+        raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInstanceError("top level must be a JSON object")
     return doc
@@ -98,7 +103,6 @@ def _parse_value(raw: object, field: str) -> Value:
         return as_value(raw)
     except InvalidInstanceError as exc:
         _fail(field, str(exc))
-    raise AssertionError("unreachable")
 
 
 def _parse_value_list(raw: object, count: int, field: str) -> list[Value]:
@@ -142,7 +146,6 @@ def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuati
         cap = _parse_value(doc.get("cap"), f"{field}.cap")
         return BudgetAdditive(weights, cap)
     _fail(f"{field}.family", f"unknown family {family!r}")
-    raise AssertionError("unreachable")
 
 
 def parse_instance(text: str) -> AdditiveInstance | list[SubmodularValuation]:
@@ -162,8 +165,11 @@ def parse_instance(text: str) -> AdditiveInstance | list[SubmodularValuation]:
         raw = _field(doc, "values", list)
         if len(raw) != n:
             _fail("values", f"expected {n} rows, got {len(raw)}")
-        rows = [_parse_value_list(row, m, f"values[{i}]") for i, row in enumerate(raw)]
         model_kind = GOODS if kind == KIND_ADDITIVE_GOODS else CHORES
+        if all(isinstance(row, list) and len(row) == m for row in raw):
+            with suppress(InvalidInstanceError):  # the full parse below names the field
+                return AdditiveInstance(raw, kind=model_kind)
+        rows = [_parse_value_list(row, m, f"values[{i}]") for i, row in enumerate(raw)]
         return AdditiveInstance(rows, kind=model_kind)
     if kind == KIND_SUBMODULAR:
         raw = _field(doc, "agents", list)
@@ -173,7 +179,6 @@ def parse_instance(text: str) -> AdditiveInstance | list[SubmodularValuation]:
             _parse_agent_valuation(a, m, f"agents[{i}]") for i, a in enumerate(raw)
         ]
     _fail("kind", f"unknown kind {kind!r}")
-    raise AssertionError("unreachable")
 
 
 def kind_of(instance: AdditiveInstance | Sequence[SubmodularValuation]) -> str:

@@ -1,6 +1,6 @@
 """Core data model: exact values, additive instances, allocations, certificates.
 
-Every value in the additive pipeline is an exact rational (fractions.Fraction).
+Every value is an exact rational: a Fraction, or an int over its row's scale.
 Floats are rejected at the boundary: a float argument would silently smuggle
 binary rounding into comparisons that the guarantees require to be exact.
 
@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,28 +26,30 @@ from .errors import InvalidInstanceError
 Value = Fraction
 
 ValueLike = Union[int, str, Fraction]
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # 'p' or 'p/q', q > 0
 
 
-def as_value(x: ValueLike) -> Value:
-    """Coerce an int, 'p/q' string, or Fraction to an exact Value.
-
-    Floats are deliberately rejected: Fraction(0.1) is the exact binary float,
-    not 1/10, and that mismatch would corrupt exact guarantee checks.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise InvalidInstanceError(f"not a value: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x: ValueLike) -> tuple[int, int]:
+    """x in lowest terms, with no Fraction built for an int or an _INT_RATIO string."""
     if isinstance(x, str):
-        try:
-            return Fraction(x)
+        try:  # int() refuses past its digit limit exactly where Fraction does
+            if match := _INT_RATIO.fullmatch(x):
+                p, q = int(match[1]), int(match[2] or 1)
+                r = lcm(p, q) // abs(p) if p else 1  # q over gcd(p, q)
+                return p * r // q, r
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstanceError(f"cannot parse value {x!r}") from exc
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):  # no float: 0.1 != 1/10
+        return x.numerator, x.denominator
     raise InvalidInstanceError(
         f"values must be int, 'p/q' string or Fraction, not {type(x).__name__}"
     )
+
+
+def as_value(x: ValueLike) -> Value:
+    """Coerce an int, 'p/q' string, or Fraction to an exact Value."""
+    return x if type(x) is Fraction else Fraction(x) if type(x) is int else Fraction(*_ratio(x))
 
 
 def value_to_str(v: Value) -> str:
@@ -54,15 +57,17 @@ def value_to_str(v: Value) -> str:
     return str(v)
 
 
-def scale_to_ints(values: Sequence[Value]) -> tuple[int, list[int]]:
-    """The lcm L of the values' denominators, and every value times L.
+def scale_to_ints(values: Sequence[ValueLike]) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the values' reduced denominators, and every value times L.
 
     L * v is an exact int for each v, and L > 0, so sums and comparisons of
-    the scaled ints agree with those of the values (L is 1 for no values).
+    the scaled ints agree with those of the values (plain ints are kept, L = 1).
     """
-    denominators = [v.denominator for v in values]
-    denom = lcm(*denominators)
-    return denom, [v.numerator * (denom // d) for v, d in zip(values, denominators)]
+    if set(map(type, values)) <= {int}:
+        return 1, tuple(values)
+    pairs = [(v.numerator, v.denominator) if type(v) is Fraction else _ratio(v) for v in values]
+    denom = lcm(*[d for _, d in pairs])
+    return denom, tuple([p * (denom // d) for p, d in pairs])
 
 
 GOODS = "goods"
@@ -72,44 +77,48 @@ CHORES = "chores"
 class AdditiveInstance:
     """An additive fair-division instance: one value per (agent, good) pair.
 
-    values[i][g] is agent i's value for good g. For kind="goods" all entries
-    are >= 0; for kind="chores" all entries are <= 0. Each row is also held
-    scaled to ints (scale_to_ints): scales[i] is the lcm of row i's
-    denominators and ints[i][g] == scales[i] * values[i][g].
+    Row i is held scaled to ints (scale_to_ints): scales[i] is the lcm of its
+    values' reduced denominators and ints[i][g] == scales[i] * values[i][g].
+    values[i][g], agent i's value for good g, is a Fraction built from those
+    on first read. For kind="goods" all values are >= 0; for kind="chores"
+    all are <= 0.
     """
 
-    __slots__ = ("values", "kind", "n", "m", "scales", "ints")
+    __slots__ = ("_values", "kind", "n", "m", "scales", "ints")
 
     def __init__(self, values: Sequence[Sequence[ValueLike]], kind: str = GOODS):
         if kind not in (GOODS, CHORES):
             raise InvalidInstanceError(f"kind must be 'goods' or 'chores', not {kind!r}")
-        rows = tuple(tuple(as_value(v) for v in row) for row in values)
+        rows = [scale_to_ints(tuple(row)) for row in values]
         if not rows:
             raise InvalidInstanceError("instance needs at least one agent")
-        m = len(rows[0])
-        if any(len(row) != m for row in rows):
+        self.scales, self.ints = zip(*rows)
+        m = len(self.ints[0])
+        if any(len(row) != m for row in self.ints):
             raise InvalidInstanceError("value matrix must be rectangular")
-        self.scales, ints = zip(*map(scale_to_ints, rows))
-        self.ints = tuple(map(tuple, ints))
         # scales are positive, so a scaled int carries its value's sign
         for i, row in enumerate(self.ints):
-            for g, x in enumerate(row):
-                if kind == GOODS and x < 0:
-                    raise InvalidInstanceError(f"goods instance has negative value at ({i},{g})")
-                if kind == CHORES and x > 0:
-                    raise InvalidInstanceError(f"chores instance has positive value at ({i},{g})")
-        self.values = rows
-        self.kind = kind
-        self.n = len(rows)
-        self.m = m
+            if row and (min(row) < 0 if kind == GOODS else max(row) > 0):
+                g = next(g for g, x in enumerate(row) if (x < 0 if kind == GOODS else x > 0))
+                sign = "negative" if kind == GOODS else "positive"
+                raise InvalidInstanceError(f"{kind} instance has {sign} value at ({i},{g})")
+        self.kind, self.n, self.m, self._values = kind, len(rows), m, None
+
+    @property
+    def values(self) -> tuple[tuple[Value, ...], ...]:
+        """values[i][g] == Fraction(ints[i][g], scales[i]), built on first read."""
+        if self._values is None:
+            rows = zip(self.scales, self.ints)
+            self._values = tuple(tuple(Fraction(x, s) for x in row) for s, row in rows)
+        return self._values
 
     def _permuted(self, perms: Sequence[Sequence[int]]) -> "AdditiveInstance":
         """A copy with good perms[i][j] at position j of row i (each perms[i]
         permutes range(m)), not validated again: rows keep scales and signs."""
         out = object.__new__(AdditiveInstance)
-        out.values = tuple(tuple(map(r.__getitem__, p)) for r, p in zip(self.values, perms))
         out.ints = tuple(tuple(map(r.__getitem__, p)) for r, p in zip(self.ints, perms))
         out.scales, out.kind, out.n, out.m = self.scales, self.kind, self.n, self.m
+        out._values = None
         return out
 
     def value(self, agent: int, bundle: Iterable[int]) -> Value:
@@ -126,7 +135,7 @@ class AdditiveInstance:
         return (
             isinstance(other, AdditiveInstance)
             and self.kind == other.kind
-            and self.values == other.values
+            and (self.scales, self.ints) == (other.scales, other.ints)
         )
 
     def __repr__(self) -> str:

@@ -1,9 +1,14 @@
 """End-to-end command line flows: solve, audit, generate, sweep."""
 
 import json
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from lemmas import verify_submodular
 
 from mmsfair.cli import main
@@ -278,6 +283,27 @@ class TestInputErrors:
         assert err.startswith("error:")
         assert "line 1" in err
 
+    @pytest.mark.parametrize("command", ["solve-additive", "verify", "sweep"])
+    def test_oversized_integer_literal(self, tmp_path, capsys, command):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+        # int literal past int()'s digit limit: one error line, exit 1
+        bad = tmp_path / "bad.json"
+        write(bad, '{"version": 1, "kind": "additive-goods", "n": 1, "m": 1, '
+                   f'"values": [[{"9" * 5000}]]}}')
+        flag = {"solve-additive": "--input", "verify": "--allocation", "sweep": "--config"}
+        argv = [command, flag[command], str(bad)]
+        if command == "verify":
+            inst = tmp_path / "inst.json"
+            write(inst, '{"version": 1, "kind": "additive-goods", "n": 1, "m": 1, "values": [[1]]}')
+            argv += ["--input", str(inst)]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "not valid JSON: Exceeds the limit" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["mms-exact", "solve-submodular"])
     def test_explicit_table_gaining_beyond_singleton(self, tmp_path, capsys, command):
         # good 1 is worth 0 alone yet adds 1 to {2}; the exact oracle's caps
@@ -442,3 +468,30 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: sweeps[0].{field}: ")
         assert len(err.splitlines()) == 1
+
+
+def _solve_json(values) -> str:
+    """solve-additive --format json on a goods instance with these rows."""
+    doc = {"version": 1, "kind": "additive-goods", "n": len(values), "m": len(values[0]),
+           "values": values}
+    with tempfile.TemporaryDirectory() as work:
+        inst, out = Path(work) / "inst.json", Path(work) / "out.json"
+        write(inst, json.dumps(doc))
+        assert run("solve-additive", "--input", str(inst), "--output", str(out),
+                   "--format", "json") == 0
+        return out.read_text(encoding="utf-8")
+
+
+@given(
+    n=st.integers(1, 4), m=st.integers(0, 10), hi=st.sampled_from((1, 5, 10**6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_int_and_string_spellings_give_identical_reports(n, m, hi, seed):
+    # one instance written as JSON ints, as "p" strings and as "k*p/k"
+    # strings (a different k per entry) must give the same output bytes
+    rng = random.Random(seed)
+    rows = [[rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
+    spelled = [[str(v) for v in row] for row in rows]
+    scaled = [[f"{k * v}/{k}" for v, k in zip(row, (rng.randint(2, 10**6) for _ in row))]
+              for row in rows]
+    assert _solve_json(spelled) == _solve_json(rows) == _solve_json(scaled)

@@ -135,6 +135,31 @@ def doc_text(**overrides):
     return json.dumps(doc)
 
 
+@pytest.mark.parametrize("spelling", [int, lambda v: f"{3 * v}/6"], ids=["int", "p/q"])
+def test_parsing_builds_no_fraction_until_values_is_read(monkeypatch, spelling):
+    # JSON ints and "p/q" strings go straight to the scaled int rows; the
+    # Fraction values are built once, on the first read of .values
+    n, m = 20, 200
+    rng = random.Random(0)
+    rows = [[spelling(rng.randint(0, 100)) for _ in range(m)] for _ in range(n)]
+    text = doc_text(n=n, m=m, values=rows)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    inst = parse_instance(text)
+    assert built == []
+    values = inst.values
+    assert len(built) == n * m
+    assert inst.values is values and len(built) == n * m
+    monkeypatch.undo()
+    assert values == tuple(tuple(map(Fraction, row)) for row in rows)
+
+
 class TestInstanceParsingErrors:
     def test_malformed_json_reports_position(self):
         with pytest.raises(InvalidInstanceError, match=r"line 1, column"):
@@ -161,8 +186,38 @@ class TestInstanceParsingErrors:
             parse_instance(doc_text(values=[[1, True]]))
 
     def test_zero_denominator(self):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match=r"^values\[0\]\[1\]: cannot parse value '1/0'$"):
             parse_instance(doc_text(values=[[1, "1/0"]]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1/-2", "cannot parse value '1/-2'"),
+            ("abc", "cannot parse value 'abc'"),
+            ("1" * 5000, "cannot parse value '1111"),
+            (1.5, "values must be integers or 'p/q' strings, got float"),
+            (True, "values must be integers or 'p/q' strings, got bool"),
+            (None, "values must be integers or 'p/q' strings, got NoneType"),
+            ([1], "values must be integers or 'p/q' strings, got list"),
+        ],
+    )
+    def test_rejected_entry_names_its_field(self, bad, message):
+        # the bad entry sits after good ones and before a sign error: the
+        # first entry that fails to parse is named, as a full parse names it
+        values = [[1, 2, 3], [4, "5/2", bad], ["-1", 0, 0]]
+        text = doc_text(n=3, m=3, values=values)
+        with pytest.raises(InvalidInstanceError) as info:
+            parse_instance(text)
+        assert str(info.value).startswith(f"values[1][2]: {message}")
+
+    def test_sign_error_after_a_clean_parse(self):
+        # the first entry of the wrong sign is named, not the most negative
+        with pytest.raises(InvalidInstanceError, match=r"^goods instance has negative value at \(1,0\)$"):
+            parse_instance(doc_text(n=2, m=3, values=[[1, "1/2", 0], ["-1/3", 2, -5]]))
+
+    def test_oversized_integer_literal(self):
+        with pytest.raises(InvalidInstanceError, match="^not valid JSON: Exceeds the limit"):
+            parse_instance(doc_text(values=[[1, 0]]).replace("[[1, 0]]", f"[[1, {'9' * 5000}]]"))
 
     def test_row_count_mismatch(self):
         with pytest.raises(InvalidInstanceError, match="expected 1 rows"):

@@ -10,6 +10,12 @@ agent's row. n is 1 to 20 and m 0 to 200. Rows are drawn from a seeded
 generator, so shrinking acts on n, m, the value range, the seed and the
 factors; narrow ranges give ties.
 
+Relabelling goods: on rows without ties, permuting the goods permutes the
+bundles of solve_additive and solve_chores the same way. Sorting a row
+without ties gives the same ordered row whatever the labels, so the envy
+graph runs on the same ordered instance, and in the lift each agent's
+favourite remaining good is unique.
+
 The same holds for alg_sub: its thresholds start at each agent's own
 total and every comparison, in round robin and in the decay loop, is
 within one agent. Its agents are near-identical copies of one drawn
@@ -52,6 +58,33 @@ def test_rescaling_an_agent_leaves_the_allocation_unchanged(case):
     scaled = [[c * v for v in row] for c, row in zip(factors, rows)]
     solve = SOLVERS[kind]
     assert solve(AdditiveInstance(scaled, kind=kind)) == solve(AdditiveInstance(rows, kind=kind))
+
+
+@st.composite
+def untied_rows_and_permutation(draw):
+    """A kind, an n x m matrix of that kind whose rows have no ties, and a
+    permutation of range(m)."""
+    kind = draw(st.sampled_from((GOODS, CHORES)))
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(0, 200))
+    hi = draw(st.sampled_from((m, 3 * m, 10**6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sign = 1 if kind == GOODS else -1
+    rows = [[sign * v for v in rng.sample(range(hi + 1), m)] for _ in range(n)]
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return kind, rows, perm
+
+
+@given(case=untied_rows_and_permutation())
+def test_relabelling_goods_relabels_the_bundles(case):
+    kind, rows, perm = case
+    # good j of the relabelled instance is good perm[j] of the original
+    relabelled = [[row[g] for g in perm] for row in rows]
+    solve = SOLVERS[kind]
+    original = solve(AdditiveInstance(rows, kind=kind))
+    moved = solve(AdditiveInstance(relabelled, kind=kind))
+    assert [{perm[j] for j in b} for b in moved.bundles] == list(original.bundles)
 
 
 @st.composite

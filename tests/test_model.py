@@ -1,9 +1,12 @@
 """Core model: exact values, instances, allocations; and the envy predicates
 and certificate check of tests/lemmas.py."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from lemmas import check_certificate, envies, is_ef1, is_efx
 
 from mmsfair.errors import InvalidInstanceError
@@ -14,6 +17,7 @@ from mmsfair.model import (
     Allocation,
     MmsCertificate,
     as_value,
+    scale_to_ints,
     value_to_str,
 )
 
@@ -68,6 +72,55 @@ class TestAdditiveInstance:
     def test_zero_goods_instance_is_legal(self):
         inst = AdditiveInstance([[], []])
         assert inst.n == 2 and inst.m == 0
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def spellings(v: Fraction, k: int) -> list:
+    """Ways to write v that AdditiveInstance accepts: JSON ints and 'p/q'
+    strings, canonical or not (read without building a Fraction); the other
+    strings Fraction reads (padded, signed, decimal, exponent, underscored,
+    non-ASCII digits); and v itself. k > 1 scales a non-canonical 'p/q'."""
+    p, q = v.numerator, v.denominator
+    sign, digits = "-" * (p < 0), str(abs(p))
+    out = [v, str(v), f"{k * p}/{k * q}", f"{sign}00{digits}/{q}", f" {p}/{q} ", f"{p}/{q}\n"]
+    out.append(str(v).translate(ARABIC_INDIC))
+    if p >= 0:
+        out.append(f"+{p}/{q}")
+    if q == 1:
+        out += [p, f"{sign}0{digits}", f"{p * 10}e-1", f"{p}.0"]
+    if p == 0:
+        out += ["-0", "-0/7", "000"]
+    if len(digits) > 1:
+        out.append(f"{sign}{digits[0]}_{digits[1:]}/{q}")
+    if 10**6 % q == 0:
+        out.append(str(Decimal(p) / Decimal(q)))
+    return out
+
+
+@st.composite
+def spelled_rows(draw):
+    """A sign, and a row of values each written in one of its spellings."""
+    sign = draw(st.sampled_from((1, -1)))
+    magnitudes = st.fractions(min_value=0, max_value=10**6, max_denominator=10**4)
+    row = draw(st.lists(magnitudes, max_size=12))
+    spelled = [
+        draw(st.sampled_from(spellings(sign * v, draw(st.integers(2, 10**6))))) for v in row
+    ]
+    return sign, spelled
+
+
+@given(case=spelled_rows())
+def test_every_spelling_scales_as_fraction_does(case):
+    sign, row = case
+    inst = AdditiveInstance([row, row], kind=GOODS if sign > 0 else CHORES)
+    exact = [Fraction(v) for v in row]
+    scale, ints = scale_to_ints(exact)
+    assert inst.scales == (scale, scale)
+    assert inst.ints == (tuple(ints), tuple(ints))
+    assert inst.values == (tuple(exact), tuple(exact))
+    assert scale_to_ints(row) == (scale, tuple(ints))
 
 
 class TestBundleValue:

@@ -38,13 +38,12 @@ from .oracles import (
     mms_exact_additive,
     mms_exact_submodular,
 )
-from .submodular import (
+from .submodular.allocate import ThresholdState, alg_sub
+from .submodular.valuations import (
     BudgetAdditive,
     ExplicitTable,
     SubmodularValuation,
-    ThresholdState,
     WeightedCoverage,
-    alg_sub,
 )
 
 __version__ = "0.1.0"

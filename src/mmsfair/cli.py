@@ -266,7 +266,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
     if not isinstance(entry, dict):
         raise FairDivisionError(f"{where}: expected an object")
     bound = entry.get("bound")
-    if bound not in _SWEEP_SOLVERS:
+    if not isinstance(bound, str) or bound not in _SWEEP_SOLVERS:
         raise FairDivisionError(
             f"{where}.bound: expected one of {sorted(_SWEEP_SOLVERS)}, got {bound!r}"
         )
@@ -285,7 +285,8 @@ def _run_sweep(entry: dict, index: int) -> dict:
     lo = _field(entry, "lo", int, where, -100 if chores else 0)
     hi = _field(entry, "hi", int, where, 0 if chores else 100)
     base_seed = _field(entry, "seed", int, where, 0)
-    delta = _parse_value(entry["delta"], f"{where}.delta") if "delta" in entry else DEFAULT_DELTA
+    raw_delta = entry.get("delta", value_to_str(DEFAULT_DELTA))
+    delta = as_value(_parse_value(raw_delta, f"{where}.delta"))
     if delta <= 0:
         raise FairDivisionError(f"{where}.delta: expected a positive value, got {delta}")
     budget = _field(entry, "oracle-budget", int, where, DEFAULT_ORACLE_BUDGET)

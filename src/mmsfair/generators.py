@@ -49,6 +49,8 @@ class GeneratorSpec:
                 raise InvalidInstanceError("chores values must be <= 0")
         elif self.lo < 0:
             raise InvalidInstanceError(f"{self.kind} values must be >= 0")
+        elif self.kind in SUBMODULAR_KINDS and self.hi < 1:
+            raise InvalidInstanceError(f"{self.kind} weights need hi >= 1")
 
 
 def generate(spec: GeneratorSpec):

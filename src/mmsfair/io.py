@@ -2,8 +2,10 @@
 
 Files are JSON. Every rational travels as a string ("p/q" or "p"; bare
 integers, and every other spelling Fraction reads, are accepted on input),
-so parse(serialize(x)) reproduces x exactly. Additive rows go to
-AdditiveInstance as read, so ints and "p/q" strings build no Fraction.
+so parse(serialize(x)) reproduces x exactly. Additive rows, and the
+weights, caps and tables of submodular agents, go to their constructors as
+read, and a bad entry is named by its field; ints and "p/q" strings build
+no Fraction.
 Explicit submodular tables are stored in subset-mask order: entry k is the
 value of the bundle whose members are the set bits of k, bit 0 being good 0;
 a table where some good adds more to a bundle than max(0, its own value) is
@@ -19,6 +21,7 @@ unavailable.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +34,8 @@ from .model import (
     AdditiveInstance,
     Allocation,
     Value,
-    as_value,
+    ValueLike,
+    as_ratio,
     value_to_str,
 )
 from .oracles import (
@@ -96,21 +100,34 @@ def _check_version(doc: dict) -> None:
         _fail("version", f"unsupported version {version}, expected {FORMAT_VERSION}")
 
 
-def _parse_value(raw: object, field: str) -> Value:
+def _parse_value(raw: object, field: str) -> ValueLike:
+    """raw as read, once it is a JSON int or a string that reads as a rational."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         _fail(field, f"values must be integers or 'p/q' strings, got {type(raw).__name__}")
     try:
-        return as_value(raw)
+        as_ratio(raw)
     except InvalidInstanceError as exc:
         _fail(field, str(exc))
+    return raw
 
 
-def _parse_value_list(raw: object, count: int, field: str) -> list[Value]:
+def _parse_value_list(raw: object, count: int | None, field: str) -> list[ValueLike]:
+    """raw's entries as read; count, unless None, is the length raw must have."""
     if not isinstance(raw, list):
         _fail(field, "expected a list")
-    if len(raw) != count:
+    if count is not None and len(raw) != count:
         _fail(field, f"expected {count} entries, got {len(raw)}")
     return [_parse_value(v, f"{field}[{k}]") for k, v in enumerate(raw)]
+
+
+def _index_lists(raw: list, field: str, what: str) -> list:
+    """raw, once each of its entries is a list of ints (no bools)."""
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, list) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in entry
+        ):
+            _fail(f"{field}[{k}]", f"expected a list of {what} indices")
+    return raw
 
 
 def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuation:
@@ -118,29 +135,19 @@ def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuati
         _fail(field, "expected an object")
     family = _field(doc, "family", str, field)
     if family == "explicit":
+        if m >= sys.maxsize.bit_length():  # no list has 2^m entries; 2^m is not built
+            _fail(f"{field}.table", f"expected 2^{m} entries for m={m}")
         table = _parse_value_list(doc.get("table"), 1 << m, f"{field}.table")
         try:
             return ExplicitTable(m, table)
         except InvalidInstanceError as exc:
             _fail(f"{field}.table", str(exc))
     if family == "coverage":
-        raw_weights = doc.get("weights")
-        if not isinstance(raw_weights, list):
-            _fail(f"{field}.weights", "expected a list")
-        weights = [
-            _parse_value(v, f"{field}.weights[{k}]") for k, v in enumerate(raw_weights)
-        ]
-        raw_covers = doc.get("covers")
-        if not isinstance(raw_covers, list) or len(raw_covers) != m:
+        weights = _parse_value_list(doc.get("weights"), None, f"{field}.weights")
+        covers = doc.get("covers")
+        if not isinstance(covers, list) or len(covers) != m:
             _fail(f"{field}.covers", f"expected a list of {m} cover sets")
-        covers = []
-        for g, cov in enumerate(raw_covers):
-            if not isinstance(cov, list) or any(
-                isinstance(e, bool) or not isinstance(e, int) for e in cov
-            ):
-                _fail(f"{field}.covers[{g}]", "expected a list of element indices")
-            covers.append(cov)
-        return WeightedCoverage(m, weights, covers)
+        return WeightedCoverage(m, weights, _index_lists(covers, f"{field}.covers", "element"))
     if family == "budget-additive":
         weights = _parse_value_list(doc.get("weights"), m, f"{field}.weights")
         cap = _parse_value(doc.get("cap"), f"{field}.cap")
@@ -237,15 +244,7 @@ def parse_allocation(text: str) -> Allocation:
     doc = _loads(text)
     _check_version(doc)
     m = _field(doc, "m", int)
-    raw = _field(doc, "bundles", list)
-    bundles = []
-    for i, b in enumerate(raw):
-        if not isinstance(b, list) or any(
-            isinstance(g, bool) or not isinstance(g, int) for g in b
-        ):
-            _fail(f"bundles[{i}]", "expected a list of good indices")
-        bundles.append(b)
-    return Allocation(bundles, m)
+    return Allocation(_index_lists(_field(doc, "bundles", list), "bundles", "good"), m)
 
 
 def serialize_allocation(allocation: Allocation) -> str:

@@ -29,8 +29,9 @@ ValueLike = Union[int, str, Fraction]
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # 'p' or 'p/q', q > 0
 
 
-def _ratio(x: ValueLike) -> tuple[int, int]:
-    """x in lowest terms, with no Fraction built for an int or an _INT_RATIO string."""
+def as_ratio(x: ValueLike) -> tuple[int, int]:
+    """x in lowest terms, as (numerator, denominator > 0), with no Fraction
+    built for an int or an _INT_RATIO string."""
     if isinstance(x, str):
         try:  # int() refuses past its digit limit exactly where Fraction does
             if match := _INT_RATIO.fullmatch(x):
@@ -49,7 +50,7 @@ def _ratio(x: ValueLike) -> tuple[int, int]:
 
 def as_value(x: ValueLike) -> Value:
     """Coerce an int, 'p/q' string, or Fraction to an exact Value."""
-    return x if type(x) is Fraction else Fraction(x) if type(x) is int else Fraction(*_ratio(x))
+    return x if type(x) is Fraction else Fraction(x) if type(x) is int else Fraction(*as_ratio(x))
 
 
 def value_to_str(v: Value) -> str:
@@ -65,7 +66,7 @@ def scale_to_ints(values: Sequence[ValueLike]) -> tuple[int, tuple[int, ...]]:
     """
     if set(map(type, values)) <= {int}:
         return 1, tuple(values)
-    pairs = [(v.numerator, v.denominator) if type(v) is Fraction else _ratio(v) for v in values]
+    pairs = [(v.numerator, v.denominator) if type(v) is Fraction else as_ratio(v) for v in values]
     denom = lcm(*[d for _, d in pairs])
     return denom, tuple([p * (denom // d) for p, d in pairs])
 

@@ -1,10 +1,12 @@
 """Submodular valuation oracles over a ground set of goods 0..m-1.
 
 All families answer set queries by bitmask, bit k standing for good k. Each
-valuation fixes an int scale at construction, the lcm of the denominators of
-its data, and value_int(mask) returns scale * f(mask), an exact int computed
-on ints throughout; value_mask(mask) is the public rational answer,
-Fraction(value_int(mask), scale). The hot loops (round robin, the threshold
+valuation passes its data as given (ints, "p/q" strings or Fractions) to
+scale_to_ints and keeps only an int scale, the lcm of the data's reduced
+denominators, and the data times it; table, weights and cap are Fractions
+built from those when read. value_int(mask) returns scale * f(mask), an
+exact int computed on ints throughout; value_mask(mask) is the public
+rational answer, Fraction(value_int(mask), scale). The hot loops (round robin, the threshold
 probe, the exact oracle) compare these ints, scaled by a threshold's
 denominator where one is involved, so no Fraction arithmetic runs per query.
 subset_table is the one helper that tabulates a fold over every subset of
@@ -12,8 +14,9 @@ a list: the coverage and budget-additive families keep one table per byte
 of the mask, and the exhaustive slot solver one of the masks of every
 subset of its goods.
 
-Each instance memoizes value_int by mask for its lifetime, and only the
-queries made bound the memo: 2^m entries at most under the exact oracle,
+Coverage and budget-additive instances memoize value_int by mask for their
+lifetime (an explicit table is its own lookup), and only the queries made
+bound the memo: 2^m entries at most under the exact oracle,
 for the m its budget admits; on larger ground sets, just the bundles
 looked at (89 to 1,085 masks per valuation after alg_sub and the audit's
 greedy bound, on four benchmark instances with m of 41 to 59).
@@ -34,7 +37,7 @@ from operator import add, or_
 from typing import Iterable, Sequence
 
 from ..errors import InvalidInstanceError
-from ..model import Value, ValueLike, as_value, scale_to_ints
+from ..model import Value, ValueLike, scale_to_ints
 
 
 def shared_ground(valuations: Sequence[SubmodularValuation]) -> tuple[int, int]:
@@ -85,7 +88,7 @@ def _byte_tables(items: Sequence[int], combine) -> list[list[int]]:
 class SubmodularValuation:
     """Base class: memoized set-function oracle addressed by bitmask.
 
-    Subclasses set scale and compute _value_int_raw(mask) = scale * f(mask).
+    Subclasses compute _value_int_raw(mask) = scale * f(mask), or value_int.
     """
 
     __slots__ = ("m", "scale", "_cache")
@@ -123,28 +126,25 @@ class SubmodularValuation:
 class ExplicitTable(SubmodularValuation):
     """A set function given by its full table of 2^m values.
 
-    table[mask] is the value of the bundle whose members are the set bits of
-    mask (bit k = good k), and ints[mask] == scale * table[mask]. The
-    constructor checks shape, normalization and that no good adds more to a
-    bundle than max(0, its own value), the inequality the exact oracle's
-    bounds rest on (an m 2^m scan). Submodularity itself is not checked:
-    solvers and the audit accept any table that passes, and the guarantees
-    hold only for the submodular ones.
+    ints[mask] == scale * table[mask], the value of the bundle whose members
+    are the set bits of mask (bit k = good k); value_int reads it directly,
+    so the memo stays empty. The constructor checks shape, normalization
+    and that no good adds more to a bundle than max(0, its own value), the
+    inequality the exact oracle's bounds rest on (an m 2^m scan).
+    Submodularity itself is not checked: solvers and the audit accept any
+    table that passes, and the guarantees hold only for the submodular ones.
     """
 
-    __slots__ = ("table", "ints")
+    __slots__ = ("ints",)
 
     def __init__(self, m: int, table: Sequence[ValueLike]):
-        vals = tuple(as_value(v) for v in table)
-        scale, ints = scale_to_ints(vals)
+        scale, ints = scale_to_ints(tuple(table))
         super().__init__(m, scale)
-        if len(vals) != 1 << m:
-            raise InvalidInstanceError(
-                f"table needs {1 << m} entries for m={m}, got {len(vals)}"
-            )
-        if vals[0] != 0:
+        size = len(ints)
+        if size >> m != 1 or size != 1 << m:  # 1 << m is built once size bounds m
+            raise InvalidInstanceError(f"table needs 2^{m} entries for m={m}, got {size}")
+        if ints[0] != 0:
             raise InvalidInstanceError("empty bundle must have value 0")
-        self.table = vals
         self.ints = ints
         for g in range(m):
             bit = 1 << g
@@ -153,10 +153,17 @@ class ExplicitTable(SubmodularValuation):
                 if not mask & bit and ints[mask | bit] - ints[mask] > cap:
                     raise InvalidInstanceError(
                         f"good {g} adds {Fraction(ints[mask | bit] - ints[mask], scale)} "
-                        f"to bundle {goods_of(mask)}, more than max(0, its own value {vals[bit]})"
+                        f"to bundle {goods_of(mask)}, more than max(0, its own value "
+                        f"{Fraction(ints[bit], scale)})"
                     )
 
-    def _value_int_raw(self, mask: int) -> int:
+    @property
+    def table(self) -> tuple[Value, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ints)
+
+    def value_int(self, mask: int) -> int:
+        if mask >> self.m:
+            raise InvalidInstanceError("mask addresses goods outside the ground set")
         return self.ints[mask]
 
 
@@ -164,22 +171,20 @@ class WeightedCoverage(SubmodularValuation):
     """Coverage function: value of a bundle is the weight of the union it covers.
 
     covers[g] lists the universe elements covered by good g; weights[e] >= 0
-    is the weight of element e. Coverage functions are always normalized,
-    monotone and submodular.
+    is the weight of element e, and ints[e] == scale * weights[e]. Coverage
+    functions are always normalized, monotone and submodular.
     """
 
-    __slots__ = ("weights", "covers", "_cover_bytes", "_weight_bytes")
+    __slots__ = ("ints", "covers", "_cover_bytes", "_weight_bytes")
 
     def __init__(self, m: int, weights: Sequence[ValueLike], covers: Sequence[Iterable[int]]):
-        weights = tuple(as_value(w) for w in weights)
-        scale, ints = scale_to_ints(weights)
+        scale, self.ints = scale_to_ints(tuple(weights))
         super().__init__(m, scale)
-        self.weights = weights
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in self.ints):
             raise InvalidInstanceError("element weights must be non-negative")
         if len(covers) != m:
             raise InvalidInstanceError("need one cover set per good")
-        u = len(self.weights)
+        u = len(self.ints)
         packed = []
         for g, cov in enumerate(covers):
             emask = 0
@@ -190,7 +195,11 @@ class WeightedCoverage(SubmodularValuation):
             packed.append(emask)
         self.covers = tuple(tuple(goods_of(em)) for em in packed)
         self._cover_bytes = _byte_tables(packed, or_)
-        self._weight_bytes = _byte_tables(ints, add)
+        self._weight_bytes = _byte_tables(self.ints, add)
+
+    @property
+    def weights(self) -> tuple[Value, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ints)
 
     def _value_int_raw(self, mask: int) -> int:
         covers, weights = self._cover_bytes, self._weight_bytes
@@ -200,26 +209,33 @@ class WeightedCoverage(SubmodularValuation):
 
 
 class BudgetAdditive(SubmodularValuation):
-    """Additive value capped at a budget: f(S) = min(cap, sum of weights in S)."""
+    """Additive value capped at a budget: f(S) = min(cap, sum of weights in S),
+    held as ints[g] == scale * weights[g] and cap_int == scale * cap."""
 
-    __slots__ = ("weights", "cap", "_weight_bytes", "_cap_int")
+    __slots__ = ("ints", "cap_int", "_weight_bytes")
 
     def __init__(self, weights: Sequence[ValueLike], cap: ValueLike):
-        self.weights = tuple(as_value(w) for w in weights)
-        self.cap = as_value(cap)
-        scale, ints = scale_to_ints(self.weights + (self.cap,))
-        super().__init__(len(self.weights), scale)
-        if any(w < 0 for w in self.weights):
+        scale, ints = scale_to_ints((*weights, cap))
+        super().__init__(len(ints) - 1, scale)
+        self.ints, self.cap_int = ints[:-1], ints[-1]
+        if any(w < 0 for w in self.ints):
             raise InvalidInstanceError("weights must be non-negative")
-        if self.cap < 0:
+        if self.cap_int < 0:
             raise InvalidInstanceError("cap must be non-negative")
-        self._weight_bytes = _byte_tables(ints[:-1], add)
-        self._cap_int = ints[-1]
+        self._weight_bytes = _byte_tables(self.ints, add)
+
+    @property
+    def weights(self) -> tuple[Value, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ints)
+
+    @property
+    def cap(self) -> Value:
+        return Fraction(self.cap_int, self.scale)
 
     def _value_int_raw(self, mask: int) -> int:
         weights = self._weight_bytes
         total = sum(map(list.__getitem__, weights, mask.to_bytes(len(weights), "little")))
-        return min(self._cap_int, total)
+        return min(self.cap_int, total)
 
 
 def detect_positive_mms(f: SubmodularValuation, n: int) -> bool:

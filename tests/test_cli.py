@@ -333,6 +333,36 @@ class TestInputErrors:
             "its bundle [0, 1] only -3\n"
         )
 
+    @pytest.mark.parametrize("m", [100_000, 2**70])
+    @pytest.mark.parametrize(
+        "command", ["solve-submodular", "solve-additive", "mms-exact", "mms-approx", "verify"]
+    )
+    def test_explicit_table_for_a_huge_ground_set(self, tmp_path, capsys, command, m):
+        # the table's length is compared with m without building 2^m, which
+        # would not print (m = 100000) or not fit in memory (m = 2^70)
+        inst = tmp_path / "inst.json"
+        doc = {"version": 1, "kind": "submodular", "n": 1, "m": m,
+               "agents": [{"family": "explicit", "table": [0, 1]}]}
+        write(inst, json.dumps(doc))
+        argv = [command, "--input", str(inst)]
+        if command == "verify":
+            alloc = tmp_path / "alloc.json"
+            write(alloc, json.dumps({"version": 1, "m": 1, "bundles": [[0]]}))
+            argv += ["--allocation", str(alloc)]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: agents[0].table: expected 2^{m} entries for m={m}\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["coverage", "budget-additive", "explicit"])
+    def test_generate_submodular_needs_a_positive_weight(self, tmp_path, capsys, kind):
+        # weights are drawn from [max(1, lo), hi], empty when hi is 0
+        capsys.readouterr()
+        assert run("generate", "--kind", kind, "--n", "2", "--m", "3", "--hi", "0",
+                   "--output", str(tmp_path / "i.json")) == 1
+        assert capsys.readouterr().err == f"error: {kind} weights need hi >= 1\n"
+
     def test_generate_bad_range(self, tmp_path):
         assert run(
             "generate", "--kind", "uniform-additive", "--n", "2", "--m", "3",
@@ -438,6 +468,24 @@ class TestSweep:
         config = tmp_path / "sweep.json"
         write(config, json.dumps({"sweeps": [{"bound": "proportional"}]}))
         assert run("sweep", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("bound", [[], {}, ["submodular"]])
+    def test_sweep_rejects_unhashable_bound(self, tmp_path, capsys, bound):
+        config = tmp_path / "sweep.json"
+        write(config, json.dumps({"sweeps": [{"bound": bound}]}))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            "error: sweeps[0].bound: expected one of ['additive-chores', 'additive-goods', "
+            f"'submodular'], got {bound!r}\n"
+        )
+
+    def test_sweep_submodular_needs_a_positive_weight(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        write(config, json.dumps({"sweeps": [{"bound": "submodular", "count": 1, "hi": 0}]}))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: coverage weights need hi >= 1\n"
 
     def test_sweep_needs_config_shape(self, tmp_path):
         config = tmp_path / "sweep.json"

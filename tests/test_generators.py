@@ -44,6 +44,12 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidInstanceError):
             GeneratorSpec(kind="coverage", n=2, m=3, lo=-5, hi=5)
 
+    @pytest.mark.parametrize("kind", SUBMODULAR_KINDS)
+    def test_submodular_weights_need_a_positive_hi(self, kind):
+        # weights are drawn from [max(1, lo), hi]
+        with pytest.raises(InvalidInstanceError, match=f"^{kind} weights need hi >= 1$"):
+            GeneratorSpec(kind=kind, n=2, m=3, lo=0, hi=0)
+
 
 class TestGenerate:
     def test_uniform_additive(self):

@@ -160,6 +160,95 @@ def test_parsing_builds_no_fraction_until_values_is_read(monkeypatch, spelling):
     assert values == tuple(tuple(map(Fraction, row)) for row in rows)
 
 
+def submodular_text(m, *agents):
+    return json.dumps(
+        {"version": 1, "kind": KIND_SUBMODULAR, "n": len(agents), "m": m, "agents": list(agents)}
+    )
+
+
+@pytest.mark.parametrize("spelling", [int, lambda v: f"{3 * v}/6"], ids=["int", "p/q"])
+def test_submodular_parsing_builds_no_fraction(monkeypatch, spelling):
+    # weights, caps and table entries go straight to each valuation's scaled
+    # ints; table, weights and cap are Fractions built when read
+    m = 6
+    rng = random.Random(0)
+    table = [0]
+    for w in [rng.randint(0, 50) for _ in range(m)]:  # additive, so admissible
+        table += [t + w for t in table]
+    weights = [rng.randint(0, 100) for _ in range(m + 2)]
+    covers = [sorted(rng.sample(range(m + 2), 2)) for _ in range(m)]
+    agents = [
+        {"family": "explicit", "table": [spelling(v) for v in table]},
+        {"family": "coverage", "weights": [spelling(w) for w in weights], "covers": covers},
+        {"family": "budget-additive", "weights": [spelling(w) for w in weights[:m]],
+         "cap": spelling(150)},
+    ]
+    text = submodular_text(m, *agents)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    fe, fc, fb = parse_instance(text)
+    assert built == []
+    monkeypatch.undo()
+    assert fe.table == tuple(Fraction(spelling(v)) for v in table)
+    assert fc.weights == tuple(Fraction(spelling(w)) for w in weights)
+    assert fb.weights == tuple(Fraction(spelling(w)) for w in weights[:m])
+    assert fb.cap == Fraction(spelling(150))
+
+
+GOOD_AGENTS = {
+    "explicit": {"family": "explicit", "table": [0, "1", "3/2", 2]},
+    "coverage": {"family": "coverage", "weights": [1, "1/2"], "covers": [[0], [0, 1]]},
+    "budget-additive": {"family": "budget-additive", "weights": ["1", 2], "cap": "5/2"},
+}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("abc", "cannot parse value 'abc'"),
+        (1.5, "values must be integers or 'p/q' strings, got float"),
+        (True, "values must be integers or 'p/q' strings, got bool"),
+        (None, "values must be integers or 'p/q' strings, got NoneType"),
+    ],
+    ids=["string", "float", "bool", "null"],
+)
+@pytest.mark.parametrize(
+    "family, key, index",
+    [
+        ("explicit", "table", 2),
+        ("coverage", "weights", 1),
+        ("budget-additive", "weights", 1),
+        ("budget-additive", "cap", None),
+    ],
+)
+def test_rejected_valuation_entry_names_its_field(family, key, index, bad, message):
+    # agent 1 carries the bad entry, after a well-formed agent 0
+    agent = json.loads(json.dumps(GOOD_AGENTS[family]))
+    if index is None:
+        agent[key] = bad
+        field = f"agents[1].{key}"
+    else:
+        agent[key][index] = bad
+        field = f"agents[1].{key}[{index}]"
+    with pytest.raises(InvalidInstanceError) as info:
+        parse_instance(submodular_text(2, GOOD_AGENTS[family], agent))
+    assert str(info.value) == f"{field}: {message}"
+
+
+@pytest.mark.parametrize("m", [3, 62, 63, 100_000, 2**70])
+def test_explicit_table_size_checked_without_building_two_to_the_m(m):
+    with pytest.raises(InvalidInstanceError, match=r"^agents\[0\]\.table: expected "):
+        parse_instance(submodular_text(m, {"family": "explicit", "table": [0, 1]}))
+    with pytest.raises(InvalidInstanceError, match=f"^table needs 2\\^{m} entries for m={m}, got 2$"):
+        ExplicitTable(m, [0, 1])
+
+
 class TestInstanceParsingErrors:
     def test_malformed_json_reports_position(self):
         with pytest.raises(InvalidInstanceError, match=r"line 1, column"):

@@ -12,7 +12,9 @@ audit reports past the oracle's budget never exceeds the brute-force share,
 and is positive exactly when the share is. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
-explicit tables. alg_sub, on any table that ExplicitTable accepts, monotone
+explicit tables; a submodular valuation built from ints, "p/q" strings and
+Fractions keeps its scale, scaled ints and value_int answers through the
+round trip. alg_sub, on any table that ExplicitTable accepts, monotone
 or not, allocates or raises InvalidInstanceError, and on monotone tables it
 allocates.
 """
@@ -240,3 +242,55 @@ def test_additive_files_round_trip(instance):
 def test_submodular_files_round_trip(valuations):
     parsed = parse_instance(serialize_instance(valuations))
     assert list(map(public_data, parsed)) == list(map(public_data, valuations))
+
+
+@st.composite
+def spelled_valuations(draw, m):
+    """A valuation whose data arrives as ints, "p/q" strings and Fractions
+    mixed (one denominator q, each entry spelt one of the ways it allows)."""
+    q = draw(st.integers(1, 4))
+
+    def spell(p):
+        forms = [Fraction(p, q), f"{p}/{q}"] + ([p // q] if p % q == 0 else [])
+        return draw(st.sampled_from(forms))
+
+    def numerators(count, hi=9):
+        return draw(st.lists(st.integers(0, hi), min_size=count, max_size=count))
+
+    family = draw(st.sampled_from(("explicit", "coverage", "budget-additive")))
+    if family == "coverage":
+        u = m + draw(st.integers(1, 3))
+        covers = [
+            draw(st.lists(st.integers(0, u - 1), min_size=1, max_size=3, unique=True))
+            for _ in range(m)
+        ]
+        return WeightedCoverage(m, list(map(spell, numerators(u))), covers)
+    if family == "budget-additive":
+        return BudgetAdditive(list(map(spell, numerators(m))), spell(*numerators(1, 9 * m)))
+    table = [0]
+    for w in numerators(m):  # an additive table, admissible by construction
+        table += [t + w for t in table]
+    return ExplicitTable(m, list(map(spell, table)))
+
+
+def int_data(f):
+    """A valuation's scaled-int data, beside its scale."""
+    if isinstance(f, ExplicitTable):
+        return f.ints
+    if isinstance(f, WeightedCoverage):
+        return f.ints, f.covers
+    return f.ints, f.cap_int
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda m: st.lists(spelled_valuations(m), min_size=1, max_size=3)),
+    st.data(),
+)
+def test_submodular_files_keep_scaled_ints(valuations, data):
+    parsed = parse_instance(serialize_instance(valuations))
+    m = valuations[0].m
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=8))
+    for f, g in zip(valuations, parsed, strict=True):
+        assert type(g) is type(f)
+        assert (g.scale, int_data(g)) == (f.scale, int_data(f))
+        assert [g.value_int(mask) for mask in masks] == [f.value_int(mask) for mask in masks]

@@ -3,7 +3,8 @@
 An additive row's scaled-int encoding belongs to model.AdditiveInstance,
 which builds scales and ints once; ordering, the envy-graph kernel, the
 lift and the exact oracle read them from the instance. The submodular
-valuations scale their own weights. No other module may scale rows itself.
+valuations scale their own data, taking entries as given, with no
+Fraction coercion first. No other module may scale rows itself.
 
 Code that only the tests call (lemma checks, reference implementations,
 analysis tools) lives under tests/, not in the package. Every command-line
@@ -42,6 +43,14 @@ def test_only_model_and_valuations_scale_to_ints():
         if "scale_to_ints" in _names(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert users == {"model.py", "submodular/valuations.py"}
+
+
+def test_no_fraction_per_entry_on_the_way_in():
+    """File entries and valuation data go to scale_to_ints as given: neither
+    the parser nor the valuations coerce them to Fractions first."""
+    for name in ("io.py", "submodular/valuations.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        assert "as_value" not in _names(tree), name
 
 
 def _perfbench_names() -> set[str]:

@@ -46,6 +46,34 @@ def random_family(rng, m):
     return random_coverage(rng, m) if rng.random() < 0.5 else random_budget_additive(rng, m)
 
 
+def only_ints(x):
+    """x is an int, or a tuple, list or dict holding only such values."""
+    if isinstance(x, dict):
+        x = [*x, *x.values()]
+    if isinstance(x, (tuple, list)):
+        return all(map(only_ints, x))
+    return type(x) is int
+
+
+def test_valuations_keep_only_scaled_ints():
+    # one copy of the data: after solving and the exact oracle, every slot
+    # of every family holds ints only, and the explicit table's memo is empty
+    rng = random.Random(3)
+    m = 6
+    coverage = WeightedCoverage(m, [Fraction(rng.randint(1, 9), 4) for _ in range(8)],
+                                [rng.sample(range(8), 2) for _ in range(m)])
+    budget = BudgetAdditive(["3/2", 1, Fraction(5, 3), 2, 1, "7/4"], "9/2")
+    table = ExplicitTable(m, [coverage.value_mask(mask) for mask in range(1 << m)])
+    fs = [coverage, budget, table]
+    alg_sub(fs)
+    for f in fs:
+        mms_exact_submodular(f, 3)
+        slots = [name for cls in type(f).__mro__ for name in getattr(cls, "__slots__", ())]
+        assert all(only_ints(getattr(f, name)) for name in slots), type(f).__name__
+    assert table._cache == {}
+    assert table.table == tuple(coverage.value_mask(mask) for mask in range(1 << m))
+
+
 class TestExplicitTable:
     def test_lookup(self):
         f = ExplicitTable(2, [0, 1, 2, 2])

@@ -21,7 +21,12 @@ class BudgetExceededError(FairDivisionError, RuntimeError):
     """
 
     def __init__(self, what: str, size: int, budget: int):
-        super().__init__(f"{what}: search size {size} exceeds budget {budget}")
+        super().__init__(f"{what}: search size {_num(size)} exceeds budget {_num(budget)}")
         self.what = what
         self.size = size
         self.budget = budget
+
+
+def _num(x: int) -> str:
+    # Python prints no int of more than 4,300 digits, and n^m can get there
+    return str(x) if x.bit_length() <= 1024 else f"at least 2^{x.bit_length() - 1}"

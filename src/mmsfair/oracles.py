@@ -3,20 +3,21 @@
 Both exact oracles run one branch and bound over assignments of goods to n
 bundles. A bundle is a key grown good by good: its integer load for an
 additive row (scaled to ints), its bitmask for a submodular valuation. The
-search skips a bundle whose key an earlier bundle shares and prunes a node
-whose bundles' total deficit below the target exceeds the positive value
-the unplaced goods can still add (a bin-completion style bound from number
-partitioning). A value pass, goods by descending singleton magnitude from a
-greedy warm start, finds the optimum and stops once it meets an upper bound
-(the total over n for additive rows, the positive singleton sum over n for
-submodular ones). A witness pass, goods in index order, then returns the
-lexicographically least good-to-bundle assignment achieving it, so
-witnesses are deterministic and independent of search internals; its memo
-of dead states is cleared at DEAD_MEMO_CAP entries. witness=False skips
-that pass when only the value is wanted. The search is exact but
-exponential; the n^m budget guard keeps it honest. Past that guard,
-mms_greedy_submodular returns the greedy start's poorest bundle alone, a
-lower bound on a submodular share that the audit reports.
+search raises its incumbent at each leaf that beats it and ends at the
+first that reaches a given stop. It skips a bundle whose key an earlier
+bundle shares and prunes a node whose bundles' total deficit below one
+above the incumbent exceeds the positive value the unplaced goods can still
+add (a bin-completion style bound from number partitioning). A value pass,
+goods by descending singleton magnitude from a greedy warm start, finds the
+optimum and stops once it meets an upper bound (the total over n for
+additive rows, the positive singleton sum over n for submodular ones). A
+witness pass, the same search on the goods in index order from one below
+the optimum to the optimum, then returns the lexicographically least
+good-to-bundle assignment achieving it, so witnesses are deterministic.
+witness=False skips that pass when only the value is wanted. The search is
+exact but exponential; the n^m budget guard keeps it honest. Past that
+guard, mms_greedy_submodular returns the greedy start's poorest bundle
+alone, a lower bound on a submodular share that the audit reports.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular binary-searches a threshold tau and certifies bundles
@@ -52,12 +53,12 @@ from .submodular.valuations import (
 
 DEFAULT_ORACLE_BUDGET = 10**8
 EXHAUSTIVE_SLOT_BUDGET = 1 << 24  # largest 3^q * slots exhaustive_matroid_max runs
-DEAD_MEMO_CAP = 1 << 18  # dead states the witness pass keeps before it clears its memo
 
 
 def _check_budget(n: int, m: int, budget: int) -> None:
-    if n ** max(m, 1) > budget:
-        raise BudgetExceededError("exact maximin enumeration", n**m, budget)
+    size = n ** max(m, 1)
+    if size > budget:
+        raise BudgetExceededError("exact maximin enumeration", size, budget)
 
 
 def _branch_and_bound(
@@ -67,7 +68,7 @@ def _branch_and_bound(
     add: Callable,
     value: Callable | None,
     best,
-    stop=None,
+    stop,
 ) -> tuple[object, list[int] | None]:
     """Depth-first branch and bound over the assignments of items to n bundles.
 
@@ -77,22 +78,20 @@ def _branch_and_bound(
     value. Bundles are tried in index order, skipping one whose key an
     earlier bundle already has, since equal keys have the same futures.
 
-    A node is dead when its bundles' total deficit, the sum over bundles of
-    max(0, target - value), exceeds the caps of the unplaced items: each
-    bundle gains at most the caps of the items it receives, and those items
-    are split among the bundles. The value pass (stop given) has target
-    best + 1 and looks for leaves whose minimum beats best: each raises
-    best, and the first to reach stop, an upper bound, ends the search. The
-    witness pass (stop None) is given the optimum as best, has target best
-    and ends at the first leaf that reaches it; it remembers dead states by
-    (t, *sorted(keys)). That memo is cleared once it holds DEAD_MEMO_CAP
-    states; a forgotten state is only searched again, so the witness is the
-    same, the lexicographically least.
+    Each leaf whose minimum beats best raises best, and the first to reach
+    stop ends the search. A node is pruned when its bundles' total deficit,
+    the sum of max(0, best + 1 - value), exceeds the caps of the unplaced
+    items: each bundle gains at most the caps of the items it receives, so
+    no leaf below it beats best. Given best = mu - 1 and stop = mu for the
+    optimum mu, the hit is the first optimal leaf in search order: no node
+    above it is pruned, since it reaches best + 1 = mu, and no earlier leaf
+    reaches mu. With items in index order, that is the lexicographically
+    least optimal assignment (a skipped bundle only hides a later, mirrored
+    subtree).
 
     Returns best and the assignment of the leaf that ended the search
     (assign[t] is item t's bundle), or None when none did.
     """
-    witness = stop is None
     m = len(items)
     headroom = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
@@ -100,25 +99,18 @@ def _branch_and_bound(
     keys = [0] * n
     vals = keys if value is None else [value(0)] * n
     assign = [0] * m
-    dead: set[tuple] = set()
 
     def dfs(t: int) -> bool:
         nonlocal best
         if t == m:
             lo = min(vals)
-            if witness:
-                return lo >= best
             if lo > best:
                 best = lo
                 return lo >= stop
             return False
-        target = best if witness else best + 1
+        target = best + 1
         if sum([target - v for v in vals if v < target]) > headroom[t]:
             return False
-        if witness:
-            state = (t, *sorted(keys))
-            if state in dead:
-                return False
         item = items[t]
         for k in range(n):
             key = keys[k]
@@ -133,10 +125,6 @@ def _branch_and_bound(
                 return True
             keys[k] = key
             vals[k] = old
-        if witness:
-            if len(dead) >= DEAD_MEMO_CAP:
-                dead.clear()
-            dead.add(state)
         return False
 
     hit = dfs(0)
@@ -174,9 +162,9 @@ def _max_min_partition(
     the lexicographically least assignment of items to bundles reaching it
     (None unless witness).
 
-    The value pass places items by descending size, starting from the greedy
-    start's poorest bundle, and stops early at upper. The witness pass
-    places items in index order, so its first hit is the lexicographic least.
+    The value pass places items by descending size, from the greedy start's
+    poorest bundle, and stops early at upper. The witness pass is the same
+    search on the items in index order from best = mu - 1 to stop = mu.
     """
     m = len(items)
     order, best = _greedy_start(n, items, sizes, add, value)
@@ -186,7 +174,7 @@ def _max_min_partition(
         )
     if not witness:
         return best, None
-    _, assign = _branch_and_bound(n, items, caps, add, value, best)
+    _, assign = _branch_and_bound(n, items, caps, add, value, best - 1, best)
     if assign is None:
         raise RuntimeError("witness search missed the optimum it was given")
     bundles: list[list[int]] = [[] for _ in range(n)]
@@ -344,8 +332,9 @@ def exhaustive_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> li
     """
     q = len(goods)
     slots = objective.slots
-    if 3**q * slots > EXHAUSTIVE_SLOT_BUDGET:
-        raise BudgetExceededError("partition maximization", 3**q * slots, EXHAUSTIVE_SLOT_BUDGET)
+    size = 3**q * slots
+    if size > EXHAUSTIVE_SLOT_BUDGET:
+        raise BudgetExceededError("partition maximization", size, EXHAUSTIVE_SLOT_BUDGET)
     masks = subset_table([1 << g for g in goods], operator.or_)
     capped_int = list(map(objective.capped_int, masks))
 

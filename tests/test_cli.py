@@ -219,6 +219,36 @@ class TestMmsCommands:
             threshold = Fraction(row["accepted_threshold"])
             assert 9 * worst >= threshold
 
+    @pytest.mark.parametrize("kind, command", [
+        ("uniform-additive", "solve-additive"),
+        ("chores", "solve-chores"),
+    ])
+    def test_solve_past_a_budget_too_large_to_print(self, tmp_path, kind, command):
+        # 2^15000 has more than the 4,300 digits Python prints: the audit
+        # reports every agent unavailable, as for any size over budget
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "report.json"
+        assert run("generate", "--kind", kind, "--n", "2", "--m", "15000",
+                   "--output", str(inst)) == 0
+        assert run(command, "--input", str(inst), "--output", str(out),
+                   "--format", "json") == 0
+        doc = json.loads(out.read_text())
+        assert [a["mms_source"] for a in doc["agents"]] == ["unavailable"] * 2
+
+    @pytest.mark.parametrize("m, argv, message", [
+        (15000, ["mms-exact"],
+         "exact maximin enumeration: search size at least 2^15000 exceeds budget 100000000"),
+        (9200, ["mms-approx", "--agent", "0"],
+         "partition maximization: search size at least 2^14583 exceeds budget 16777216"),
+    ])
+    def test_oracle_past_a_budget_too_large_to_print(self, tmp_path, capsys, m, argv, message):
+        inst = tmp_path / "inst.json"
+        assert run("generate", "--kind", "uniform-additive", "--n", "2", "--m", str(m),
+                   "--output", str(inst)) == 0
+        capsys.readouterr()
+        assert run(*argv, "--input", str(inst)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_approx_rejects_chores(self, tmp_path):
         inst = tmp_path / "inst.json"
         run("generate", "--kind", "chores", "--n", "2", "--m", "4",

@@ -483,7 +483,7 @@ class TestBuildReport:
         stops = []
         search = oracles._branch_and_bound
 
-        def counted(n, items, caps, add, value, best, stop=None):
+        def counted(n, items, caps, add, value, best, stop):
             stops.append(stop)
             return search(n, items, caps, add, value, best, stop)
 

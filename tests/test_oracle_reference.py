@@ -3,8 +3,11 @@
 Drawn additive rows (goods and chores, ties, zeros, per-row denominators)
 and drawn coverage and budget-additive valuations must give the maximin
 value and the lexicographically least witness that enumerating all n^m
-assignments gives. The engine itself must also never try two bundles with
-the same key at one node.
+assignments gives, and a goods row must give the same value and witness
+through both oracles, as an additive row and as a budget-additive valuation
+whose cap never binds. The engine itself must also never try two bundles
+with the same key at one node, in the value pass and in the witness pass,
+the same search run in index order from one below the optimum.
 """
 
 from fractions import Fraction
@@ -85,6 +88,20 @@ def test_submodular_oracle_matches_brute_force(case):
     assert cert.witness == allocation_of(witness, n, f.m)
 
 
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6).flatmap(
+        lambda q: st.lists(st.integers(0, 9).map(lambda p: Fraction(p, q)), max_size=9)
+    ),
+)
+def test_additive_and_submodular_routes_agree(n, row):
+    # one engine, two routes: an int load per bundle, or a bitmask valued by
+    # a budget-additive valuation whose cap never binds
+    additive = mms_exact_additive(AdditiveInstance([row] * n), 0)
+    submodular = mms_exact_submodular(BudgetAdditive(row, sum(row)), n)
+    assert (additive.value, additive.witness) == (submodular.value, submodular.witness)
+
+
 def distinct_keys_per_node(records):
     """True iff no node tried two bundles with the same key.
 
@@ -128,6 +145,6 @@ def test_engine_passes_against_brute_force(n, numerators, sign):
     else:
         assert start == value
     records.clear()
-    _, assign = _branch_and_bound(n, range(m), caps, add, None, int(value))
+    _, assign = _branch_and_bound(n, range(m), caps, add, None, int(value) - 1, int(value))
     assert assign == witness
     assert distinct_keys_per_node(records)

@@ -102,6 +102,16 @@ class TestExactAdditive:
         with pytest.raises(BudgetExceededError):
             mms_exact_additive(inst, 0, budget=10)
 
+    def test_budget_message_for_a_huge_size(self):
+        # 10^5000 has more digits than Python prints, so it is named by the
+        # largest power of two it reaches
+        exc = BudgetExceededError("search", 10**5000, 10**8)
+        assert str(exc) == "search: search size at least 2^16609 exceeds budget 100000000"
+        assert (exc.what, exc.size, exc.budget) == ("search", 10**5000, 10**8)
+        assert str(BudgetExceededError("search", 3**10, 2**1024)) == (
+            "search: search size 59049 exceeds budget at least 2^1024"
+        )
+
     def test_agent_out_of_range(self):
         inst = AdditiveInstance([[1]])
         with pytest.raises(InvalidInstanceError):

@@ -229,15 +229,16 @@ def test_exact_oracle_on_scaled_valuations(data):
 )
 def test_exact_oracle_stops_at_the_floored_bound(monkeypatch, f, n):
     # the greedy warm start already holds the floor of the scaled singleton
-    # sum over n, so only the witness pass may run
+    # sum over n, so only the witness pass may run, from one below that floor
     passes = []
     engine = oracles._branch_and_bound
 
-    def counted(*args):
-        passes.append("value" if len(args) > 6 else "witness")  # only the value pass has a stop
-        return engine(*args)
+    def counted(n, items, caps, add, value, best, stop):
+        passes.append((best, stop))
+        return engine(n, items, caps, add, value, best, stop)
 
     monkeypatch.setattr(oracles, "_branch_and_bound", counted)
     cert = mms_exact_submodular(f, n)
-    assert cert.value * f.scale == sum(f.value_int(1 << g) for g in range(f.m)) // n
-    assert passes == ["witness"]
+    floor = sum(f.value_int(1 << g) for g in range(f.m)) // n
+    assert cert.value * f.scale == floor
+    assert passes == [(floor - 1, floor)]

@@ -1,5 +1,9 @@
 """Command line harness: solve instances, audit allocations, generate data.
 
+Each reporting command builds its result once (a SolutionReport, or the rows
+of a JSON document with every value already written), and _emit, the one
+reader of --format, writes it as JSON or as text rendered from those rows.
+
 Exit codes: 0 success, 1 input or usage error, 2 guarantee violation. Code 2
 comes only from verify and sweep; it is a test-harness signal meaning an
 allocation broke its advertised bound, not an I/O failure.
@@ -9,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 import time
@@ -20,6 +23,7 @@ from .envy_graph import solve_additive
 from .errors import FairDivisionError
 from .generators import (
     ADDITIVE_KINDS,
+    DEFAULT_RANGES,
     SUBMODULAR_KINDS,
     GeneratorSpec,
     fixture_ef1_not_mms,
@@ -30,7 +34,7 @@ from .io import (
     KIND_ADDITIVE_CHORES,
     KIND_ADDITIVE_GOODS,
     KIND_SUBMODULAR,
-    MU_UNAVAILABLE,
+    _dumps,
     _field,
     _loads,
     _parse_value,
@@ -76,9 +80,9 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_report(report, args) -> None:
-    text = report_to_json(report) if args.format == "json" else report_to_table(report)
-    _write_out(text, args.output)
+def _emit(args, result, to_json, to_text) -> None:
+    """Write result to --output, through to_json or to_text as --format asks."""
+    _write_out((to_json if args.format == "json" else to_text)(result), args.output)
 
 
 def _select_agents(n: int, agent: int | None) -> list[int]:
@@ -118,45 +122,30 @@ def _cmd_solve(args) -> int:
     if args.allocation_out:
         _write_out(serialize_allocation(allocation), args.allocation_out)
     report = build_report(instance, allocation, delta=delta, budget=args.oracle_budget)
-    _emit_report(report, args)
+    _emit(args, report, report_to_json, report_to_table)
     return 0
 
 
 def _cmd_mms_exact(args) -> int:
     instance = parse_instance(_read(args.input))
+    budget = args.oracle_budget
     if isinstance(instance, AdditiveInstance):
-        agents = _select_agents(instance.n, args.agent)
-        certs = [
-            (i, mms_exact_additive(instance, i, budget=args.oracle_budget))
-            for i in agents
-        ]
+        n, share = instance.n, lambda i: mms_exact_additive(instance, i, budget=budget)
     else:
-        agents = _select_agents(len(instance), args.agent)
-        certs = [
-            (i, mms_exact_submodular(instance[i], len(instance), budget=args.oracle_budget))
-            for i in agents
-        ]
-    if args.format == "json":
-        doc = {
-            "version": 1,
-            "command": "mms-exact",
-            "agents": [
-                {
-                    "agent": i,
-                    "mms": value_to_str(cert.value),
-                    "witness": cert.witness.as_lists(),
-                }
-                for i, cert in certs
-            ],
-        }
-        _write_out(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        lines = [
-            f"agent {i}: mms {value_to_str(cert.value)}, witness {cert.witness.as_lists()}"
-            for i, cert in certs
-        ]
-        _write_out("\n".join(lines) + "\n", args.output)
+        n, share = len(instance), lambda i: mms_exact_submodular(instance[i], n, budget=budget)
+    certs = {i: share(i) for i in _select_agents(n, args.agent)}
+    rows = [
+        {"agent": i, "mms": value_to_str(cert.value), "witness": cert.witness.as_lists()}
+        for i, cert in certs.items()
+    ]
+    _emit(args, {"command": "mms-exact", "agents": rows}, _dumps, _mms_exact_text)
     return 0
+
+
+def _mms_exact_text(doc: dict) -> str:
+    return "\n".join(
+        f"agent {r['agent']}: mms {r['mms']}, witness {r['witness']}" for r in doc["agents"]
+    ) + "\n"
 
 
 def _cmd_mms_approx(args) -> int:
@@ -170,43 +159,33 @@ def _cmd_mms_approx(args) -> int:
     else:
         valuations = instance
     n = len(valuations)
-    agents = _select_agents(n, args.agent)
     rows = []
-    for i in agents:
-        result = mms_approx_submodular(
-            valuations[i], n, solver=args.matroid_solver, epsilon=args.epsilon
+    for i in _select_agents(n, args.agent):
+        f = valuations[i]
+        r = mms_approx_submodular(f, n, solver=args.matroid_solver, epsilon=args.epsilon)
+        rows.append(
+            {
+                "agent": i,
+                "accepted_threshold": value_to_str(r.bound),
+                "bundle_floor": value_to_str(r.bound / 9),
+                "certified": r.certified,
+                "min_bundle_value": value_to_str(min(map(f.evaluate, r.allocation.bundles))),
+                "bundles": r.allocation.as_lists(),
+            }
         )
-        worst = min(valuations[i].evaluate(b) for b in result.allocation.bundles)
-        rows.append((i, result, worst))
-    if args.format == "json":
-        doc = {
-            "version": 1,
-            "command": "mms-approx",
-            "solver": args.matroid_solver,
-            "agents": [
-                {
-                    "agent": i,
-                    "accepted_threshold": value_to_str(r.bound),
-                    "bundle_floor": value_to_str(r.bound / 9),
-                    "certified": r.certified,
-                    "min_bundle_value": value_to_str(worst),
-                    "bundles": r.allocation.as_lists(),
-                }
-                for i, r, worst in rows
-            ],
-        }
-        _write_out(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        lines = []
-        for i, r, worst in rows:
-            tag = "certified" if r.certified else "heuristic"
-            lines.append(
-                f"agent {i}: threshold {value_to_str(r.bound)} ({tag}), "
-                f"bundle floor {value_to_str(r.bound / 9)}, "
-                f"min bundle {value_to_str(worst)}, bundles {r.allocation.as_lists()}"
-            )
-        _write_out("\n".join(lines) + "\n", args.output)
+    doc = {"command": "mms-approx", "solver": args.matroid_solver, "agents": rows}
+    _emit(args, doc, _dumps, _mms_approx_text)
     return 0
+
+
+def _mms_approx_text(doc: dict) -> str:
+    return "\n".join(
+        f"agent {r['agent']}: threshold {r['accepted_threshold']} "
+        f"({'certified' if r['certified'] else 'heuristic'}), "
+        f"bundle floor {r['bundle_floor']}, "
+        f"min bundle {r['min_bundle_value']}, bundles {r['bundles']}"
+        for r in doc["agents"]
+    ) + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -215,15 +194,12 @@ def _cmd_verify(args) -> int:
     report = build_report(
         instance, allocation, delta=args.delta, budget=args.oracle_budget
     )
-    _emit_report(report, args)
+    _emit(args, report, report_to_json, report_to_table)
     return 0 if report.ok else 2
 
 
 def _cmd_generate(args) -> int:
-    chores = args.kind == "chores"
-    lo = args.lo if args.lo is not None else (-100 if chores else 0)
-    hi = args.hi if args.hi is not None else (0 if chores else 100)
-    spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, lo=lo, hi=hi, seed=args.seed)
+    spec = GeneratorSpec(args.kind, args.n, args.m, args.lo, args.hi, args.seed)
     _write_out(serialize_instance(generate(spec)), args.output)
     return 0
 
@@ -281,9 +257,9 @@ def _run_sweep(entry: dict, index: int) -> dict:
         raise FairDivisionError(f"{where}.count: expected a positive int")
     n_lo, n_hi = _span(entry.get("n", [2, 4]), f"{where}.n")
     m_lo, m_hi = _span(entry.get("m", [2, 10]), f"{where}.m")
-    chores = bound == KIND_ADDITIVE_CHORES
-    lo = _field(entry, "lo", int, where, -100 if chores else 0)
-    hi = _field(entry, "hi", int, where, 0 if chores else 100)
+    lo, hi = DEFAULT_RANGES[kind]
+    lo = _field(entry, "lo", int, where, lo)
+    hi = _field(entry, "hi", int, where, hi)
     base_seed = _field(entry, "seed", int, where, 0)
     raw_delta = entry.get("delta", value_to_str(DEFAULT_DELTA))
     delta = as_value(_parse_value(raw_delta, f"{where}.delta"))
@@ -314,19 +290,16 @@ def _run_sweep(entry: dict, index: int) -> dict:
         t2 = time.perf_counter()
         solve_seconds += t1 - t0
         audit_seconds += t2 - t1
-        for row in report.agents:
-            if row.satisfied is None and row.mms_source == MU_UNAVAILABLE:
-                skipped += 1
-                continue
-            checked += 1
-            if row.satisfied is False:
-                violations += 1
-            if row.ratio is not None:
-                ratios.append(row.ratio)
+        # an agent is checked when its verdict is proven either way
+        verdicts = [row.satisfied for row in report.agents]
+        checked += len(verdicts) - verdicts.count(None)
+        skipped += verdicts.count(None)
+        violations += verdicts.count(False)
+        ratios += [row.ratio for row in report.agents if row.ratio is not None]
     seconds = time.perf_counter() - started
 
     def stat(fn):
-        return fn(ratios) if ratios else None
+        return value_to_str(fn(ratios)) if ratios else None
 
     return {
         "name": name,
@@ -337,7 +310,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
         "violations": violations,
         "min_ratio": stat(min),
         "max_ratio": stat(max),
-        "mean_ratio": sum(ratios) / len(ratios) if ratios else None,
+        "mean_ratio": stat(lambda rs: sum(rs) / len(rs)),
         "seconds": seconds,
         "solve_seconds": solve_seconds,
         "audit_seconds": audit_seconds,
@@ -348,39 +321,31 @@ def _cmd_sweep(args) -> int:
     doc = _loads(_read(args.config))
     if not isinstance(doc.get("sweeps"), list):
         raise FairDivisionError("config must be an object with a 'sweeps' list")
-    summaries = [_run_sweep(entry, k) for k, entry in enumerate(doc["sweeps"])]
+    rows = [_run_sweep(entry, k) for k, entry in enumerate(doc["sweeps"])]
+    _emit(args, {"sweeps": rows}, _dumps, _sweep_table)
+    return 2 if any(row["violations"] for row in rows) else 0
 
-    if args.format == "json":
-        out = []
-        for s in summaries:
-            row = dict(s)
-            for key in ("min_ratio", "max_ratio", "mean_ratio"):
-                row[key] = None if s[key] is None else value_to_str(s[key])
-            out.append(row)
-        _write_out(json.dumps({"version": 1, "sweeps": out}, indent=2) + "\n", args.output)
-    else:
-        cols = [
-            "name", "count", "checked", "violations", "min", "mean", "max",
-            "seconds", "solve", "audit",
+
+def _sweep_table(doc: dict) -> str:
+    cols = [
+        "name", "count", "checked", "violations", "min", "mean", "max",
+        "seconds", "solve", "audit",
+    ]
+    body = [
+        [
+            row["name"],
+            str(row["count"]),
+            str(row["agents_checked"]),
+            str(row["violations"]),
+            *(
+                "-" if row[key] is None else f"{float(Fraction(row[key])):.6f}"
+                for key in ("min_ratio", "mean_ratio", "max_ratio")
+            ),
+            *(f"{row[key]:.2f}" for key in ("seconds", "solve_seconds", "audit_seconds")),
         ]
-        body = []
-        for s in summaries:
-            body.append(
-                [
-                    s["name"],
-                    str(s["count"]),
-                    str(s["agents_checked"]),
-                    str(s["violations"]),
-                    "-" if s["min_ratio"] is None else f"{float(s['min_ratio']):.6f}",
-                    "-" if s["mean_ratio"] is None else f"{float(s['mean_ratio']):.6f}",
-                    "-" if s["max_ratio"] is None else f"{float(s['max_ratio']):.6f}",
-                    f"{s['seconds']:.2f}",
-                    f"{s['solve_seconds']:.2f}",
-                    f"{s['audit_seconds']:.2f}",
-                ]
-            )
-        _write_out("\n".join(_table_lines(cols, body)) + "\n", args.output)
-    return 2 if any(s["violations"] for s in summaries) else 0
+        for row in doc["sweeps"]
+    ]
+    return "\n".join(_table_lines(cols, body)) + "\n"
 
 
 def _add_io_flags(p: argparse.ArgumentParser, needs_input: bool = True) -> None:

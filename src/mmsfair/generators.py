@@ -26,20 +26,27 @@ ADDITIVE_KINDS = ("uniform-additive", "ordered-additive", "chores")
 SUBMODULAR_KINDS = ("coverage", "budget-additive", "explicit")
 
 
+# The integer value range (lo, hi) each kind draws from when none is given
+DEFAULT_RANGES = dict.fromkeys(ADDITIVE_KINDS + SUBMODULAR_KINDS, (0, 100)) | {"chores": (-100, 0)}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate: family, shape, integer value range, seed."""
+    """What to generate: family, shape, int value range (None: the kind's default), seed."""
 
     kind: str
     n: int
     m: int
-    lo: int = 0
-    hi: int = 100
+    lo: int | None = None
+    hi: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ADDITIVE_KINDS + SUBMODULAR_KINDS:
             raise InvalidInstanceError(f"unknown generator kind {self.kind!r}")
+        lo, hi = DEFAULT_RANGES[self.kind]
+        object.__setattr__(self, "lo", lo if self.lo is None else self.lo)
+        object.__setattr__(self, "hi", hi if self.hi is None else self.hi)
         if self.n < 1 or self.m < 0:
             raise InvalidInstanceError("need n >= 1 and m >= 0")
         if self.lo > self.hi:

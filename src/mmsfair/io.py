@@ -83,6 +83,12 @@ def _loads(text: str) -> dict:
     return doc
 
 
+def _dumps(doc: dict) -> str:
+    """doc as a JSON document of this format: the version, then doc's fields
+    in order, indented two spaces, with one trailing newline."""
+    return json.dumps({"version": FORMAT_VERSION, **doc}, indent=2) + "\n"
+
+
 def _field(doc: dict, name: str, typ: type, where: str = "document", default=None):
     if name not in doc:
         if default is not None:
@@ -221,7 +227,6 @@ def serialize_instance(
     """Serialize an instance to JSON text; inverse of parse_instance."""
     if isinstance(instance, AdditiveInstance):
         doc = {
-            "version": FORMAT_VERSION,
             "kind": kind_of(instance),
             "n": instance.n,
             "m": instance.m,
@@ -231,13 +236,12 @@ def serialize_instance(
         agents = list(instance)
         n, m = shared_ground(agents)
         doc = {
-            "version": FORMAT_VERSION,
             "kind": KIND_SUBMODULAR,
             "n": n,
             "m": m,
             "agents": [_serialize_agent_valuation(f) for f in agents],
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc)
 
 
 def parse_allocation(text: str) -> Allocation:
@@ -248,12 +252,7 @@ def parse_allocation(text: str) -> Allocation:
 
 
 def serialize_allocation(allocation: Allocation) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "m": allocation.m,
-        "bundles": allocation.as_lists(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps({"m": allocation.m, "bundles": allocation.as_lists()})
 
 
 @dataclass(frozen=True)
@@ -391,9 +390,9 @@ def build_report(
     )
 
 
-def report_to_json(report: SolutionReport) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
+def _report_doc(report: SolutionReport) -> dict:
+    """The report's fields with every value written once, for both forms."""
+    return {
         "kind": report.kind,
         "guarantee": report.guarantee,
         "ok": report.ok,
@@ -410,30 +409,32 @@ def report_to_json(report: SolutionReport) -> str:
             for a in report.agents
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def report_to_json(report: SolutionReport) -> str:
+    return _dumps(_report_doc(report))
 
 
 def report_to_table(report: SolutionReport) -> str:
+    doc = _report_doc(report)
     head = [
-        f"kind: {report.kind}",
-        f"guarantee: {report.guarantee}",
-        f"overall: {'ok' if report.ok else 'VIOLATED'}",
+        f"kind: {doc['kind']}",
+        f"guarantee: {doc['guarantee']}",
+        f"overall: {'ok' if doc['ok'] else 'VIOLATED'}",
     ]
     cols = ["agent", "bundle", "value", "mms", "source", "ratio", "holds"]
-    body = []
-    for a in report.agents:
-        bundle = ",".join(str(g) for g in sorted(report.allocation.bundles[a.agent]))
-        body.append(
-            [
-                str(a.agent),
-                "{" + bundle + "}",
-                value_to_str(a.value),
-                "-" if a.mms is None else value_to_str(a.mms),
-                a.mms_source,
-                "-" if a.ratio is None else value_to_str(a.ratio),
-                {True: "yes", False: "NO", None: "?"}[a.satisfied],
-            ]
-        )
+    body = [
+        [
+            str(a["agent"]),
+            "{" + ",".join(map(str, doc["bundles"][a["agent"]])) + "}",
+            a["value"],
+            a["mms"] or "-",
+            a["mms_source"],
+            a["ratio"] or "-",
+            {True: "yes", False: "NO", None: "?"}[a["satisfied"]],
+        ]
+        for a in doc["agents"]
+    ]
     return "\n".join(head + [""] + _table_lines(cols, body)) + "\n"
 
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -27,18 +28,28 @@ Value = Fraction
 
 ValueLike = Union[int, str, Fraction]
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # 'p' or 'p/q', q > 0
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")  # a decimal string's exponent
 
 
 def as_ratio(x: ValueLike) -> tuple[int, int]:
     """x in lowest terms, as (numerator, denominator > 0), with no Fraction
-    built for an int or an _INT_RATIO string."""
+    built for an int or an _INT_RATIO string. A string whose numerator or
+    denominator passes Python's int-to-string digit limit is refused; an
+    exponent past the limit plus the string's length is, before Fraction
+    expands it, since no mantissa brings that back under (not even zero)."""
     if isinstance(x, str):
         try:  # int() refuses past its digit limit exactly where Fraction does
             if match := _INT_RATIO.fullmatch(x):
                 p, q = int(match[1]), int(match[2] or 1)
                 r = lcm(p, q) // abs(p) if p else 1  # q over gcd(p, q)
                 return p * r // q, r
-            x = Fraction(x)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if limit and (exp := _EXPONENT.search(x)) and abs(int(exp[1])) > limit + len(x):
+                raise ValueError("exponent too large")
+            f = Fraction(x)
+            if limit and max(abs(f.numerator), f.denominator) >= 10**limit:
+                raise ValueError("too many digits")
+            return f.numerator, f.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstanceError(f"cannot parse value {x!r}") from exc
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):  # no float: 0.1 != 1/10
@@ -54,8 +65,13 @@ def as_value(x: ValueLike) -> Value:
 
 
 def value_to_str(v: Value) -> str:
-    """Serialize a Value so that as_value(value_to_str(v)) == v."""
-    return str(v)
+    """Serialize a Value so that as_value(value_to_str(v)) == v; one past
+    Python's int-to-string digit limit raises InvalidInstanceError."""
+    try:
+        return str(v)
+    except ValueError as exc:
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        raise InvalidInstanceError(f"cannot write a {bits}-bit value: too many digits") from exc
 
 
 def scale_to_ints(values: Sequence[ValueLike]) -> tuple[int, tuple[int, ...]]:

@@ -12,7 +12,10 @@ alg_sub removes the need to know maximin shares: it starts every threshold at
 the agent's value for the whole ground set and repeatedly divides the
 thresholds of unsatisfied agents by (1 + delta), rerunning round_robin, until
 everyone clears a tenth of their own threshold. Thresholds then sit above
-mu_i/(1+delta), so every agent gets at least mu_i / (10 (1+delta)).
+mu_i/(1+delta), so every agent gets at least mu_i / (10 (1+delta)). Each
+threshold is an int on a fixed grid of its valuation's scale times 2^32 and
+each division rounds up on that grid, so thresholds stay as short as the
+valuation's own data however many rounds the descent takes.
 
 Both work on bitmasks and compare the valuations' scaled ints; alg_sub
 builds one Allocation, from its final masks.
@@ -50,10 +53,11 @@ def round_robin(
     free = list(range(m))  # ascending
     masks = [0] * n
     active = []
-    for i in range(n):
-        value = valuations[i].value_int
+    for i, (f, tau) in enumerate(zip(valuations, taus)):
+        value = f.value_int
         best = max(free, key=lambda g: (value(1 << g), -g), default=-1)
-        if best >= 0 and _clears_tenth(valuations[i], value(1 << best), taus[i]):
+        # 10 f(best) >= tau, on ints: 10 * scale * f(best) * tau.den >= tau.num * scale
+        if best >= 0 and 10 * value(1 << best) * tau.denominator >= tau.numerator * f.scale:
             masks[i] = 1 << best
             free.remove(best)
         else:
@@ -70,12 +74,6 @@ def round_robin(
             masks[i] |= 1 << best
             free.remove(best)
     return masks
-
-
-def _clears_tenth(f: SubmodularValuation, value: int, tau: Value) -> bool:
-    """10 f(S) >= tau for value = f.value_int(S) = scale * f(S), compared as
-    10 * value * tau.den >= tau.num * scale."""
-    return 10 * value * tau.denominator >= tau.numerator * f.scale
 
 
 @dataclass(frozen=True)
@@ -99,46 +97,58 @@ def alg_sub(
     guarantee). For the rest, thresholds decay geometrically until every
     agent clears a tenth of its own.
 
+    Agent i's threshold is an int t on the grid g_i = scale_i * 2^s, where
+    s is the larger of 32 and the bit length of ceil(1 + 1/delta):
+    tau_i = t / g_i. It starts at f_i(all) g_i, and with delta = p/q a decay
+    sets t to min(t - 1, ceil(t q / (q + p))), never below
+    mu_i g_i / (1 + delta). The ceiling is at least t / (1 + delta). The
+    first decay is the ceiling, as t >= 2^s > (q + p)/p (f_i(all) scale_i is
+    a positive int). Later only failing agents decay, and round robin fails
+    no agent whose threshold is at most mu_i, so t > mu_i g_i, an int
+    (mu_i scale_i is some bundle's value_int), and t - 1 >= mu_i g_i.
+
     An agent whose threshold is at most ten times its smallest positive
     singleton value never fails: fewer than n goods go before its turn in
     phase one, so a good worth that much is still free and retires it, and
     a monotone f keeps the bundle at least as valuable as that good. That
-    is checked after every round, and since each failure shrinks a
-    threshold by 1 + delta, it also ends the loop. A table that breaks it
-    is not monotone: InvalidInstanceError names the agent and a good worth
-    more alone than the agent's whole bundle.
+    is checked after every round, and since each failure lowers t by at
+    least one, it also ends the loop. A table that breaks it is not
+    monotone: InvalidInstanceError names the agent and a good worth more
+    alone than the agent's whole bundle.
     """
     n, m = shared_ground(valuations)
     delta = as_value(delta)
     if delta <= 0:
         raise InvalidInstanceError("delta must be positive")
+    p, q = delta.numerator, delta.denominator
+    shift = max(32, (-(-(q + p) // p)).bit_length())
 
     kept = [i for i in range(n) if detect_positive_mms(valuations[i], n)]
-    taus = [Fraction(0)] * n
-    masks = [0] * n if kept else round_robin(valuations, taus)
+    ts = [0] * n
+    masks = [0] * n if kept else round_robin(valuations, ts)
     iterations = 0
     for i in kept:
-        taus[i] = valuations[i].total()
+        ts[i] = valuations[i].value_int((1 << m) - 1) << shift
     singles = [1 << g for g in range(m)]
     floors = {i: min(v for v in map(valuations[i].value_int, singles) if v > 0) for i in kept}
     sub_vals = [valuations[i] for i in kept]
+    grids = [f.scale << shift for f in valuations]
     unsat = kept
     while unsat:
         iterations += 1
         for i in unsat:
-            taus[i] /= 1 + delta
-        for i, mask in zip(kept, round_robin(sub_vals, [taus[i] for i in kept])):
+            ts[i] = min(ts[i] - 1, -(-ts[i] * q // (q + p)))
+        taus = [Fraction(ts[i], grids[i]) for i in kept]
+        for i, mask in zip(kept, round_robin(sub_vals, taus)):
             masks[i] = mask
-        unsat = [
-            i for i in kept
-            if not _clears_tenth(valuations[i], valuations[i].value_int(masks[i]), taus[i])
-        ]
+        # 10 f(S) >= tau  <=>  (10 * value_int(S)) << shift >= t
+        unsat = [i for i in kept if 10 * valuations[i].value_int(masks[i]) << shift < ts[i]]
         for i in unsat:
-            if _clears_tenth(valuations[i], floors[i], taus[i]):
+            if 10 * floors[i] << shift >= ts[i]:
                 _not_monotone(i, valuations[i], masks[i])
 
     state = ThresholdState(
-        thresholds=tuple(taus),
+        thresholds=tuple(Fraction(t, g) for t, g in zip(ts, grids)),
         iterations=iterations,
         excluded=frozenset(range(n)) - frozenset(kept),
     )

@@ -256,6 +256,33 @@ class TestMmsCommands:
         assert run("mms-approx", "--input", str(inst)) == 1
 
 
+class TestValuesTooLong:
+    """Python writes no int of more than 4,300 digits: a value that could
+    not be written back is refused when read, and one that a bundle sum
+    makes too long is refused when written, each as one error line."""
+
+    def test_bundle_value_too_long_to_write(self, tmp_path, capsys):
+        # each value has 4,300 digits and parses; their sum has 4,301
+        big = 10**4300 - 1
+        inst = tmp_path / "inst.json"
+        write(inst, '{"version": 1, "kind": "additive-goods", "n": 1, "m": 2, '
+                    f'"values": [[{big}, {big}]]}}')
+        capsys.readouterr()
+        assert run("solve-additive", "--input", str(inst)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write a 14286-bit value: too many digits\n"
+
+    @pytest.mark.parametrize("value", ["1e-5000", "1e5000", "1e-4300", "1e10000000"])
+    def test_exponent_past_the_limit(self, tmp_path, capsys, value):
+        inst = tmp_path / "inst.json"
+        write(inst, json.dumps({"version": 1, "kind": "additive-goods", "n": 2, "m": 2,
+                                "values": [[value, "1"], ["1", "1"]]}))
+        capsys.readouterr()
+        assert run("mms-exact", "--input", str(inst)) == 1
+        assert capsys.readouterr().err == f"error: values[0][0]: cannot parse value '{value}'\n"
+
+
 class TestFixturesCommand:
     def test_gap_fixture_round_trips(self, tmp_path):
         inst = tmp_path / "inst.json"
@@ -472,6 +499,20 @@ class TestSweep:
         capsys.readouterr()
         assert run("sweep", "--config", str(config)) == 0
         assert capsys.readouterr().out.split()[7:10] == ["seconds", "solve", "audit"]
+
+    def test_unproven_agents_are_skipped(self, tmp_path):
+        # every agent is past the oracle's budget and bounded only from
+        # below, so none is checked, whatever the source of its share
+        config = tmp_path / "sweep.json"
+        out = tmp_path / "summary.json"
+        write(config, json.dumps({"sweeps": [
+            {"bound": "submodular", "kind": "coverage", "count": 1, "n": 6, "m": 40, "seed": 3}
+        ]}))
+        assert run("sweep", "--config", str(config), "--output", str(out),
+                   "--format", "json") == 0
+        (row,) = json.loads(out.read_text())["sweeps"]
+        assert (row["agents_checked"], row["agents_skipped"]) == (0, 6)
+        assert row["min_ratio"] is row["mean_ratio"] is row["max_ratio"] is None
 
     def test_sweep_table_output(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"

@@ -44,6 +44,22 @@ class TestValue:
         for v in (Fraction(0), Fraction(-7, 3), Fraction(10, 4), Fraction(123)):
             assert as_value(value_to_str(v)) == v
 
+    def test_exponent_strings_within_the_limit_are_read(self):
+        # the refusal rests on the numerator and denominator, not on the
+        # exponent's size alone: these expand to at most 4,300 digits
+        assert as_value("1e4299") == 10**4299
+        assert as_value("1e-4299") == Fraction(1, 10**4299)
+        assert as_value(f"0.{'0' * 4200}1e4200") == Fraction(1, 10)
+
+    def test_no_digit_limit_without_get_int_max_str_digits(self, monkeypatch):
+        # Python before 3.10.7 has no int-to-string limit, and nothing to refuse
+        monkeypatch.delattr("sys.get_int_max_str_digits")
+        assert as_value("1e-5000") == Fraction(1, 10**5000)
+
+    def test_value_too_long_to_write(self):
+        with pytest.raises(InvalidInstanceError, match="cannot write a 14285-bit value"):
+            value_to_str(Fraction(1, 10**4300))
+
     def test_arithmetic_is_exact(self):
         a = Fraction(1, 3)
         b = Fraction(1, 7)

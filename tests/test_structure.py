@@ -8,7 +8,9 @@ Fraction coercion first. No other module may scale rows itself.
 
 Code that only the tests call (lemma checks, reference implementations,
 analysis tools) lives under tests/, not in the package. Every command-line
-option is read by the command that accepts it.
+option is read by the command that accepts it, and cli.py has one output
+path: one function reads --format, and every document's version comes from
+the io module's writer.
 """
 
 import argparse
@@ -204,3 +206,28 @@ def test_every_cli_option_is_read():
             if not isinstance(action, argparse._HelpAction) and action.dest not in fields
         ]
     assert not unread
+
+
+def test_one_output_path_in_cli():
+    """Exactly one cli.py function reads args.format, and cli.py spells no
+    "version" key: each command hands its result to that one writer, and
+    every document gets its version from io."""
+    from mmsfair import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = [
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "format"
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+            for node in ast.walk(function)
+        )
+    ]
+    assert len(readers) == 1, readers
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "version"
+    ]

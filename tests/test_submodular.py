@@ -18,6 +18,7 @@ from multilinear import (
 
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
+from mmsfair.model import as_value, value_to_str
 from mmsfair.oracles import mms_exact_submodular
 from mmsfair.submodular.allocate import ThresholdState, alg_sub, round_robin
 from mmsfair.submodular.valuations import (
@@ -337,6 +338,18 @@ class TestAlgSub:
         assert mu == 3
         for i in range(2):
             assert f.evaluate(alloc.bundles[i]) * 10 * 2 >= mu
+
+    def test_thresholds_stay_short(self):
+        # at the default delta the descent takes 18,808 rounds; exact
+        # division would grow a threshold's denominator by 21^k, past
+        # what value_to_str can write
+        f = BudgetAdditive([10**400, 1, 1, 1], 10**401)
+        alloc, state = alg_sub([f, f])
+        assert state.iterations == 18808
+        assert alloc.bundles == (frozenset({0}), frozenset({1, 2, 3}))
+        for tau in state.thresholds:
+            assert max(tau.numerator.bit_length(), tau.denominator.bit_length()) < 2000
+            assert as_value(value_to_str(tau)) == tau
 
     def test_delta_must_be_positive(self):
         f = BudgetAdditive((1,), 1)

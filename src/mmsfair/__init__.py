@@ -13,9 +13,10 @@ bundle the agent could secure by partitioning everything itself):
   * a 1/9-scale certified lower bound on the maximin share of a single
     submodular valuation, via matroid-constrained threshold search.
 
-All arithmetic is exact (fractions.Fraction). Exact brute-force oracles
-compute true maximin shares at desk scale so every guarantee can be audited,
-and seeded generators plus a CLI make the audits reproducible.
+All arithmetic is exact: fractions.Fraction, and in the hot loops ints, each
+agent's values times the lcm of their denominators. Exact brute-force
+oracles compute true maximin shares at desk scale so every guarantee can be
+audited, and seeded generators plus a CLI make the audits reproducible.
 
 The package namespace holds the solvers, the exact and certified share
 oracles, the types they take or return, and the errors they raise. Every

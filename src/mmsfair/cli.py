@@ -34,10 +34,10 @@ from .io import (
     KIND_ADDITIVE_CHORES,
     KIND_ADDITIVE_GOODS,
     KIND_SUBMODULAR,
+    _construct,
     _dumps,
     _field,
     _loads,
-    _parse_value,
     _table_lines,
     build_report,
     kind_of,
@@ -262,7 +262,7 @@ def _run_sweep(entry: dict, index: int) -> dict:
     hi = _field(entry, "hi", int, where, hi)
     base_seed = _field(entry, "seed", int, where, 0)
     raw_delta = entry.get("delta", value_to_str(DEFAULT_DELTA))
-    delta = as_value(_parse_value(raw_delta, f"{where}.delta"))
+    delta = _construct(lambda: as_value(raw_delta), f"{where}.delta")
     if delta <= 0:
         raise FairDivisionError(f"{where}.delta: expected a positive value, got {delta}")
     budget = _field(entry, "oracle-budget", int, where, DEFAULT_ORACLE_BUDGET)

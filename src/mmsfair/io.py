@@ -2,10 +2,10 @@
 
 Files are JSON. Every rational travels as a string ("p/q" or "p"; bare
 integers, and every other spelling Fraction reads, are accepted on input),
-so parse(serialize(x)) reproduces x exactly. Additive rows, and the
-weights, caps and tables of submodular agents, go to their constructors as
-read, and a bad entry is named by its field; ints and "p/q" strings build
-no Fraction.
+so parse(serialize(x)) reproduces x exactly. Once its shape is checked, an
+additive row, or a submodular agent's table, weights and cap, goes to its
+constructor as read: each entry is read once, ints and "p/q" strings build
+no Fraction, and only a refused construction is scanned to name its cause.
 Explicit submodular tables are stored in subset-mask order: entry k is the
 value of the bundle whose members are the set bits of k, bit 0 being good 0;
 a table where some good adds more to a bundle than max(0, its own value) is
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import (
@@ -34,7 +34,6 @@ from .model import (
     AdditiveInstance,
     Allocation,
     Value,
-    ValueLike,
     as_ratio,
     value_to_str,
 )
@@ -106,24 +105,28 @@ def _check_version(doc: dict) -> None:
         _fail("version", f"unsupported version {version}, expected {FORMAT_VERSION}")
 
 
-def _parse_value(raw: object, field: str) -> ValueLike:
-    """raw as read, once it is a JSON int or a string that reads as a rational."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        _fail(field, f"values must be integers or 'p/q' strings, got {type(raw).__name__}")
-    try:
-        as_ratio(raw)
-    except InvalidInstanceError as exc:
-        _fail(field, str(exc))
-    return raw
-
-
-def _parse_value_list(raw: object, count: int | None, field: str) -> list[ValueLike]:
-    """raw's entries as read; count, unless None, is the length raw must have."""
+def _value_list(raw: object, count: int | None, field: str) -> tuple[list, Iterable]:
+    """raw, once it is a list (of count entries, unless count is None), and
+    its entries, each with its field, for _construct to scan."""
     if not isinstance(raw, list):
         _fail(field, "expected a list")
     if count is not None and len(raw) != count:
         _fail(field, f"expected {count} entries, got {len(raw)}")
-    return [_parse_value(v, f"{field}[{k}]") for k, v in enumerate(raw)]
+    return raw, ((f"{field}[{k}]", v) for k, v in enumerate(raw))
+
+
+def _construct(make: Callable, field: str | None = None, entries: Iterable = ()):
+    """make(), whose refusal names its cause: the first of entries, (field,
+    raw) pairs scanned only then, that as_ratio refuses, by its own field;
+    else the refusal itself, under field (as raised when field is None)."""
+    try:
+        return make()
+    except InvalidInstanceError as exc:
+        for where, raw in entries:
+            _construct(lambda: as_ratio(raw), where)
+        if field is None:
+            raise
+        _fail(field, str(exc))
 
 
 def _index_lists(raw: list, field: str, what: str) -> list:
@@ -143,21 +146,20 @@ def _parse_agent_valuation(doc: object, m: int, field: str) -> SubmodularValuati
     if family == "explicit":
         if m >= sys.maxsize.bit_length():  # no list has 2^m entries; 2^m is not built
             _fail(f"{field}.table", f"expected 2^{m} entries for m={m}")
-        table = _parse_value_list(doc.get("table"), 1 << m, f"{field}.table")
-        try:
-            return ExplicitTable(m, table)
-        except InvalidInstanceError as exc:
-            _fail(f"{field}.table", str(exc))
+        table, entries = _value_list(doc.get("table"), 1 << m, f"{field}.table")
+        return _construct(lambda: ExplicitTable(m, table), f"{field}.table", entries)
     if family == "coverage":
-        weights = _parse_value_list(doc.get("weights"), None, f"{field}.weights")
+        weights, entries = _value_list(doc.get("weights"), None, f"{field}.weights")
         covers = doc.get("covers")
         if not isinstance(covers, list) or len(covers) != m:
             _fail(f"{field}.covers", f"expected a list of {m} cover sets")
-        return WeightedCoverage(m, weights, _index_lists(covers, f"{field}.covers", "element"))
+        _index_lists(covers, f"{field}.covers", "element")
+        return _construct(lambda: WeightedCoverage(m, weights, covers), field, entries)
     if family == "budget-additive":
-        weights = _parse_value_list(doc.get("weights"), m, f"{field}.weights")
-        cap = _parse_value(doc.get("cap"), f"{field}.cap")
-        return BudgetAdditive(weights, cap)
+        weights, entries = _value_list(doc.get("weights"), m, f"{field}.weights")
+        cap = doc.get("cap")
+        entries = chain(entries, [(f"{field}.cap", cap)])
+        return _construct(lambda: BudgetAdditive(weights, cap), field, entries)
     _fail(f"{field}.family", f"unknown family {family!r}")
 
 
@@ -179,11 +181,8 @@ def parse_instance(text: str) -> AdditiveInstance | list[SubmodularValuation]:
         if len(raw) != n:
             _fail("values", f"expected {n} rows, got {len(raw)}")
         model_kind = GOODS if kind == KIND_ADDITIVE_GOODS else CHORES
-        if all(isinstance(row, list) and len(row) == m for row in raw):
-            with suppress(InvalidInstanceError):  # the full parse below names the field
-                return AdditiveInstance(raw, kind=model_kind)
-        rows = [_parse_value_list(row, m, f"values[{i}]") for i, row in enumerate(raw)]
-        return AdditiveInstance(rows, kind=model_kind)
+        rows, entries = zip(*[_value_list(row, m, f"values[{i}]") for i, row in enumerate(raw)])
+        return _construct(lambda: AdditiveInstance(rows, kind=model_kind), None, chain(*entries))
     if kind == KIND_SUBMODULAR:
         raw = _field(doc, "agents", list)
         if len(raw) != n:
@@ -248,7 +247,8 @@ def parse_allocation(text: str) -> Allocation:
     doc = _loads(text)
     _check_version(doc)
     m = _field(doc, "m", int)
-    return Allocation(_index_lists(_field(doc, "bundles", list), "bundles", "good"), m)
+    bundles = _index_lists(_field(doc, "bundles", list), "bundles", "good")
+    return _construct(lambda: Allocation(bundles, m), "bundles")
 
 
 def serialize_allocation(allocation: Allocation) -> str:

@@ -33,7 +33,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")  # a decimal string's exponen
 
 def as_ratio(x: ValueLike) -> tuple[int, int]:
     """x in lowest terms, as (numerator, denominator > 0), with no Fraction
-    built for an int or an _INT_RATIO string. A string whose numerator or
+    built for an int or an _INT_RATIO string. It is the one type check of a
+    value: anything but an int, a string or a Fraction (a float, a bool,
+    None) is refused, by type name. A string whose numerator or
     denominator passes Python's int-to-string digit limit is refused; an
     exponent past the limit plus the string's length is, before Fraction
     expands it, since no mantissa brings that back under (not even zero)."""
@@ -54,9 +56,7 @@ def as_ratio(x: ValueLike) -> tuple[int, int]:
             raise InvalidInstanceError(f"cannot parse value {x!r}") from exc
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):  # no float: 0.1 != 1/10
         return x.numerator, x.denominator
-    raise InvalidInstanceError(
-        f"values must be int, 'p/q' string or Fraction, not {type(x).__name__}"
-    )
+    raise InvalidInstanceError(f"values must be integers or 'p/q' strings, got {type(x).__name__}")
 
 
 def as_value(x: ValueLike) -> Value:

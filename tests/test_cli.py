@@ -141,6 +141,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: allocation leaves goods unassigned\n"
 
+    def test_refused_allocation_names_its_field(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        write(inst, json.dumps({
+            "version": 1, "kind": "additive-goods", "n": 2, "m": 2, "values": [[1, 2], [2, 1]],
+        }))
+        write(alloc, json.dumps({"version": 1, "m": 2, "bundles": [[0, 1], [0]]}))
+        assert run("verify", "--input", str(inst), "--allocation", str(alloc)) == 1
+        assert capsys.readouterr().err == "error: bundles: good 0 assigned twice\n"
+
     @pytest.mark.parametrize("delta", ["0", "-1"])
     def test_submodular_rejects_non_positive_delta(self, tmp_path, capsys, delta):
         inst = tmp_path / "inst.json"
@@ -550,6 +560,18 @@ class TestSweep:
             "error: sweeps[0].bound: expected one of ['additive-chores', 'additive-goods', "
             f"'submodular'], got {bound!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [("abc", "cannot parse value 'abc'"),
+         (0.5, "values must be integers or 'p/q' strings, got float")],
+    )
+    def test_sweep_delta_names_its_field(self, tmp_path, capsys, delta, message):
+        config = tmp_path / "sweep.json"
+        write(config, json.dumps({"sweeps": [{"bound": "submodular", "delta": delta}]}))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: sweeps[0].delta: {message}\n"
 
     def test_sweep_submodular_needs_a_positive_weight(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"

@@ -1,16 +1,21 @@
-"""No instance file makes a command end in a traceback.
+"""No instance, allocation or sweep file makes a command end in a traceback.
 
-A hypothesis property writes the JSON of a small generated instance of any
-of the six generator kinds with a few mutations: keys or list entries
-deleted, values swapped for a float, null, a bool, a list, a 4,300-digit
-int, "1e5000" or "1e-5000", and one key written twice. It runs every
-solve-* command, mms-exact and mms-approx on the file through cli.main,
-with a small oracle budget where the command takes one. Each run must
-return 0, 1 or 2 and raise nothing: whatever is wrong with the file is one
-error line.
+Hypothesis properties write the JSON of a valid file with a few mutations:
+keys or list entries deleted, values swapped for others, and one key
+written twice. Instance files are small generated instances of any of the
+six generator kinds, with a float, null, a bool, a list, a 4,300-digit int,
+"1e5000" or "1e-5000" swapped in; every solve-* command, mms-exact and
+mms-approx runs on them. Allocation files are what a solver writes for such
+an instance, with the same swaps or a small int; verify audits them. Sweep
+configs swap in only null, a bool, a float, a string, a list, an int up to
+9 or "1/2", so that every sweep stays small; sweep runs them. Every run
+goes through cli.main, with a small oracle budget where the command takes
+one, and must return 0, 1 or 2 and raise nothing: whatever is wrong with a
+file is one error line.
 """
 
 import contextlib
+import copy
 import io
 import json
 
@@ -18,13 +23,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmsfair.chores import solve_chores
 from mmsfair.cli import main
+from mmsfair.envy_graph import solve_additive
 from mmsfair.generators import ADDITIVE_KINDS, SUBMODULAR_KINDS, GeneratorSpec, generate
-from mmsfair.io import serialize_instance
+from mmsfair.io import kind_of, serialize_allocation, serialize_instance
+from mmsfair.submodular.allocate import alg_sub
 
 # Python writes ints of up to 4,300 digits: this one reads, and sums of it do not write
 HUGE = 10**4300 - 1
-SWAPS = (HUGE, "1e5000", "1e-5000", 1.5, None, True, [], [1, 2])
+SWAPS = st.sampled_from((HUGE, "1e5000", "1e-5000", 1.5, None, True, [], [1, 2]))
+CONFIG_SWAPS = st.sampled_from((None, True, 1.5, "x", [0, 9], "1/2")) | st.integers(0, 9)
+
+SPECS = st.builds(
+    GeneratorSpec,
+    kind=st.sampled_from(ADDITIVE_KINDS + SUBMODULAR_KINDS),
+    n=st.integers(1, 3),
+    m=st.integers(0, 5),
+    seed=st.integers(0, 3),
+)
+SOLVERS = {
+    "additive-goods": solve_additive,
+    "additive-chores": solve_chores,
+    "submodular": lambda agents: alg_sub(agents)[0],
+}
+SWEEP = {"sweeps": [
+    {"bound": "additive-goods", "count": 2, "n": [1, 2], "m": [2, 4], "oracle-budget": 500},
+    {"bound": "submodular", "kind": "coverage", "count": 1, "n": 2, "m": 3, "delta": "1/2",
+     "oracle-budget": 500},
+]}
 
 GOODS = {"version": 1, "kind": "additive-goods", "m": 2}
 
@@ -62,16 +89,8 @@ def _text(node, twice) -> str:
     return json.dumps(node)
 
 
-@st.composite
-def mutated_instances(draw) -> str:
-    spec = GeneratorSpec(
-        kind=draw(st.sampled_from(ADDITIVE_KINDS + SUBMODULAR_KINDS)),
-        n=draw(st.integers(1, 3)),
-        m=draw(st.integers(0, 5)),
-        seed=draw(st.integers(0, 3)),
-    )
-    doc = json.loads(serialize_instance(generate(spec)))
-    swaps = st.sampled_from(SWAPS)
+def _mutated(draw, doc, swaps) -> str:
+    """doc as JSON after one or two mutations, each value swapped in drawn from swaps."""
     twice = None
     # mostly one mutation, mostly a swap, mostly of a list's scalar entry (a
     # value or an index), so that runs get past the parse as well
@@ -90,13 +109,37 @@ def mutated_instances(draw) -> str:
             if op == "delete":
                 del container[key]
             else:
-                container[key] = draw(swaps)
+                container[key] = copy.deepcopy(draw(swaps))  # never a shared list
     return _text(doc, twice)
 
 
+@st.composite
+def mutated_instances(draw) -> str:
+    return _mutated(draw, json.loads(serialize_instance(generate(draw(SPECS)))), SWAPS)
+
+
+@st.composite
+def mutated_allocations(draw) -> tuple[str, str]:
+    """An instance, and its solver's allocation file mutated."""
+    instance = generate(draw(SPECS))
+    doc = json.loads(serialize_allocation(SOLVERS[kind_of(instance)](instance)))
+    swaps = SWAPS | st.integers(-1, 6)
+    return serialize_instance(instance), _mutated(draw, doc, swaps)
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    return _mutated(draw, copy.deepcopy(SWEEP), CONFIG_SWAPS)
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
 @pytest.fixture(scope="module")
-def instance_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 # two goods of 4,300 digits each, for one agent and for two: every bundle
@@ -105,10 +148,29 @@ def instance_path(tmp_path_factory):
 @example(text=_text({**GOODS, "n": 2, "values": [[HUGE, HUGE], [1, 1]]}, None), table=True)
 @settings(max_examples=100)
 @given(text=mutated_instances(), table=st.booleans())
-def test_no_traceback_on_a_mutated_instance(instance_path, text, table):
+def test_no_traceback_on_a_mutated_instance(fuzz_dir, text, table):
+    instance_path = fuzz_dir / "instance.json"
     instance_path.write_text(text, encoding="utf-8")
     fmt = ["--format", "table" if table else "json"]
     for command in COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([*command, "--input", str(instance_path), *fmt])
-        assert code in (0, 1, 2), command
+        assert _run([*command, "--input", str(instance_path), *fmt]) in (0, 1, 2), command
+
+
+@settings(max_examples=100)
+@given(files=mutated_allocations(), table=st.booleans())
+def test_no_traceback_on_a_mutated_allocation(fuzz_dir, files, table):
+    instance_path, allocation_path = fuzz_dir / "instance.json", fuzz_dir / "allocation.json"
+    instance_path.write_text(files[0], encoding="utf-8")
+    allocation_path.write_text(files[1], encoding="utf-8")
+    argv = ["verify", "--oracle-budget", "500", "--input", str(instance_path),
+            "--allocation", str(allocation_path), "--format", "table" if table else "json"]
+    assert _run(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60)
+@given(text=mutated_configs(), table=st.booleans())
+def test_no_traceback_on_a_mutated_sweep_config(fuzz_dir, text, table):
+    config_path = fuzz_dir / "sweep.json"
+    config_path.write_text(text, encoding="utf-8")
+    argv = ["sweep", "--config", str(config_path), "--format", "table" if table else "json"]
+    assert _run(argv) in (0, 1, 2)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from mmsfair import oracles
+import mmsfair.io
+from mmsfair import model, oracles
 from mmsfair.chores import solve_chores
 from mmsfair.envy_graph import solve_additive
 from mmsfair.errors import InvalidInstanceError
@@ -241,6 +242,56 @@ def test_rejected_valuation_entry_names_its_field(family, key, index, bad, messa
     assert str(info.value) == f"{field}: {message}"
 
 
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        ({"family": "coverage", "weights": [1, 1, 1], "covers": [[0], [9]]},
+         "agents[2]: element 9 out of range [0,3)"),
+        ({"family": "coverage", "weights": [1, "-1/2"], "covers": [[0], [1]]},
+         "agents[2]: element weights must be non-negative"),
+        ({"family": "budget-additive", "weights": [1, -2], "cap": 3},
+         "agents[2]: weights must be non-negative"),
+        ({"family": "budget-additive", "weights": [1, 2], "cap": "-3"},
+         "agents[2]: cap must be non-negative"),
+    ],
+    ids=["coverage-element", "coverage-weight", "budget-weight", "budget-cap"],
+)
+def test_refused_valuation_names_its_agent(agent, message):
+    # every entry reads as a value, so the refusal itself is named, by agent
+    with pytest.raises(InvalidInstanceError) as info:
+        parse_instance(submodular_text(2, GOOD_AGENTS["coverage"], GOOD_AGENTS["explicit"], agent))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind", ["uniform-additive", "chores", "explicit", "coverage", "budget-additive"]
+)
+def test_each_entry_is_read_once(monkeypatch, kind):
+    # serialized files spell every value as a string: a clean parse reads
+    # each one once, in its constructor, and scans none of them again
+    text = serialize_instance(generate(GeneratorSpec(kind=kind, n=3, m=5, seed=2)))
+    doc = json.loads(text)
+    entries = []
+    for owner in doc.get("agents", [doc]):
+        entries += [v for row in owner.get("values", []) for v in row]
+        entries += owner.get("table", []) + owner.get("weights", [])
+        entries += [owner["cap"]] if "cap" in owner else []
+    calls = []
+    real = model.as_ratio
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(model, "as_ratio", counting)
+    monkeypatch.setattr(mmsfair.io, "as_ratio", counting)
+    parsed = parse_instance(text)
+    monkeypatch.undo()
+    assert entries and all(isinstance(x, str) for x in entries)
+    assert calls == entries
+    assert serialize_instance(parsed) == text
+
+
 @pytest.mark.parametrize("m", [3, 62, 63, 100_000, 2**70])
 def test_explicit_table_size_checked_without_building_two_to_the_m(m):
     with pytest.raises(InvalidInstanceError, match=r"^agents\[0\]\.table: expected "):
@@ -371,6 +422,16 @@ class TestAllocationRoundTrip:
         text = json.dumps({"version": 1, "m": 2, "bundles": [[0, 1], [1]]})
         with pytest.raises(InvalidInstanceError):
             parse_allocation(text)
+
+    @pytest.mark.parametrize(
+        "bundles, message",
+        [([[0, 1], [1]], "good 1 assigned twice"), ([[0], [5]], "good index 5 out of range [0,2)")],
+    )
+    def test_refused_allocation_names_its_field(self, bundles, message):
+        text = json.dumps({"version": 1, "m": 2, "bundles": bundles})
+        with pytest.raises(InvalidInstanceError) as info:
+            parse_allocation(text)
+        assert str(info.value) == f"bundles: {message}"
 
 
 class TestBuildReport:

@@ -7,7 +7,9 @@ search raises its incumbent at each leaf that beats it and ends at the
 first that reaches a given stop. It skips a bundle whose key an earlier
 bundle shares and prunes a node whose bundles' total deficit below one
 above the incumbent exceeds the positive value the unplaced goods can still
-add (a bin-completion style bound from number partitioning). A value pass,
+add (a bin-completion style bound from number partitioning). It tests each
+child before entering it, with the deficit carried down and recomputed
+only when the incumbent rises, and judges each leaf in place. A value pass,
 goods by descending singleton magnitude from a greedy warm start, finds the
 optimum and stops once it meets an upper bound (the total over n for
 additive rows, the positive singleton sum over n for submodular ones). A
@@ -79,15 +81,19 @@ def _branch_and_bound(
     earlier bundle already has, since equal keys have the same futures.
 
     Each leaf whose minimum beats best raises best, and the first to reach
-    stop ends the search. A node is pruned when its bundles' total deficit,
-    the sum of max(0, best + 1 - value), exceeds the caps of the unplaced
-    items: each bundle gains at most the caps of the items it receives, so
-    no leaf below it beats best. Given best = mu - 1 and stop = mu for the
-    optimum mu, the hit is the first optimal leaf in search order: no node
-    above it is pruned, since it reaches best + 1 = mu, and no earlier leaf
-    reaches mu. With items in index order, that is the lexicographically
-    least optimal assignment (a skipped bundle only hides a later, mirrored
-    subtree).
+    stop ends the search. A node is pruned, before it is entered, when its
+    bundles' total deficit, the sum of max(0, best + 1 - value), exceeds the
+    caps of the unplaced items: each bundle gains at most the caps of the
+    items it receives, so no leaf below it beats best. Given best = mu - 1
+    and stop = mu for the optimum mu, the hit is the first optimal leaf in
+    search order: no node above it is pruned, since it reaches best + 1 =
+    mu, and no earlier leaf reaches mu. With items in index order, that is
+    the lexicographically least optimal assignment (a skipped bundle only
+    hides a later, mirrored subtree).
+
+    The deficit is carried down, from parent to child through the one bundle
+    that grew, and recomputed from every bundle only when best has risen. A
+    leaf that passes has deficit 0 and so beats best; it is judged in place.
 
     Returns best and the assignment of the leaf that ended the search
     (assign[t] is item t's bundle), or None when none did.
@@ -100,34 +106,48 @@ def _branch_and_bound(
     vals = keys if value is None else [value(0)] * n
     assign = [0] * m
 
-    def dfs(t: int) -> bool:
+    def deficit_of(target) -> int:
+        return sum([target - v for v in vals if v < target])
+
+    def dfs(t: int, target, deficit) -> bool:
         nonlocal best
-        if t == m:
-            lo = min(vals)
-            if lo > best:
-                best = lo
-                return lo >= stop
-            return False
-        target = best + 1
-        if sum([target - v for v in vals if v < target]) > headroom[t]:
-            return False
-        item = items[t]
+        item, room, leaf = items[t], headroom[t + 1], t + 1 == m
         for k in range(n):
             key = keys[k]
             if keys.index(key) < k:
                 continue
+            if best >= target:  # a leaf reached since target was read beat best
+                target = best + 1
+                deficit = deficit_of(target)
             old = vals[k]
             keys[k] = new = add(key, item)
             if value is not None:
-                vals[k] = value(new)
-            assign[t] = k
-            if dfs(t + 1):
-                return True
+                vals[k] = new = value(new)
+            child = deficit
+            if old < target:
+                child -= target - old
+            if new < target:
+                child += target - new
+            if child <= room:
+                assign[t] = k
+                if leaf:  # deficit 0: every bundle beats best
+                    best = min(vals)
+                    if best >= stop:
+                        return True
+                elif dfs(t + 1, target, child):
+                    return True
             keys[k] = key
             vals[k] = old
         return False
 
-    hit = dfs(0)
+    deficit = deficit_of(best + 1)
+    if deficit > headroom[0]:
+        hit = False
+    elif m == 0:  # the root is a leaf, and it beats best
+        best = min(vals)
+        hit = best >= stop
+    else:
+        hit = dfs(0, best + 1, deficit)
     return best, assign if hit else None
 
 

@@ -7,7 +7,9 @@ graph from Fraction values after every rotation, the allocator loop calls it
 after every item, and the lift rescans every remaining item for each pick.
 They are slow (O(n^2 m) value sums per run, O(m^2) per lift) but easy to
 check by eye. The fourth is the maximin share by brute force over all n^m
-assignments, for the exact oracles.
+assignments, for the exact oracles, and the fifth their branch and bound
+in its first form: one recursive call per node, which tests its own node on
+entry and recomputes the deficit from every bundle.
 
 The rest are the submodular loops as they ran before the valuations were
 scaled to ints: the lazy greedy slot solver, round robin, the greedy
@@ -143,6 +145,54 @@ def reference_max_min(n, m, bundle_value):
         if best is None or low > best:
             best, witness = low, list(assign)
     return Fraction(best, denom), witness
+
+
+def reference_branch_and_bound(n, items, caps, add, value, best, stop):
+    """oracles._branch_and_bound as one call per node: same arguments, same
+    search order, prunes and stop, same (best, assign) result.
+
+    Each call enters a node, then tests it: a leaf raises best when its
+    minimum beats it, and an inner node is pruned when its bundles' total
+    deficit below best + 1, recomputed from every bundle, exceeds the caps
+    of the unplaced items.
+    """
+    m = len(items)
+    headroom = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        headroom[t] = headroom[t + 1] + caps[t]
+    keys = [0] * n
+    vals = keys if value is None else [value(0)] * n
+    assign = [0] * m
+
+    def dfs(t):
+        nonlocal best
+        if t == m:
+            lo = min(vals)
+            if lo > best:
+                best = lo
+                return lo >= stop
+            return False
+        target = best + 1
+        if sum([target - v for v in vals if v < target]) > headroom[t]:
+            return False
+        item = items[t]
+        for k in range(n):
+            key = keys[k]
+            if keys.index(key) < k:
+                continue
+            old = vals[k]
+            keys[k] = new = add(key, item)
+            if value is not None:
+                vals[k] = value(new)
+            assign[t] = k
+            if dfs(t + 1):
+                return True
+            keys[k] = key
+            vals[k] = old
+        return False
+
+    hit = dfs(0)
+    return best, assign if hit else None
 
 
 def reference_value(f, mask):

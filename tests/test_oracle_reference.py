@@ -7,14 +7,17 @@ assignments gives, and a goods row must give the same value and witness
 through both oracles, as an additive row and as a budget-additive valuation
 whose cap never binds. The engine itself must also never try two bundles
 with the same key at one node, in the value pass and in the witness pass,
-the same search run in index order from one below the optimum.
+the same search run in index order from one below the optimum, and from
+any start pair it must end where the reference engine, one call per node,
+ends: with the same best and on the same leaf.
 """
 
+import operator
 from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import reference_max_min
+from reference import reference_branch_and_bound, reference_max_min
 
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import _branch_and_bound, mms_exact_additive, mms_exact_submodular
@@ -148,3 +151,42 @@ def test_engine_passes_against_brute_force(n, numerators, sign):
     _, assign = _branch_and_bound(n, range(m), caps, add, None, int(value) - 1, int(value))
     assert assign == witness
     assert distinct_keys_per_node(records)
+
+
+@st.composite
+def engine_calls(draw):
+    """The arguments of one engine call: an additive row's ints or a
+    submodular valuation's masks, as items in a drawn order, and a start pair
+    (best, stop) at, around or far from the optimum: a best far above it
+    leaves the root pruned outright, and a stop above a low best has the
+    incumbent rise several times, as in the value pass."""
+    if draw(st.booleans()):
+        instance, agent, n = draw(additive_cases())
+        row = instance.ints[agent]
+        items, caps, add, value = row, [max(0, x) for x in row], operator.add, None
+        floor = sum(x for x in row if x < 0) - 1  # below every bundle's load
+    else:
+        f, n = draw(submodular_cases())
+        items = [1 << g for g in range(f.m)]
+        caps = [max(0, f.value_int(mask)) for mask in items]
+        add, value, floor = operator.or_, f.value_int, -1
+    order = draw(st.permutations(range(len(items))))
+    items, caps = [items[g] for g in order], [caps[g] for g in order]
+    top = sum(caps) + 1  # n (top + 1) exceeds every headroom: a pruned root
+    opt, _ = reference_branch_and_bound(n, items, caps, add, value, floor, top)
+    near = st.integers(-3, 2).map(opt.__add__)
+    best = draw(st.one_of(near, st.integers(floor, top)))
+    stop = draw(st.one_of(near, st.integers(best, top), st.integers(floor, top)))
+    return n, items, caps, add, value, best, stop
+
+
+# the same search, not just the same optimum: from any start pair the
+# engine must end where the one-call-per-node reference ends, on the same
+# leaf, whether that leaf was the optimum, an early stop or none at all
+@given(engine_calls())
+@example((2, [3, 3, 2, 2, 2], [3, 3, 2, 2, 2], operator.add, None, 4, 6))  # the value pass
+@example((2, [0, 0, 1, 1, 2], [0, 0, 1, 1, 2], operator.add, None, 0, 3))  # best rises twice
+@example((3, [], [], operator.add, None, -1, 0))  # m = 0: the root is the leaf
+@example((2, [3, 1], [3, 1], operator.add, None, 2, 3))  # the root is pruned
+def test_engine_matches_the_per_node_reference(call):
+    assert _branch_and_bound(*call) == reference_branch_and_bound(*call)

@@ -26,7 +26,8 @@ def descending_thresholds():
 
 def identical_agents():
     # When all agents share one valuation the question is purely about the
-    # threshold: binary-search the largest tau the slot construction accepts.
+    # threshold: search the largest tau the slot construction accepts, from
+    # the one the seeds accept, doubling and then halving.
     f = generate(GeneratorSpec("budget-additive", 1, 8, lo=1, hi=9, seed=9))[0]
     n = 2
     result = mms_approx_submodular(f, n, solver="exhaustive", epsilon=Fraction(1, 100))

@@ -22,16 +22,17 @@ guard, mms_greedy_submodular returns the greedy start's poorest bundle
 alone, a lower bound on a submodular share that the audit reports.
 
 For a single monotone submodular valuation shared by n agents,
-mms_approx_submodular binary-searches a threshold tau and certifies bundles
-worth at least tau/9 each: goods whose singleton value reaches tau/9 seed
-their own bundles, and the rest are packed into 2r slots (r bundles still
-needed) by maximizing the capped objective sum_k min(4 tau / 9, f(S_k)) over
-a partition matroid. A threshold is rejected when the solver's output stays
-below (8/9) * c * r * tau, where c is the solver's approximation factor; a
-tau below the true maximin share is never rejected. The exhaustive solver
-(c = 1) yields a certified bound of at least mu * (1 - epsilon) / 9; the lazy
-greedy solver (c = 1/2) is faster but its output is flagged heuristic because
-c falls below 1 - 1/e, the factor the per-bundle certificate needs.
+mms_approx_submodular searches a threshold tau from the one the seeds accept,
+doubling then halving (at most ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes),
+and certifies bundles worth at least tau/9 each: goods whose singleton value
+reaches tau/9 seed their own bundles, and the rest are packed into 2r slots (r
+bundles still needed) by maximizing the capped objective sum_k min(4 tau / 9,
+f(S_k)) over a partition matroid. A threshold is rejected when the solver's
+output stays below (8/9) * c * r * tau, where c is the solver's approximation
+factor; a tau below the true maximin share is never rejected. The exhaustive
+solver (c = 1) yields a certified bound of at least mu * (1 - epsilon) / 9; the
+lazy greedy solver (c = 1/2) is faster but its output is flagged heuristic
+because c falls below 1 - 1/e, the factor the per-bundle certificate needs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import BudgetExceededError, InvalidInstanceError
 from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.valuations import (
     SubmodularValuation,
-    detect_positive_mms,
     goods_of,
     mask_of,
     subset_table,
@@ -464,13 +464,17 @@ def mms_approx_submodular(
     solver: str = "exhaustive",
     epsilon: Value = Fraction(1, 100),
 ) -> MmsApproxResult:
-    """Certified maximin-share lower bound by binary search on the threshold.
+    """Certified maximin-share lower bound by a bracket search on the threshold.
 
     Returns the largest accepted tau (searched to multiplicative width
     epsilon) and an n-bundle allocation whose bundles are each worth at least
     tau/9. With the exhaustive solver the bound is certified and lands at
     mu (1 - epsilon) / 9 or better per bundle; with the greedy solver the
-    returned partition is a heuristic and certified is False.
+    returned partition is a heuristic and certified is False. The search starts
+    at 9 s_n (s_n the n-th largest singleton; 0, as is mu, when fewer than n goods
+    have value) capped at f(all), which the seeds accept; it probes f(all), doubles,
+    then halves. An accept past 9 s_n needs 4 tau / 9 <= (m - n + 1) s_n, so it
+    makes at most ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes.
     """
     epsilon = as_value(epsilon)
     if epsilon <= 0:
@@ -481,21 +485,16 @@ def mms_approx_submodular(
     certified = factor >= ONE_MINUS_INV_E_UPPER
 
     total = f.total()
-    lo = Fraction(0)
+    singles = sorted((f.value_int(1 << g) for g in range(f.m)), reverse=True)
+    s_n = singles[n - 1] if 0 < n <= f.m else 0
+    lo = max(Fraction(0), min(total, Fraction(9 * s_n, f.scale)))
     lo_alloc = threshold_probe(f, n, lo, solver)
-    assert lo_alloc is not None
-    # a bundle is worth at most its positive singletons, so with fewer than n
-    # of them every slot objective falls short and every tau > 0 is rejected
-    if not (total > 0 and detect_positive_mms(f, n)):
-        return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=certified)
-    top = threshold_probe(f, n, total, solver)
+    hi = total if lo > 0 else lo  # lo is 0 only when mu is 0
+    top = threshold_probe(f, n, hi, solver) if hi > lo else None
     if top is not None:
-        return MmsApproxResult(allocation=top, bound=total, certified=certified)
-    hi = total
-    # the seeds accept every tau up to 9 times the n-th largest singleton,
-    # so lo turns positive and the width test ends the search
-    while hi > lo * (1 + epsilon):
-        mid = (lo + hi) / 2
+        lo, lo_alloc = hi, top
+    while hi > lo * (1 + epsilon):  # double lo until a rejection, then halve
+        mid = min(2 * lo, (lo + hi) / 2)
         alloc = threshold_probe(f, n, mid, solver)
         if alloc is None:
             hi = mid

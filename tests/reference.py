@@ -13,7 +13,7 @@ entry and recomputes the deficit from every bundle.
 
 The rest are the submodular loops as they ran before the valuations were
 scaled to ints: the lazy greedy slot solver, round robin, the greedy
-threshold probe and its binary search, all comparing Fractions. They value
+threshold probe and its bracket search, all comparing Fractions. They value
 bundles through reference_value, which reads each family's public data, so
 they share no arithmetic with value_int.
 """
@@ -301,22 +301,36 @@ def reference_threshold_probe(f, n, tau):
 
 
 def reference_mms_approx_greedy(f, n, epsilon=Fraction(1, 100)):
-    """The binary search of mms_approx_submodular over reference probes:
-    the accepted threshold and its allocation."""
+    """The bracket search of mms_approx_submodular over reference probes:
+    the accepted threshold and its allocation.
+
+    It starts where the seeds accept, at 9 times the n-th largest singleton
+    (capped at the total; 0 when fewer than n goods have value, and then
+    nothing above 0 is tried), probes the total, doubles while the gap is
+    more than a factor 3, then bisects to width epsilon."""
     total = reference_value(f, (1 << f.m) - 1)
-    lo, lo_alloc = Fraction(0), reference_threshold_probe(f, n, Fraction(0))
-    if total > 0:
-        top = reference_threshold_probe(f, n, total)
-        if top is not None:
-            return total, top
-        hi = total
-        for _ in range(64):
-            if hi <= lo * (1 + epsilon):
-                break
-            mid = (lo + hi) / 2
-            alloc = reference_threshold_probe(f, n, mid)
-            if alloc is None:
-                hi = mid
-            else:
-                lo, lo_alloc = mid, alloc
+    singles = sorted((reference_value(f, 1 << g) for g in range(f.m)), reverse=True)
+    lo = Fraction(0)
+    if n <= f.m and singles[n - 1] > 0 and total > 0:
+        lo = min(total, 9 * singles[n - 1])
+    lo_alloc = reference_threshold_probe(f, n, lo)
+    if lo == 0 or lo == total:
+        return lo, lo_alloc
+    hi = total
+    top = reference_threshold_probe(f, n, hi)
+    if top is not None:
+        return hi, top
+    while 3 * lo < hi and hi > lo * (1 + epsilon):  # doubling
+        alloc = reference_threshold_probe(f, n, 2 * lo)
+        if alloc is None:
+            hi = 2 * lo
+        else:
+            lo, lo_alloc = 2 * lo, alloc
+    while hi > lo * (1 + epsilon):  # bisection
+        mid = (lo + hi) / 2
+        alloc = reference_threshold_probe(f, n, mid)
+        if alloc is None:
+            hi = mid
+        else:
+            lo, lo_alloc = mid, alloc
     return lo, lo_alloc

@@ -259,6 +259,30 @@ class TestMmsCommands:
         assert run(*argv, "--input", str(inst)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("solver", ["exhaustive", "greedy"])
+    def test_approx_with_one_huge_good(self, tmp_path, solver):
+        # the search starts at the seeds' threshold, 9 times the third
+        # largest value, so no threshold carries the 4,300 digits of the total
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "approx.json"
+        write(inst, json.dumps({"version": 1, "kind": "additive-goods", "n": 3, "m": 5,
+                                "values": [[str(10**4299 + 7), 17, 55, 100, 3]] * 3}))
+        assert run("mms-approx", "--input", str(inst), "--agent", "0", "--matroid-solver",
+                   solver, "--output", str(out), "--format", "json") == 0
+        [row] = json.loads(out.read_text())["agents"]
+        assert row["accepted_threshold"] == "495"
+
+    def test_approx_zero_share_is_written_exactly(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "approx.json"
+        agent = {"family": "budget-additive", "weights": [0, 0, 5], "cap": 5}
+        write(inst, json.dumps({"version": 1, "kind": "submodular", "n": 2, "m": 3,
+                                "agents": [agent, agent]}))
+        assert run("mms-approx", "--input", str(inst), "--output", str(out),
+                   "--format", "json") == 0
+        for row in json.loads(out.read_text())["agents"]:
+            assert (row["accepted_threshold"], row["bundle_floor"]) == ("0", "0")
+
     def test_approx_rejects_chores(self, tmp_path):
         inst = tmp_path / "inst.json"
         run("generate", "--kind", "chores", "--n", "2", "--m", "4",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from lemmas import check_certificate, is_independent, split_bundle
 
 from mmsfair import oracles
@@ -447,8 +449,42 @@ class TestMmsApproxSubmodular:
     def test_zero_share_takes_one_probe(self, probes):
         result = mms_approx_submodular(BudgetAdditive([0, 0, 5], 5), 2)
         assert result.bound == 0
+        assert type(result.bound) is Fraction  # so bound / 9 stays exact
         assert result.allocation.is_complete()
         assert probes == [(0, True)]
+
+    @pytest.mark.parametrize("solver", sorted(MATROID_SOLVERS))
+    def test_one_huge_good_takes_few_probes(self, probes, solver):
+        # a bisection from 0 halves f(all)'s 4,300 digits: 14,281 probes
+        row = [10**4299 + 7, 17, 55, 100, 3]
+        result = mms_approx_submodular(BudgetAdditive(row, sum(row)), 3, solver=solver)
+        assert result.bound == 9 * 55
+        assert len(probes) <= 12
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_probe_bound_and_share(self, probes, data):
+        probes.clear()
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 8))
+        # weights spread over up to 30 decades
+        spread = st.builds(lambda d, e: d * 10**e, st.integers(0, 9), st.integers(0, 30))
+        if data.draw(st.booleans()):
+            weights = data.draw(st.lists(spread, min_size=m, max_size=m))
+            cap = sum(weights) * Fraction(data.draw(st.integers(1, 10)), 10)
+            f = BudgetAdditive(weights, cap)
+        else:
+            u = m + data.draw(st.integers(0, 3))
+            weights = data.draw(st.lists(spread, min_size=u, max_size=u))
+            cover = st.lists(st.integers(0, u - 1), min_size=1, max_size=3, unique=True)
+            f = WeightedCoverage(m, weights, data.draw(st.lists(cover, min_size=m, max_size=m)))
+        solver = data.draw(st.sampled_from(sorted(MATROID_SOLVERS)))
+        epsilon = data.draw(st.fractions(Fraction(1, 10**6), Fraction(1, 2)))
+        result = mms_approx_submodular(f, n, solver=solver, epsilon=epsilon)
+        # ceil(log2 m) + ceil(log2(1/epsilon)) + 3
+        inverse = -(-epsilon.denominator // epsilon.numerator)
+        assert len(probes) <= (m - 1).bit_length() + (inverse - 1).bit_length() + 3
+        assert result.bound * (1 + epsilon) >= mms_exact_submodular(f, n).value
 
     def test_validation(self):
         f = BudgetAdditive((1,), 1)

@@ -4,7 +4,7 @@ Drawn coverage, budget-additive, explicit and marginal valuations carry
 per-valuation denominators 1-6 (and budget caps their own), so scale > 1
 and every int comparison is cross-multiplied; narrow weight ranges give
 ties. Values, the lazy greedy slot solver, round robin, the greedy
-threshold probe and its binary search must return exactly what the
+threshold probe and its bracket search must return exactly what the
 references in tests/reference.py return.
 """
 
@@ -176,12 +176,14 @@ def test_threshold_probe_matches_reference(data):
 
 
 @st.composite
-def flat_valuations(draw):
+def flat_valuations(draw, lead=st.just(1)):
     """Eight to ten goods of comparable value, so that the slots rather than
-    single goods decide the threshold probe."""
+    single goods decide the threshold probe; good 0's weight is multiplied
+    by a draw from lead."""
     m = draw(st.integers(8, 10))
     q = draw(st.integers(1, 6))
     weights = [Fraction(draw(st.integers(3, 4)), q) for _ in range(m)]
+    weights[0] *= draw(lead)
     if draw(st.booleans()):
         return BudgetAdditive(weights, sum(weights) * Fraction(draw(st.integers(8, 10)), 10))
     covers = [[g] + draw(st.lists(st.integers(0, m - 1), max_size=1)) for g in range(m)]
@@ -200,9 +202,14 @@ def test_threshold_probe_packs_slots_like_reference(f, n, k):
 
 @given(data=st.data())
 def test_mms_approx_greedy_matches_reference(data):
-    n = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(0, 7))
-    f = data.draw(valuations(m))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 4))
+        f = data.draw(valuations(data.draw(st.integers(0, 7))))
+    else:
+        # one good worth far more than the rest: the slots reject f(all),
+        # so the search doubles and bisects
+        n = data.draw(st.integers(2, 4))
+        f = data.draw(flat_valuations(st.integers(10, 1000)))
     result = mms_approx_submodular(f, n, solver="greedy")
     bound, allocation = reference_mms_approx_greedy(f, n)
     assert (result.bound, result.allocation) == (bound, allocation)

@@ -30,7 +30,7 @@ def identical_agents():
     # the one the seeds accept, doubling and then halving.
     f = generate(GeneratorSpec("budget-additive", 1, 8, lo=1, hi=9, seed=9))[0]
     n = 2
-    result = mms_approx_submodular(f, n, solver="exhaustive", epsilon=Fraction(1, 100))
+    result = mms_approx_submodular(f, n, epsilon=Fraction(1, 100))
     mu = mms_exact_submodular(f, n).value
     worst = min(f.evaluate(b) for b in result.allocation.bundles)
     print(f"\nidentical agents: accepted threshold {result.bound}, exact share {mu}")

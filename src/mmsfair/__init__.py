@@ -10,8 +10,8 @@ bundle the agent could secure by partitioning everything itself):
     machinery pointed at envy-graph sinks;
   * monotone submodular goods: 1/(10(1+delta)) of each share, via a
     threshold round robin that calibrates itself by decaying thresholds;
-  * a 1/9-scale certified lower bound on the maximin share of a single
-    submodular valuation, via matroid-constrained threshold search.
+  * a 1/9-scale lower bound on the maximin share of a single submodular
+    valuation by threshold search, certified by the partition it returns.
 
 All arithmetic is exact: fractions.Fraction, and in the hot loops ints, each
 agent's values times the lcm of their denominators. Exact brute-force

@@ -51,7 +51,6 @@ from .io import (
 from .model import AdditiveInstance, as_value, value_to_str
 from .oracles import (
     DEFAULT_ORACLE_BUDGET,
-    MATROID_SOLVERS,
     mms_approx_submodular,
     mms_exact_additive,
     mms_exact_submodular,
@@ -162,7 +161,7 @@ def _cmd_mms_approx(args) -> int:
     rows = []
     for i in _select_agents(n, args.agent):
         f = valuations[i]
-        r = mms_approx_submodular(f, n, solver=args.matroid_solver, epsilon=args.epsilon)
+        r = mms_approx_submodular(f, n, epsilon=args.epsilon)
         rows.append(
             {
                 "agent": i,
@@ -173,7 +172,7 @@ def _cmd_mms_approx(args) -> int:
                 "bundles": r.allocation.as_lists(),
             }
         )
-    doc = {"command": "mms-approx", "solver": args.matroid_solver, "agents": rows}
+    doc = {"command": "mms-approx", "agents": rows}
     _emit(args, doc, _dumps, _mms_approx_text)
     return 0
 
@@ -398,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mms-approx", help="certified 1/9-scale maximin bounds")
     _add_io_flags(p)
     p.add_argument("--agent", type=int, default=None)
-    p.add_argument(
-        "--matroid-solver", choices=sorted(MATROID_SOLVERS), default="exhaustive"
-    )
     p.add_argument("--epsilon", type=_rational, default=Fraction(1, 100), metavar="P/Q")
     p.set_defaults(handler=_cmd_mms_approx)
 

@@ -24,15 +24,16 @@ alone, a lower bound on a submodular share that the audit reports.
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular searches a threshold tau from the one the seeds accept,
 doubling then halving (at most ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes),
-and certifies bundles worth at least tau/9 each: goods whose singleton value
+and builds n bundles meant to be worth tau/9 each: goods whose singleton value
 reaches tau/9 seed their own bundles, and the rest are packed into 2r slots (r
-bundles still needed) by maximizing the capped objective sum_k min(4 tau / 9,
-f(S_k)) over a partition matroid. A threshold is rejected when the solver's
-output stays below (8/9) * c * r * tau, where c is the solver's approximation
-factor; a tau below the true maximin share is never rejected. The exhaustive
-solver (c = 1) yields a certified bound of at least mu * (1 - epsilon) / 9; the
-lazy greedy solver (c = 1/2) is faster but its output is flagged heuristic
-because c falls below 1 - 1/e, the factor the per-bundle certificate needs.
+bundles still needed) by the lazy greedy, a 1/2-approximation for maximizing
+the capped objective sum_k min(4 tau / 9, f(S_k)) over a partition matroid
+(Fisher, Nemhauser and Wolsey, 1978). A threshold is rejected when the greedy
+output stays below (4/9) r tau, half the optimum any tau up to the true maximin
+share mu admits, so such a tau is never rejected and the bound comes within a
+factor 1 + epsilon of mu. The factor 1/2 alone does not give each bundle tau/9,
+so the returned partition is evaluated: where its poorest bundle reaches
+bound/9, that bundle proves mu >= bound/9 and the result is certified.
 """
 
 from __future__ import annotations
@@ -46,15 +47,9 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
 from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
-from .submodular.valuations import (
-    SubmodularValuation,
-    goods_of,
-    mask_of,
-    subset_table,
-)
+from .submodular.valuations import SubmodularValuation, goods_of, mask_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
-EXHAUSTIVE_SLOT_BUDGET = 1 << 24  # largest 3^q * slots exhaustive_matroid_max runs
 
 
 def _check_budget(n: int, m: int, budget: int) -> None:
@@ -273,7 +268,7 @@ class SlotObjective:
 
     Monotone and submodular on the (good, slot) ground set whenever f is;
     the cap makes piling value into one slot pointless beyond cap. The
-    solvers compare capped_int values, exact ints.
+    greedy compares capped_int values, exact ints.
     """
 
     __slots__ = ("valuation", "cap", "slots", "_top")
@@ -340,90 +335,29 @@ def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> list[i
     return slot_masks
 
 
-def exhaustive_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> list[int]:
-    """Exact maximizer of the capped slot objective over greedy_matroid_max's
-    matroid, as one bundle mask per slot.
-
-    Slots are interchangeable under SlotObjective, so this runs an exact
-    unlabeled-partition dynamic program over subsets of the goods (on the
-    objective's capped ints, one per subset from subset_table), then labels
-    the parts with slots. Cost is about 3^q for q goods; past
-    EXHAUSTIVE_SLOT_BUDGET it refuses.
-    """
-    q = len(goods)
-    slots = objective.slots
-    size = 3**q * slots
-    if size > EXHAUSTIVE_SLOT_BUDGET:
-        raise BudgetExceededError("partition maximization", size, EXHAUSTIVE_SLOT_BUDGET)
-    masks = subset_table([1 << g for g in goods], operator.or_)
-    capped_int = list(map(objective.capped_int, masks))
-
-    full = (1 << q) - 1
-    neg = -1
-    best_prev = [0] + [neg] * full  # zero slots: only the empty set is feasible
-    choice: list[list[int]] = []
-    for _ in range(slots):
-        best_cur = [0] * (full + 1)
-        pick = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            low = mask & -mask
-            best = neg
-            best_sub = 0
-            sub = mask
-            while sub:
-                if sub & low:
-                    rest = best_prev[mask ^ sub]
-                    if rest >= 0:
-                        cand = capped_int[sub] + rest
-                        if cand > best:
-                            best = cand
-                            best_sub = sub
-                sub = (sub - 1) & mask
-            best_cur[mask] = best
-            pick[mask] = best_sub
-        best_prev = best_cur
-        choice.append(pick)
-
-    out = [0] * slots
-    mask = full
-    for slot in range(slots):
-        sub = choice[slots - 1 - slot][mask]
-        out[slot] = masks[sub]
-        mask ^= sub
-    return out
-
-
-# 6322/10000 is a hair above 1 - 1/e, the factor the per-bundle certificate
-# needs, so a solver factor at least this large certifies it exactly.
-ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
-
-MATROID_SOLVERS: dict[str, tuple[Callable[[SlotObjective, Sequence[int]], list[int]], Value]] = {
-    "exhaustive": (exhaustive_matroid_max, Fraction(1)),
-    "greedy": (greedy_matroid_max, Fraction(1, 2)),
-}
-
-
 @dataclass(frozen=True)
 class MmsApproxResult:
     """Outcome of the threshold search for one valuation shared by n agents."""
 
     allocation: Allocation
-    bound: Value  # largest accepted threshold tau*; bundles certify tau*/9
-    certified: bool  # False when the solver factor cannot back the certificate
+    bound: Value  # largest accepted threshold tau*
+    certified: bool  # 9 * the allocation's poorest bundle >= bound, evaluated
 
 
-def threshold_probe(
-    f: SubmodularValuation, n: int, tau: Value, solver: str = "exhaustive"
-) -> Allocation | None:
+def threshold_probe(f: SubmodularValuation, n: int, tau: Value) -> Allocation | None:
     """Try to build n bundles each worth at least tau/9; None means tau rejected.
 
-    Never rejects a tau at or below the true maximin share, for either
-    solver. Accepted thresholds yield: singleton bundles for goods worth at
-    least tau/9, the largest r-1 solver slots as bundles, and everything else
-    merged into the last bundle.
+    Goods worth at least tau/9 seed bundles of their own; with r bundles
+    still needed, greedy_matroid_max packs the rest into 2r slots under the
+    cap 4 tau / 9. A tau at or below the true maximin share leaves r bundles
+    of an optimal partition that no seed touches, each splitting into two
+    slots worth 4 tau / 9, so the optimum is 8 r tau / 9 and the greedy
+    reaches half of it: tau is rejected only when the slots stay below
+    4 r tau / 9. Accepted thresholds yield: singleton bundles for the seeds,
+    the largest r-1 slots as bundles, and everything else merged into the
+    last bundle. The factor 1/2 does not promise each bundle tau/9, so
+    mms_approx_submodular evaluates the partition it returns.
     """
-    if solver not in MATROID_SOLVERS:
-        raise InvalidInstanceError(f"unknown matroid solver {solver!r}")
     if n < 1:
         raise InvalidInstanceError("need at least one agent")
     tau = as_value(tau)
@@ -435,7 +369,6 @@ def threshold_probe(
         bundles[0] = list(range(m))
         return Allocation(bundles, m)
 
-    solve, factor = MATROID_SOLVERS[solver]
     # 9 f(g) >= tau, on ints: 9 * scale * f(g) * tau.den >= tau.num * scale
     lhs, rhs = 9 * tau.denominator, tau.numerator * f.scale
     high = [g for g in range(m) if lhs * f.value_int(1 << g) >= rhs]
@@ -448,8 +381,8 @@ def threshold_probe(
 
     r = n - len(high)
     objective = SlotObjective(f, cap=Fraction(4, 9) * tau, slots=2 * r)
-    slot_masks = solve(objective, goods_of(left))
-    if 9 * objective.evaluate(slot_masks) < 8 * factor * r * tau:
+    slot_masks = greedy_matroid_max(objective, goods_of(left))
+    if 9 * objective.evaluate(slot_masks) < 4 * r * tau:
         return None
 
     kept = sorted(slot_masks, key=f.value_int, reverse=True)[: r - 1]  # stable: ties by slot
@@ -459,49 +392,40 @@ def threshold_probe(
 
 
 def mms_approx_submodular(
-    f: SubmodularValuation,
-    n: int,
-    solver: str = "exhaustive",
-    epsilon: Value = Fraction(1, 100),
+    f: SubmodularValuation, n: int, epsilon: Value = Fraction(1, 100)
 ) -> MmsApproxResult:
-    """Certified maximin-share lower bound by a bracket search on the threshold.
+    """Maximin-share lower bound by a bracket search on the threshold.
 
     Returns the largest accepted tau (searched to multiplicative width
-    epsilon) and an n-bundle allocation whose bundles are each worth at least
-    tau/9. With the exhaustive solver the bound is certified and lands at
-    mu (1 - epsilon) / 9 or better per bundle; with the greedy solver the
-    returned partition is a heuristic and certified is False. The search starts
-    at 9 s_n (s_n the n-th largest singleton; 0, as is mu, when fewer than n goods
-    have value) capped at f(all), which the seeds accept; it probes f(all), doubles,
-    then halves. An accept past 9 s_n needs 4 tau / 9 <= (m - n + 1) s_n, so it
-    makes at most ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes.
+    epsilon), so bound * (1 + epsilon) >= mu, and the n-bundle allocation
+    of that probe. certified says that 9 times its poorest bundle, evaluated
+    exactly, reaches the bound: any n-partition's poorest bundle is at most
+    mu, so mu >= bound / 9 >= mu / (9 (1 + epsilon)). Otherwise the result is
+    a heuristic. The search starts at 9 s_n (s_n the n-th largest singleton;
+    0, as is mu, when fewer than n goods have value) capped at f(all), which
+    the seeds accept; it probes f(all), doubles, then halves. An accept past
+    9 s_n needs 4 tau / 9 <= (m - n + 1) s_n, so it makes at most
+    ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes.
     """
     epsilon = as_value(epsilon)
     if epsilon <= 0:
         raise InvalidInstanceError("epsilon must be positive")
-    if solver not in MATROID_SOLVERS:
-        raise InvalidInstanceError(f"unknown matroid solver {solver!r}")
-    factor = MATROID_SOLVERS[solver][1]
-    certified = factor >= ONE_MINUS_INV_E_UPPER
 
     total = f.total()
     singles = sorted((f.value_int(1 << g) for g in range(f.m)), reverse=True)
     s_n = singles[n - 1] if 0 < n <= f.m else 0
     lo = max(Fraction(0), min(total, Fraction(9 * s_n, f.scale)))
-    lo_alloc = threshold_probe(f, n, lo, solver)
+    lo_alloc = threshold_probe(f, n, lo)
     hi = total if lo > 0 else lo  # lo is 0 only when mu is 0
-    top = threshold_probe(f, n, hi, solver) if hi > lo else None
+    top = threshold_probe(f, n, hi) if hi > lo else None
     if top is not None:
         lo, lo_alloc = hi, top
     while hi > lo * (1 + epsilon):  # double lo until a rejection, then halve
         mid = min(2 * lo, (lo + hi) / 2)
-        alloc = threshold_probe(f, n, mid, solver)
+        alloc = threshold_probe(f, n, mid)
         if alloc is None:
             hi = mid
         else:
             lo, lo_alloc = mid, alloc
-    if certified:
-        worst = min(f.evaluate(b) for b in lo_alloc.bundles)
-        if 9 * worst < lo:
-            raise RuntimeError("certified partition failed its own bound")
-    return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=certified)
+    worst = min(map(f.evaluate, lo_alloc.bundles))
+    return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=9 * worst >= lo)

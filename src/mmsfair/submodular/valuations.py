@@ -11,8 +11,7 @@ probe, the exact oracle) compare these ints, scaled by a threshold's
 denominator where one is involved, so no Fraction arithmetic runs per query.
 subset_table is the one helper that tabulates a fold over every subset of
 a list: the coverage and budget-additive families keep one table per byte
-of the mask, and the exhaustive slot solver one of the masks of every
-subset of its goods.
+of the mask.
 
 Coverage and budget-additive instances memoize value_int by mask for their
 lifetime (an explicit table is its own lookup), and only the queries made

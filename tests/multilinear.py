@@ -33,10 +33,13 @@ from typing import Iterable, Iterator, Sequence
 
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.model import Value, ValueLike, as_value
-from mmsfair.oracles import ONE_MINUS_INV_E_UPPER
 from mmsfair.submodular.valuations import SubmodularValuation, mask_of
 
 _SUPPORT_BUDGET = 20
+
+# 6322/10000 is a hair above 1 - 1/e, so a value that reaches this multiple
+# of mu also reaches the irrational (1 - 1/e) mu.
+ONE_MINUS_INV_E_UPPER = Fraction(6322, 10000)
 
 
 class MarginalValuation(SubmodularValuation):

@@ -12,8 +12,10 @@ in its first form: one recursive call per node, which tests its own node on
 entry and recomputes the deficit from every bundle.
 
 The rest are the submodular loops as they ran before the valuations were
-scaled to ints: the lazy greedy slot solver, round robin, the greedy
-threshold probe and its bracket search, all comparing Fractions. They value
+scaled to ints: the lazy greedy slot solver, round robin, the threshold
+probe and its bracket search, all comparing Fractions, and the slot
+objective's optimum by brute force, which the greedy must reach half of
+and which slot_solver swaps in for the greedy in the threshold search. They value
 bundles through reference_value, which reads each family's public data, so
 they share no arithmetic with value_int.
 """
@@ -22,9 +24,11 @@ import heapq
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from unittest import mock
 
 from multilinear import MarginalValuation
 
+from mmsfair import oracles
 from mmsfair.envy_graph import RunTrace, TraceStep, _first_cycle, _rotate, build_envy_graph
 from mmsfair.model import GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import SlotObjective
@@ -238,6 +242,50 @@ def reference_greedy_matroid_max(objective, goods):
     return slot_masks
 
 
+def reference_matroid_argmax(objective, goods):
+    """An optimum of the capped slot objective as one bundle mask per slot,
+    by brute force over the assignments of the goods to the objective's
+    slots, on Fractions. The slots are alike, so each good goes to a slot
+    already used or to the first empty one (one assignment per set
+    partition), and the first optimum found wins. Leaving a good out never
+    helps a monotone valuation."""
+    f, cap, slots = objective.valuation, objective.cap, objective.slots
+    goods = list(goods)
+    masks = [0] * slots
+    best = [Fraction(-1), list(masks)]
+
+    def place(i, used):
+        if i == len(goods):
+            value = sum((min(cap, reference_value(f, s)) for s in masks), Fraction(0))
+            if value > best[0]:
+                best[:] = value, list(masks)
+            return
+        for k in range(min(used + 1, slots)):
+            masks[k] |= 1 << goods[i]
+            place(i + 1, max(used, k + 1))
+            masks[k] ^= 1 << goods[i]
+
+    place(0, 0)
+    return best[1]
+
+
+def reference_matroid_max(objective, goods):
+    """The optimum of the capped slot objective, by brute force."""
+    f, cap = objective.valuation, objective.cap
+    masks = reference_matroid_argmax(objective, goods)
+    return sum((min(cap, reference_value(f, s)) for s in masks), Fraction(0))
+
+
+# threshold_probe's slot solver: the shipped lazy greedy, or the brute-force
+# optimum, so the threshold search can be run with either
+SLOT_SOLVERS = {"exhaustive": reference_matroid_argmax, "greedy": oracles.greedy_matroid_max}
+
+
+def slot_solver(name):
+    """Context manager: threshold_probe packs its slots with SLOT_SOLVERS[name]."""
+    return mock.patch.object(oracles, "greedy_matroid_max", SLOT_SOLVERS[name])
+
+
 def reference_round_robin(valuations, thresholds):
     """Singleton grabs at tau_i/10, then max-marginal turns, on Fractions;
     one bundle mask per agent."""
@@ -273,7 +321,7 @@ def reference_round_robin(valuations, thresholds):
 
 
 def reference_threshold_probe(f, n, tau):
-    """threshold_probe with the greedy solver (factor 1/2), on Fractions."""
+    """threshold_probe (the lazy greedy, factor 1/2), on Fractions."""
     m = f.m
     if tau == 0:
         return Allocation([list(range(m))] + [[] for _ in range(n - 1)], m)

@@ -221,7 +221,7 @@ def test_uniform_fractional_share_and_marginal_rules(submodular_cases):
 
 
 def test_identical_agents_get_ninth_of_share():
-    # exhaustive slot solver: every bundle >= mu/9 and no honest tau rejected
+    # every bundle >= mu/9, certified, and no honest tau rejected
     rng = random.Random(7001)
     for trial in range(30):
         n = rng.randint(2, 3)
@@ -229,14 +229,12 @@ def test_identical_agents_get_ninth_of_share():
         kind = SUBMODULAR_MIX[trial % 3]
         f = generate(GeneratorSpec(kind, 1, m, lo=1, hi=9, seed=rng.getrandbits(32)))[0]
         mu = mms_exact_submodular(f, n).value
-        result = mms_approx_submodular(
-            f, n, solver="exhaustive", epsilon=Fraction(1, 100)
-        )
+        result = mms_approx_submodular(f, n, epsilon=Fraction(1, 100))
         assert result.certified
         for bundle in result.allocation.bundles:
             assert 9 * f.evaluate(bundle) >= mu
         for tau in (mu, Fraction(3, 4) * mu, Fraction(1, 3) * mu):
-            assert threshold_probe(f, n, tau, solver="exhaustive") is not None
+            assert threshold_probe(f, n, tau) is not None
     print("PASS: bundle floor mu/9 and honest-tau acceptance on 30 instances")
 
 

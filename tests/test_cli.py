@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from lemmas import verify_submodular
+from reference import SLOT_SOLVERS, slot_solver
 
+from mmsfair import oracles
 from mmsfair.cli import main
 from mmsfair.io import parse_allocation, parse_instance
-from mmsfair.model import CHORES, AdditiveInstance
+from mmsfair.model import CHORES, AdditiveInstance, Allocation
+from mmsfair.submodular.valuations import BudgetAdditive
 
 
 def run(*argv):
@@ -222,7 +225,6 @@ class TestMmsCommands:
             "--format", "json",
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["solver"] == "exhaustive"
         for row in doc["agents"]:
             assert row["certified"] is True
             worst = Fraction(row["min_bundle_value"])
@@ -248,8 +250,6 @@ class TestMmsCommands:
     @pytest.mark.parametrize("m, argv, message", [
         (15000, ["mms-exact"],
          "exact maximin enumeration: search size at least 2^15000 exceeds budget 100000000"),
-        (9200, ["mms-approx", "--agent", "0"],
-         "partition maximization: search size at least 2^14583 exceeds budget 16777216"),
     ])
     def test_oracle_past_a_budget_too_large_to_print(self, tmp_path, capsys, m, argv, message):
         inst = tmp_path / "inst.json"
@@ -259,16 +259,48 @@ class TestMmsCommands:
         assert run(*argv, "--input", str(inst)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("solver", ["exhaustive", "greedy"])
+    def test_approx_certifies_past_the_exact_oracle(self, tmp_path):
+        # 8^50 is past the exact oracle's budget; every agent's partition
+        # still reaches its threshold / 9
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "approx.json"
+        assert run("generate", "--kind", "coverage", "--n", "8", "--m", "50", "--seed", "3",
+                   "--output", str(inst)) == 0
+        assert run("mms-approx", "--input", str(inst), "--output", str(out),
+                   "--format", "json") == 0
+        rows = json.loads(out.read_text())["agents"]
+        assert [row["certified"] for row in rows] == [True] * 8
+        for row in rows:
+            assert 9 * Fraction(row["min_bundle_value"]) >= Fraction(row["accepted_threshold"])
+
+    def test_approx_reports_a_failed_evaluation(self, tmp_path, capsys, monkeypatch):
+        # every probe accepts with all goods in one bundle, so the poorest
+        # bundle, 0, misses threshold / 9: heuristic, and nothing raises
+        def probe(f, n, tau):
+            return Allocation([list(range(f.m))] + [[] for _ in range(n - 1)], f.m)
+
+        monkeypatch.setattr(oracles, "threshold_probe", probe)
+        result = oracles.mms_approx_submodular(BudgetAdditive((4, 3, 2, 1), 10), 2)
+        assert (result.bound, result.certified) == (10, False)
+        inst = tmp_path / "inst.json"
+        write(inst, json.dumps({"version": 1, "kind": "additive-goods", "n": 2, "m": 4,
+                                "values": [[4, 3, 2, 1]] * 2}))
+        capsys.readouterr()
+        assert run("mms-approx", "--input", str(inst), "--agent", "0") == 0
+        assert "threshold 10 (heuristic)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solver", sorted(SLOT_SOLVERS))
     def test_approx_with_one_huge_good(self, tmp_path, solver):
         # the search starts at the seeds' threshold, 9 times the third
-        # largest value, so no threshold carries the 4,300 digits of the total
+        # largest value, so no threshold carries the 4,300 digits of the
+        # total, whichever solver packs the slots
         inst = tmp_path / "inst.json"
         out = tmp_path / "approx.json"
         write(inst, json.dumps({"version": 1, "kind": "additive-goods", "n": 3, "m": 5,
                                 "values": [[str(10**4299 + 7), 17, 55, 100, 3]] * 3}))
-        assert run("mms-approx", "--input", str(inst), "--agent", "0", "--matroid-solver",
-                   solver, "--output", str(out), "--format", "json") == 0
+        with slot_solver(solver):
+            assert run("mms-approx", "--input", str(inst), "--agent", "0",
+                       "--output", str(out), "--format", "json") == 0
         [row] = json.loads(out.read_text())["agents"]
         assert row["accepted_threshold"] == "495"
 

@@ -4,11 +4,15 @@ Each case runs mmsfair.cli.main in this process and records its exit code
 and the sha256 digests of what it wrote to stdout and stderr. The corpus
 generates one small instance of each of the six generator kinds, then runs
 the matching solve-* command (json and table reports), verify on the
-solver's allocation, mms-exact, and mms-approx with both matroid solvers
-(goods and submodular instances). It also writes and audits both fixtures,
-runs each solve-* command on an instance of the wrong kind, and runs one
-sweep with its timing fields ("seconds", "solve_seconds", "audit_seconds")
-masked before hashing. Every output is deterministic, so a refactor that
+solver's allocation, mms-exact, and mms-approx (goods and submodular
+instances) twice: with the shipped lazy greedy packing the threshold
+probe's slots, and with the brute-force slot optimum from reference.py in
+its place. The generated instances are small enough that the seeds settle
+every threshold, so one more goods instance, one large good among small
+ones, sends the search through the slots. It also writes and audits both fixtures, runs each solve-*
+command on an instance of the wrong kind, and runs one sweep with its
+timing fields ("seconds", "solve_seconds", "audit_seconds") masked before
+hashing. Every output is deterministic, so a refactor that
 keeps behaviour keeps every digest.
 
 The digests live in golden_digests.json next to this file. To record them
@@ -28,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from reference import SLOT_SOLVERS, slot_solver
 
 from mmsfair.cli import main
 
@@ -50,6 +55,9 @@ WRONG_KIND = (
     ("solve-submodular", "uniform-additive"),
     ("solve-additive", "coverage"),
 )
+
+# a row whose probes above the seeds' threshold leave two bundles to the slots
+ONE_BIG_GOOD = [1000, 17, 55, 100, 3]
 
 SWEEP = {
     "sweeps": [
@@ -108,12 +116,22 @@ def corpus(work: Path) -> dict[str, dict]:
         )
         record(f"mms-exact {kind}", ["mms-exact", "--input", str(inst), "--format", "json"])
         if kind != "chores":
-            for solver in ("exhaustive", "greedy"):
-                record(
-                    f"mms-approx {kind} {solver}",
-                    ["mms-approx", "--input", str(inst), "--matroid-solver", solver,
-                     "--format", "json"],
-                )
+            for solver in sorted(SLOT_SOLVERS):
+                with slot_solver(solver):
+                    record(
+                        f"mms-approx {kind} {solver}",
+                        ["mms-approx", "--input", str(inst), "--format", "json"],
+                    )
+
+    inst = work / "one-big-good.json"
+    inst.write_text(json.dumps({"version": 1, "kind": "additive-goods", "n": 3, "m": 5,
+                                "values": [ONE_BIG_GOOD] * 3}))
+    for solver in sorted(SLOT_SOLVERS):
+        with slot_solver(solver):
+            record(
+                f"mms-approx one-big-good {solver}",
+                ["mms-approx", "--input", str(inst), "--agent", "0", "--format", "json"],
+            )
 
     for solve, kind in WRONG_KIND:
         record(f"{solve} on {kind}", [solve, "--input", paths[kind], "--format", "json"])

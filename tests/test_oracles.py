@@ -7,15 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from lemmas import check_certificate, is_independent, split_bundle
+from reference import SLOT_SOLVERS, reference_matroid_max, slot_solver
 
 from mmsfair import oracles
 from mmsfair.errors import BudgetExceededError, InvalidInstanceError
 from mmsfair.generators import GeneratorSpec, fixture_submodular_gap, generate
 from mmsfair.model import CHORES, AdditiveInstance, Allocation
 from mmsfair.oracles import (
-    MATROID_SOLVERS,
     SlotObjective,
-    exhaustive_matroid_max,
     greedy_matroid_max,
     mms_approx_submodular,
     mms_exact_additive,
@@ -239,12 +238,6 @@ class TestSlotObjective:
 
 
 class TestMatroidMaximizers:
-    def test_exhaustive_uncapped_places_everything(self):
-        f = BudgetAdditive((3, 1, 4), 8)
-        obj = SlotObjective(f, cap=Fraction(100), slots=2)
-        chosen = exhaustive_matroid_max(obj, (0, 1, 2))
-        assert obj.evaluate(chosen) == 8
-
     def test_greedy_is_maximal_and_independent(self):
         rng = random.Random(89)
         for _ in range(25):
@@ -265,27 +258,13 @@ class TestMatroidMaximizers:
             slots = rng.randint(1, 4)
             cap = Fraction(rng.randint(1, 25))
             obj = SlotObjective(f, cap=cap, slots=slots)
-            best = obj.evaluate(exhaustive_matroid_max(obj, range(m)))
             got = obj.evaluate(greedy_matroid_max(obj, range(m)))
-            assert 2 * got >= best
+            assert 2 * got >= reference_matroid_max(obj, range(m))
 
     def test_empty_universe(self):
         f = BudgetAdditive((1,), 1)
         obj = SlotObjective(f, cap=Fraction(1), slots=2)
-        assert exhaustive_matroid_max(obj, ()) == [0, 0]
         assert greedy_matroid_max(obj, ()) == [0, 0]
-
-    def test_exhaustive_budget_guard(self):
-        # 3^16 * 2 > EXHAUSTIVE_SLOT_BUDGET = 2^24
-        f = BudgetAdditive((1,) * 16, 16)
-        obj = SlotObjective(f, cap=Fraction(4), slots=2)
-        with pytest.raises(BudgetExceededError):
-            exhaustive_matroid_max(obj, range(16))
-
-    def test_solver_registry(self):
-        assert set(MATROID_SOLVERS) == {"exhaustive", "greedy"}
-        assert MATROID_SOLVERS["exhaustive"][1] == 1
-        assert MATROID_SOLVERS["greedy"][1] == Fraction(1, 2)
 
 
 class TestSplitBundle:
@@ -353,13 +332,12 @@ class TestThresholdProbe:
             f = random_coverage(rng, m) if rng.random() < 0.5 else random_budget_additive(rng, m)
             mu = mms_exact_submodular(f, n).value
             for tau in (mu, Fraction(3, 4) * mu, Fraction(1, 3) * mu):
-                for solver in ("exhaustive", "greedy"):
-                    alloc = threshold_probe(f, n, tau, solver=solver)
-                    assert alloc is not None
-                    assert alloc.is_complete()
-                    assert alloc.n == n
+                alloc = threshold_probe(f, n, tau)
+                assert alloc is not None
+                assert alloc.is_complete()
+                assert alloc.n == n
 
-    def test_exhaustive_acceptance_certifies_bundles(self):
+    def test_acceptance_certifies_bundles(self):
         rng = random.Random(107)
         for _ in range(25):
             m = rng.randint(2, 7)
@@ -377,8 +355,6 @@ class TestThresholdProbe:
 
     def test_validation(self):
         f = BudgetAdditive((1,), 1)
-        with pytest.raises(InvalidInstanceError):
-            threshold_probe(f, 1, 1, solver="annealing")
         with pytest.raises(InvalidInstanceError):
             threshold_probe(f, 0, 1)
         with pytest.raises(InvalidInstanceError):
@@ -408,10 +384,23 @@ class TestMmsApproxSubmodular:
         result = mms_approx_submodular(f, 1)
         assert result.bound == 10
 
-    def test_greedy_is_heuristic(self):
-        f = BudgetAdditive((4, 3, 2, 1), 10)
-        result = mms_approx_submodular(f, 2, solver="greedy")
-        assert not result.certified
+    @given(data=st.data())
+    def test_certified_bound_is_below_the_share(self, data):
+        # certified: the evaluated poorest bundle proves bound / 9 <= mu
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=m + 3, max_size=m + 3))
+        if data.draw(st.booleans()):
+            cap = sum(weights[:m]) * Fraction(data.draw(st.integers(1, 10)), 10)
+            f = BudgetAdditive(weights[:m], cap)
+        else:
+            cover = st.lists(st.integers(0, m + 2), min_size=1, max_size=3, unique=True)
+            f = WeightedCoverage(m, weights, data.draw(st.lists(cover, min_size=m, max_size=m)))
+        result = mms_approx_submodular(f, n)
+        worst = min(map(f.evaluate, result.allocation.bundles))
+        assert result.certified == (9 * worst >= result.bound)
+        if result.certified:
+            assert result.bound / 9 <= worst <= mms_exact_submodular(f, n).value
 
     def test_zero_valuation(self):
         f = BudgetAdditive((0, 0), 0)
@@ -424,8 +413,8 @@ class TestMmsApproxSubmodular:
         # every threshold the search tries, with whether it was accepted
         probes = []
 
-        def probe(f, n, tau, solver="exhaustive"):
-            alloc = threshold_probe(f, n, tau, solver)
+        def probe(f, n, tau):
+            alloc = threshold_probe(f, n, tau)
             probes.append((tau, alloc is not None))
             return alloc
 
@@ -453,11 +442,13 @@ class TestMmsApproxSubmodular:
         assert result.allocation.is_complete()
         assert probes == [(0, True)]
 
-    @pytest.mark.parametrize("solver", sorted(MATROID_SOLVERS))
+    @pytest.mark.parametrize("solver", sorted(SLOT_SOLVERS))
     def test_one_huge_good_takes_few_probes(self, probes, solver):
-        # a bisection from 0 halves f(all)'s 4,300 digits: 14,281 probes
+        # a bisection from 0 halves f(all)'s 4,300 digits: 14,281 probes; the
+        # bracket does not lean on the slot solver
         row = [10**4299 + 7, 17, 55, 100, 3]
-        result = mms_approx_submodular(BudgetAdditive(row, sum(row)), 3, solver=solver)
+        with slot_solver(solver):
+            result = mms_approx_submodular(BudgetAdditive(row, sum(row)), 3)
         assert result.bound == 9 * 55
         assert len(probes) <= 12
 
@@ -478,9 +469,8 @@ class TestMmsApproxSubmodular:
             weights = data.draw(st.lists(spread, min_size=u, max_size=u))
             cover = st.lists(st.integers(0, u - 1), min_size=1, max_size=3, unique=True)
             f = WeightedCoverage(m, weights, data.draw(st.lists(cover, min_size=m, max_size=m)))
-        solver = data.draw(st.sampled_from(sorted(MATROID_SOLVERS)))
         epsilon = data.draw(st.fractions(Fraction(1, 10**6), Fraction(1, 2)))
-        result = mms_approx_submodular(f, n, solver=solver, epsilon=epsilon)
+        result = mms_approx_submodular(f, n, epsilon=epsilon)
         # ceil(log2 m) + ceil(log2(1/epsilon)) + 3
         inverse = -(-epsilon.denominator // epsilon.numerator)
         assert len(probes) <= (m - 1).bit_length() + (inverse - 1).bit_length() + 3
@@ -490,8 +480,6 @@ class TestMmsApproxSubmodular:
         f = BudgetAdditive((1,), 1)
         with pytest.raises(InvalidInstanceError):
             mms_approx_submodular(f, 1, epsilon=0)
-        with pytest.raises(InvalidInstanceError):
-            mms_approx_submodular(f, 1, solver="annealing")
 
     def test_certified_bound_tracks_exact_share(self):
         rng = random.Random(109)

@@ -7,10 +7,10 @@ valuations scale their own data, taking entries as given, with no
 Fraction coercion first. No other module may scale rows itself.
 
 Code that only the tests call (lemma checks, reference implementations,
-analysis tools) lives under tests/, not in the package. Every command-line
-option is read by the command that accepts it, and cli.py has one output
-path: one function reads --format, and every document's version comes from
-the io module's writer.
+analysis tools), and constants that only they read, live under tests/, not
+in the package. Every command-line option is read by the command that
+accepts it, and cli.py has one output path: one function reads --format,
+and every document's version comes from the io module's writer.
 """
 
 import argparse
@@ -90,14 +90,26 @@ def _public(body: list) -> list:
     ]
 
 
+def _constants(body: list) -> list[tuple[str, ast.AST]]:
+    """Each public UPPER_CASE name a module assigns at top level, with the
+    statement that assigns it."""
+    return [
+        (target.id, node)
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+    ]
+
+
 def test_no_test_only_code_in_src():
-    """Every public module-level function or class in src/, and every public
-    method of a src/ class, is used by other src/ code, exported from the
-    package namespace (mmsfair.__all__), wrapped by the benchmark's tracer,
-    or allowlisted; code that only the tests call belongs with the tests.
-    A subpackage's __all__ earns nothing: its names need a src/ user too. A
-    method counts as used when some src/ code outside it reads an attribute
-    of its name."""
+    """Every public module-level function, class or UPPER_CASE constant in
+    src/, and every public method of a src/ class, is used by other src/
+    code, exported from the package namespace (mmsfair.__all__), wrapped by
+    the benchmark's tracer, or allowlisted; code and constants that only the
+    tests read belong with the tests. A subpackage's __all__ earns nothing:
+    its names need a src/ user too. A method counts as used when some src/
+    code outside it reads an attribute of its name."""
     trees = {
         path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
         for path in PACKAGE.rglob("*.py")
@@ -111,6 +123,12 @@ def test_no_test_only_code_in_src():
         for node in _public(tree.body)
         if node.name not in kept and references[node.name] == _references(node)[node.name]
     }
+    unused.update(
+        (constant, name)
+        for name, tree in trees.items()
+        for constant, node in _constants(tree.body)
+        if constant not in kept and references[constant] == _references(node)[constant]
+    )
     unused.update(
         (f"{cls.name}.{node.name}", name)
         for name, tree in trees.items()

@@ -1,8 +1,9 @@
 """Command line harness: solve instances, audit allocations, generate data.
 
-Each reporting command builds its result once (a SolutionReport, or the rows
-of a JSON document with every value already written), and _emit, the one
-reader of --format, writes it as JSON or as text rendered from those rows.
+Each reporting command builds its result once (a SolutionReport, or a JSON
+document with every value already written), and _emit, the one reader of
+--format, writes it as JSON or as its document rendered as text by _render:
+a line per field, and a table per list of rows.
 
 Exit codes: 0 success, 1 input or usage error, 2 guarantee violation. Code 2
 comes only from verify and sweep; it is a test-harness signal meaning an
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import random
 import sys
 import time
@@ -38,13 +40,12 @@ from .io import (
     _dumps,
     _field,
     _loads,
-    _table_lines,
+    _report_doc,
     build_report,
     kind_of,
     parse_allocation,
     parse_instance,
     report_to_json,
-    report_to_table,
     serialize_allocation,
     serialize_instance,
 )
@@ -79,9 +80,37 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit(args, result, to_json, to_text) -> None:
-    """Write result to --output, through to_json or to_text as --format asks."""
-    _write_out((to_json if args.format == "json" else to_text)(result), args.output)
+def _render(doc: dict) -> str:
+    """doc as text: each field a "name: value" line, in order, except a list
+    of row objects, which is its name over an indented table with a
+    left-justified column per key. None is "-", a boolean yes or no, a list
+    compact JSON and a float (a timing) two decimals; no line ends in a blank."""
+
+    def cell(value) -> str:
+        if value is None:
+            return "-"
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, list):
+            return json.dumps(value, separators=(",", ":"))
+        return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+    lines = []
+    for name, value in doc.items():
+        if not (value and isinstance(value, list) and all(isinstance(r, dict) for r in value)):
+            lines.append(f"{name}: {cell(value)}")
+            continue
+        rows = [list(value[0])] + [list(map(cell, r.values())) for r in value]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines += [f"{name}:"] + ["  " + "  ".join(map(str.ljust, r, widths)) for r in rows]
+    return "".join(line.rstrip() + "\n" for line in lines)
+
+
+def _emit(args, result, to_json=_dumps, to_doc=lambda doc: doc) -> None:
+    """Write result to --output as --format asks: to_json(result), or the
+    text rendering of its document, to_doc(result)."""
+    text = to_json(result) if args.format == "json" else _render(to_doc(result))
+    _write_out(text, args.output)
 
 
 def _select_agents(n: int, agent: int | None) -> list[int]:
@@ -121,7 +150,7 @@ def _cmd_solve(args) -> int:
     if args.allocation_out:
         _write_out(serialize_allocation(allocation), args.allocation_out)
     report = build_report(instance, allocation, delta=delta, budget=args.oracle_budget)
-    _emit(args, report, report_to_json, report_to_table)
+    _emit(args, report, report_to_json, _report_doc)
     return 0
 
 
@@ -137,14 +166,8 @@ def _cmd_mms_exact(args) -> int:
         {"agent": i, "mms": value_to_str(cert.value), "witness": cert.witness.as_lists()}
         for i, cert in certs.items()
     ]
-    _emit(args, {"command": "mms-exact", "agents": rows}, _dumps, _mms_exact_text)
+    _emit(args, {"command": "mms-exact", "agents": rows})
     return 0
-
-
-def _mms_exact_text(doc: dict) -> str:
-    return "\n".join(
-        f"agent {r['agent']}: mms {r['mms']}, witness {r['witness']}" for r in doc["agents"]
-    ) + "\n"
 
 
 def _cmd_mms_approx(args) -> int:
@@ -160,31 +183,19 @@ def _cmd_mms_approx(args) -> int:
     n = len(valuations)
     rows = []
     for i in _select_agents(n, args.agent):
-        f = valuations[i]
-        r = mms_approx_submodular(f, n, epsilon=args.epsilon)
+        r = mms_approx_submodular(valuations[i], n, epsilon=args.epsilon)
         rows.append(
             {
                 "agent": i,
                 "accepted_threshold": value_to_str(r.bound),
                 "bundle_floor": value_to_str(r.bound / 9),
                 "certified": r.certified,
-                "min_bundle_value": value_to_str(min(map(f.evaluate, r.allocation.bundles))),
+                "min_bundle_value": value_to_str(r.min_bundle_value),
                 "bundles": r.allocation.as_lists(),
             }
         )
-    doc = {"command": "mms-approx", "agents": rows}
-    _emit(args, doc, _dumps, _mms_approx_text)
+    _emit(args, {"command": "mms-approx", "agents": rows})
     return 0
-
-
-def _mms_approx_text(doc: dict) -> str:
-    return "\n".join(
-        f"agent {r['agent']}: threshold {r['accepted_threshold']} "
-        f"({'certified' if r['certified'] else 'heuristic'}), "
-        f"bundle floor {r['bundle_floor']}, "
-        f"min bundle {r['min_bundle_value']}, bundles {r['bundles']}"
-        for r in doc["agents"]
-    ) + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -193,7 +204,7 @@ def _cmd_verify(args) -> int:
     report = build_report(
         instance, allocation, delta=args.delta, budget=args.oracle_budget
     )
-    _emit(args, report, report_to_json, report_to_table)
+    _emit(args, report, report_to_json, _report_doc)
     return 0 if report.ok else 2
 
 
@@ -321,30 +332,8 @@ def _cmd_sweep(args) -> int:
     if not isinstance(doc.get("sweeps"), list):
         raise FairDivisionError("config must be an object with a 'sweeps' list")
     rows = [_run_sweep(entry, k) for k, entry in enumerate(doc["sweeps"])]
-    _emit(args, {"sweeps": rows}, _dumps, _sweep_table)
+    _emit(args, {"sweeps": rows})
     return 2 if any(row["violations"] for row in rows) else 0
-
-
-def _sweep_table(doc: dict) -> str:
-    cols = [
-        "name", "count", "checked", "violations", "min", "mean", "max",
-        "seconds", "solve", "audit",
-    ]
-    body = [
-        [
-            row["name"],
-            str(row["count"]),
-            str(row["agents_checked"]),
-            str(row["violations"]),
-            *(
-                "-" if row[key] is None else f"{float(Fraction(row[key])):.6f}"
-                for key in ("min_ratio", "mean_ratio", "max_ratio")
-            ),
-            *(f"{row[key]:.2f}" for key in ("seconds", "solve_seconds", "audit_seconds")),
-        ]
-        for row in doc["sweeps"]
-    ]
-    return "\n".join(_table_lines(cols, body)) + "\n"
 
 
 def _add_io_flags(p: argparse.ArgumentParser, needs_input: bool = True) -> None:

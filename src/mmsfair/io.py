@@ -14,8 +14,8 @@ agent, the achieved value, the maximin share with its provenance (exact,
 certified-lower-bound, or unavailable), the achieved ratio where it is well
 defined, and the verdict of the division-free guarantee comparison. Past the
 exact oracle's budget, a submodular share is certified from below by the
-poorest bundle of the oracle's greedy n-partition; an additive one is
-unavailable.
+poorest bundle of the oracle's greedy n-partition, and is exact only where
+that bound is 0 and a cap of 0 meets it; an additive one is unavailable.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -315,10 +314,11 @@ def _mms_submodular(f: SubmodularValuation, n: int, budget: int) -> tuple[Value,
         return mms_exact_submodular(f, n, budget=budget, witness=False).value, MU_EXACT
     except BudgetExceededError:
         pass
-    if not detect_positive_mms(f, n):
-        # fewer than n positive singletons: mu is exactly 0 (see the lemma)
-        return Fraction(0), MU_EXACT
-    return mms_greedy_submodular(f, n), MU_CERTIFIED
+    bound = mms_greedy_submodular(f, n)
+    if bound == 0 and not detect_positive_mms(f, n):
+        # some bundle holds no good of positive value, so mu <= 0 <= bound
+        return bound, MU_EXACT
+    return bound, MU_CERTIFIED
 
 
 def build_report(
@@ -332,12 +332,14 @@ def build_report(
     The allocation must be complete, a partition of all m goods, as every
     solver returns; submodular agents must share one ground set. Values are
     recomputed from the allocation; nothing is trusted from the solver.
-    Where the exact oracle is over budget, a submodular agent's mu is 0
-    exactly when fewer than n goods have value (detect_positive_mms), and is
-    otherwise bounded below by the poorest bundle of the oracle's greedy
-    start (mms_greedy_submodular; a violation against a lower bound is still
-    a violation); additive agents report mu as unavailable. The submodular
-    delta (default DEFAULT_DELTA, 1/20) must be positive, as in alg_sub.
+    Where the exact oracle is over budget, a submodular agent's mu is
+    bounded below by the poorest bundle of the oracle's greedy start
+    (mms_greedy_submodular; a violation against a lower bound is still a
+    violation). That bound is reported as exact only when it is 0 and fewer
+    than n goods have positive value (detect_positive_mms): some bundle then
+    holds none, and a good adds at most max(0, its own value), so mu <= 0.
+    Additive agents report mu as unavailable. The submodular delta (default
+    DEFAULT_DELTA, 1/20) must be positive, as in alg_sub.
     """
     kind = kind_of(instance)
     if kind == KIND_SUBMODULAR:
@@ -413,32 +415,3 @@ def _report_doc(report: SolutionReport) -> dict:
 
 def report_to_json(report: SolutionReport) -> str:
     return _dumps(_report_doc(report))
-
-
-def report_to_table(report: SolutionReport) -> str:
-    doc = _report_doc(report)
-    head = [
-        f"kind: {doc['kind']}",
-        f"guarantee: {doc['guarantee']}",
-        f"overall: {'ok' if doc['ok'] else 'VIOLATED'}",
-    ]
-    cols = ["agent", "bundle", "value", "mms", "source", "ratio", "holds"]
-    body = [
-        [
-            str(a["agent"]),
-            "{" + ",".join(map(str, doc["bundles"][a["agent"]])) + "}",
-            a["value"],
-            a["mms"] or "-",
-            a["mms_source"],
-            a["ratio"] or "-",
-            {True: "yes", False: "NO", None: "?"}[a["satisfied"]],
-        ]
-        for a in doc["agents"]
-    ]
-    return "\n".join(head + [""] + _table_lines(cols, body)) + "\n"
-
-
-def _table_lines(cols: list[str], body: list[list[str]]) -> list[str]:
-    """The header and body rows, each cell left-justified to its column's width."""
-    widths = [max(len(r[k]) for r in [cols] + body) for k in range(len(cols))]
-    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [cols] + body]

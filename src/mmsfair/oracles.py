@@ -341,7 +341,12 @@ class MmsApproxResult:
 
     allocation: Allocation
     bound: Value  # largest accepted threshold tau*
-    certified: bool  # 9 * the allocation's poorest bundle >= bound, evaluated
+    min_bundle_value: Value  # the allocation's poorest bundle, evaluated
+
+    @property
+    def certified(self) -> bool:
+        """9 * the poorest bundle >= bound: mu >= bound / 9, proven."""
+        return 9 * self.min_bundle_value >= self.bound
 
 
 def threshold_probe(f: SubmodularValuation, n: int, tau: Value) -> Allocation | None:
@@ -397,14 +402,15 @@ def mms_approx_submodular(
     """Maximin-share lower bound by a bracket search on the threshold.
 
     Returns the largest accepted tau (searched to multiplicative width
-    epsilon), so bound * (1 + epsilon) >= mu, and the n-bundle allocation
-    of that probe. certified says that 9 times its poorest bundle, evaluated
-    exactly, reaches the bound: any n-partition's poorest bundle is at most
-    mu, so mu >= bound / 9 >= mu / (9 (1 + epsilon)). Otherwise the result is
-    a heuristic. The search starts at 9 s_n (s_n the n-th largest singleton;
-    0, as is mu, when fewer than n goods have value) capped at f(all), which
-    the seeds accept; it probes f(all), doubles, then halves. An accept past
-    9 s_n needs 4 tau / 9 <= (m - n + 1) s_n, so it makes at most
+    epsilon), so bound * (1 + epsilon) >= mu, the n-bundle allocation of
+    that probe, and its poorest bundle's value, evaluated exactly. certified
+    says that 9 times that value reaches the bound: any n-partition's
+    poorest bundle is at most mu, so mu >= bound / 9 >= mu / (9 (1 +
+    epsilon)). Otherwise the result is a heuristic. The search starts at
+    9 s_n (s_n the n-th largest singleton; 0, as is mu, when fewer than n
+    goods have value) capped at f(all), which the seeds accept; it probes
+    f(all), doubles, then halves. An accept past 9 s_n needs
+    4 tau / 9 <= (m - n + 1) s_n, so it makes at most
     ceil(log2 m) + ceil(log2(1/epsilon)) + 3 probes.
     """
     epsilon = as_value(epsilon)
@@ -427,5 +433,4 @@ def mms_approx_submodular(
             hi = mid
         else:
             lo, lo_alloc = mid, alloc
-    worst = min(map(f.evaluate, lo_alloc.bundles))
-    return MmsApproxResult(allocation=lo_alloc, bound=lo, certified=9 * worst >= lo)
+    return MmsApproxResult(lo_alloc, lo, min(map(f.evaluate, lo_alloc.bundles)))

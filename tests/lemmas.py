@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from mmsfair.envy_graph import RunTrace, _rotate
+from reference import rotate
+
+from mmsfair.envy_graph import RunTrace
 from mmsfair.errors import InvalidInstanceError, NotOrderedError
 from mmsfair.model import GOODS, AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from mmsfair.oracles import DEFAULT_ORACLE_BUDGET, mms_exact_additive
@@ -75,7 +77,7 @@ def replay(trace: RunTrace) -> Iterator[tuple[list[frozenset[int]], list[frozens
         bundles[step.agent] = bundles[step.agent] | {step.item}
         mid = list(bundles)
         for cycle in step.cycles:
-            _rotate(bundles, cycle)
+            rotate(bundles, cycle)
         yield mid, list(bundles)
 
 

@@ -1,15 +1,17 @@
 """Reference implementations that the fast paths are compared against.
 
 The envy graph's queries (edges, sources, sinks, find_cycle) read an
-EnvyGraph's successor lists. The next three are the straightforward versions the library used before
-its integer allocator and cursor lift: resolve_cycles rebuilds the envy
-graph from Fraction values after every rotation, the allocator loop calls it
-after every item, and the lift rescans every remaining item for each pick.
-They are slow (O(n^2 m) value sums per run, O(m^2) per lift) but easy to
-check by eye. The fourth is the maximin share by brute force over all n^m
-assignments, for the exact oracles, and the fifth their branch and bound
-in its first form: one recursive call per node, which tests its own node on
-entry and recomputes the deficit from every bundle.
+EnvyGraph's successor lists; find_cycle and rotate, the rotation along a
+cycle, share no code with the allocator's own. The next three are the
+straightforward versions the library used before its integer allocator and
+cursor lift: resolve_cycles rebuilds the envy graph from Fraction values
+after every rotation, the allocator loop calls it after every item, and the
+lift rescans every remaining item for each pick. They are slow (O(n^2 m)
+value sums per run, O(m^2) per lift) but easy to check by eye. The fourth
+is the maximin share by brute force over all n^m assignments, for the exact
+oracles, and the fifth their branch and bound in its first form: one
+recursive call per node, which tests its own node on entry and recomputes
+the deficit from every bundle.
 
 The rest are the submodular loops as they ran before the valuations were
 scaled to ints: the lazy greedy slot solver, round robin, the threshold
@@ -29,7 +31,7 @@ from unittest import mock
 from multilinear import MarginalValuation
 
 from mmsfair import oracles
-from mmsfair.envy_graph import RunTrace, TraceStep, _first_cycle, _rotate, build_envy_graph
+from mmsfair.envy_graph import RunTrace, TraceStep, build_envy_graph
 from mmsfair.model import GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import SlotObjective
 from mmsfair.submodular.valuations import BudgetAdditive, ExplicitTable, goods_of
@@ -57,10 +59,42 @@ def find_cycle(graph):
     Roots are tried in ascending index order and neighbours are scanned in
     ascending order, so the result is deterministic. Returns the cycle as an
     agent sequence [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0, or
-    None if the graph is acyclic. The search is iterative, so long paths do
-    not hit the recursion limit.
+    None if the graph is acyclic. The search keeps its path and, per vertex
+    on it, the index of the next neighbour to scan in explicit lists, so
+    long paths do not hit the recursion limit; it shares no code with the
+    allocator's search.
     """
-    return _first_cycle(graph.succ.__getitem__, range(graph.n), graph.n)
+    succ = [sorted(s) for s in graph.succ]
+    state = [0] * graph.n  # 0 unseen, 1 on the path, 2 finished
+    for root in range(graph.n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path, scanned = [root], [0]
+        while path:
+            v, k = path[-1], scanned[-1]
+            if k == len(succ[v]):
+                state[v] = 2
+                path.pop()
+                scanned.pop()
+                continue
+            scanned[-1] = k + 1
+            w = succ[v][k]
+            if state[w] == 1:
+                return path[path.index(w):]
+            if state[w] == 0:
+                state[w] = 1
+                path.append(w)
+                scanned.append(0)
+    return None
+
+
+def rotate(bundles, cycle):
+    """bundles with each agent c_t on the cycle given the bundle of c_{t+1}
+    (c_k that of c_0), in place."""
+    taken = [bundles[c] for c in cycle]
+    for t, c in enumerate(cycle):
+        bundles[c] = taken[(t + 1) % len(cycle)]
 
 
 def resolve_cycles(
@@ -81,7 +115,7 @@ def resolve_cycles(
         if cycle is None:
             return Allocation(bundles, allocation.m), log
         log.append(list(cycle))
-        _rotate(bundles, cycle)
+        rotate(bundles, cycle)
 
 
 def reference_allocate_ordered(instance, pick):

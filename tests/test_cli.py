@@ -127,9 +127,9 @@ class TestVerify:
             "--output", str(inst), "--allocation-out", str(alloc))
         capsys.readouterr()
         assert run("verify", "--input", str(inst), "--allocation", str(alloc)) == 2
-        text = capsys.readouterr().out
-        assert "VIOLATED" in text
-        assert "NO" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert "ok: no" in lines
+        assert lines[lines.index("agents:") + 2].split()[-1] == "no"  # agent 0 holds 1 of 2
 
     def test_incomplete_allocation_is_an_input_error(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -153,6 +153,25 @@ class TestVerify:
         write(alloc, json.dumps({"version": 1, "m": 2, "bundles": [[0, 1], [0]]}))
         assert run("verify", "--input", str(inst), "--allocation", str(alloc)) == 1
         assert capsys.readouterr().err == "error: bundles: good 0 assigned twice\n"
+
+    @pytest.mark.parametrize("budget", ["1", "100000000"])
+    def test_negative_table_share_past_the_budget(self, tmp_path, budget):
+        # every bundle of this table is worth at most 0, so the fewer than n
+        # positive goods do not make mu 0: it is -1, for {0} | {1}; the
+        # guarantee, meant for monotone tables, fails on these bundles
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        out = tmp_path / "report.json"
+        agent = {"family": "explicit", "table": [0, -1, -1, -2]}
+        write(inst, json.dumps({"version": 1, "kind": "submodular", "n": 2, "m": 2,
+                                "agents": [agent, agent]}))
+        write(alloc, json.dumps({"version": 1, "m": 2, "bundles": [[0], [1]]}))
+        assert run("verify", "--input", str(inst), "--allocation", str(alloc),
+                   "--oracle-budget", budget, "--output", str(out), "--format", "json") == 2
+        source = "exact" if budget != "1" else "certified-lower-bound"
+        assert [(a["mms"], a["mms_source"]) for a in json.loads(out.read_text())["agents"]] == [
+            ("-1", source), ("-1", source)
+        ]
 
     @pytest.mark.parametrize("delta", ["0", "-1"])
     def test_submodular_rejects_non_positive_delta(self, tmp_path, capsys, delta):
@@ -204,9 +223,10 @@ class TestMmsCommands:
         )
         capsys.readouterr()
         assert run("mms-exact", "--input", str(inst)) == 0
-        text = capsys.readouterr().out
-        assert "agent 0: mms 10" in text
-        assert "agent 1: mms 5" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["command: mms-exact", "agents:"]
+        rows = [line.split()[:2] for line in lines[2:]]
+        assert rows == [["agent", "mms"], ["0", "10"], ["1", "5"]]
 
     def test_exact_agent_out_of_range(self, tmp_path):
         inst = tmp_path / "inst.json"
@@ -281,13 +301,17 @@ class TestMmsCommands:
 
         monkeypatch.setattr(oracles, "threshold_probe", probe)
         result = oracles.mms_approx_submodular(BudgetAdditive((4, 3, 2, 1), 10), 2)
-        assert (result.bound, result.certified) == (10, False)
+        assert (result.bound, result.min_bundle_value, result.certified) == (10, 0, False)
         inst = tmp_path / "inst.json"
         write(inst, json.dumps({"version": 1, "kind": "additive-goods", "n": 2, "m": 4,
                                 "values": [[4, 3, 2, 1]] * 2}))
         capsys.readouterr()
         assert run("mms-approx", "--input", str(inst), "--agent", "0") == 0
-        assert "threshold 10 (heuristic)" in capsys.readouterr().out
+        header, row = capsys.readouterr().out.splitlines()[2:]
+        assert dict(zip(header.split(), row.split())) == {
+            "agent": "0", "accepted_threshold": "10", "bundle_floor": "10/9",
+            "certified": "no", "min_bundle_value": "0", "bundles": "[[0,1,2,3],[]]",
+        }
 
     @pytest.mark.parametrize("solver", sorted(SLOT_SOLVERS))
     def test_approx_with_one_huge_good(self, tmp_path, solver):
@@ -564,7 +588,8 @@ class TestSweep:
             assert s["solve_seconds"] + s["audit_seconds"] <= s["seconds"]
         capsys.readouterr()
         assert run("sweep", "--config", str(config)) == 0
-        assert capsys.readouterr().out.split()[7:10] == ["seconds", "solve", "audit"]
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header.split()[-3:] == ["seconds", "solve_seconds", "audit_seconds"]
 
     def test_unproven_agents_are_skipped(self, tmp_path):
         # every agent is past the oracle's budget and bounded only from
@@ -590,8 +615,13 @@ class TestSweep:
         )
         capsys.readouterr()
         assert run("sweep", "--config", str(config)) == 0
-        text = capsys.readouterr().out
-        assert "violations" in text.splitlines()[0]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sweeps:" and len(lines) == 3  # the header and one batch
+        row = dict(zip(lines[1].split(), lines[2].split()))
+        assert (row["name"], row["count"], row["violations"]) == (
+            "additive-goods:uniform-additive", "2", "0"
+        )
+        assert all(Fraction(row[key]) > 0 for key in ("min_ratio", "mean_ratio", "max_ratio"))
 
     def test_sweep_rejects_mismatched_kind(self, tmp_path):
         config = tmp_path / "sweep.json"

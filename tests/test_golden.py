@@ -15,6 +15,11 @@ timing fields ("seconds", "solve_seconds", "audit_seconds") masked before
 hashing. Every output is deterministic, so a refactor that
 keeps behaviour keeps every digest.
 
+The text form of every reporting command is pinned to its JSON form: on
+the corpus instances, solve-*, verify, mms-exact, mms-approx and the sweep
+must each print, in text, exactly the one renderer's rendering of the
+document they write as JSON.
+
 The digests live in golden_digests.json next to this file. To record them
 again after a deliberate change of output, run
 
@@ -30,10 +35,12 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from reference import SLOT_SOLVERS, slot_solver
 
+from mmsfair import cli
 from mmsfair.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -81,6 +88,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _generate_argv(kind: str, n: int, m: int, span) -> list[str]:
+    argv = ["generate", "--kind", kind, "--n", str(n), "--m", str(m), "--seed", "3"]
+    if span is not None:
+        argv += ["--lo", str(span[0]), "--hi", str(span[1])]
+    return argv
+
+
 def corpus(work: Path) -> dict[str, dict]:
     """Run every case in order inside work; name -> exit code and digests."""
     results: dict[str, dict] = {}
@@ -101,10 +115,7 @@ def corpus(work: Path) -> dict[str, dict]:
         inst = work / f"{kind}.json"
         alloc = work / f"{kind}.alloc.json"
         paths[kind] = str(inst)
-        argv = ["generate", "--kind", kind, "--n", str(n), "--m", str(m), "--seed", "3"]
-        if span is not None:
-            argv += ["--lo", str(span[0]), "--hi", str(span[1])]
-        inst.write_text(record(f"generate {kind}", argv))
+        inst.write_text(record(f"generate {kind}", _generate_argv(kind, n, m, span)))
         record(
             f"{solve} {kind}",
             [solve, "--input", str(inst), "--allocation-out", str(alloc), "--format", "json"],
@@ -182,6 +193,33 @@ def test_corpus_covers_the_recorded_cases(outputs):
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == RECORDED[name]
+
+
+def test_text_is_the_json_document_rendered(tmp_path, monkeypatch):
+    """Each reporting command's text output is the renderer applied to its
+    JSON document without the version, so no command keeps a layout of its
+    own. The sweep's clock stands still, so both of its runs time alike."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    runs = []
+    for kind, solve, n, m, span in INSTANCES:
+        inst, alloc = str(tmp_path / f"{kind}.json"), str(tmp_path / f"{kind}.alloc.json")
+        assert main(_generate_argv(kind, n, m, span) + ["--output", inst]) == 0
+        runs += [
+            [solve, "--input", inst, "--allocation-out", alloc],
+            ["verify", "--input", inst, "--allocation", alloc],
+            ["mms-exact", "--input", inst],
+        ]
+        if kind != "chores":
+            runs.append(["mms-approx", "--input", inst])
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SWEEP))
+    runs.append(["sweep", "--config", str(config)])
+    for argv in runs:
+        code, text, _ = _run(argv + ["--format", "table"])
+        json_code, out, _ = _run(argv + ["--format", "json"])
+        doc = json.loads(out)
+        del doc["version"]
+        assert (code, text) == (json_code, cli._render(doc)), argv
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import pytest
 import mmsfair.io
 from mmsfair import model, oracles
 from mmsfair.chores import solve_chores
+from mmsfair.cli import _render
 from mmsfair.envy_graph import solve_additive
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.generators import GeneratorSpec, fixture_ef1_not_mms, generate
@@ -24,7 +25,6 @@ from mmsfair.io import (
     parse_allocation,
     parse_instance,
     report_to_json,
-    report_to_table,
     serialize_allocation,
     serialize_instance,
 )
@@ -498,16 +498,11 @@ class TestBuildReport:
         assert a1.satisfied is None  # passing one proves nothing
         assert not report.ok
 
-    def test_over_budget_zero_share_is_exact(self, monkeypatch):
-        # one positive good among 40 cannot give six bundles value: mu is 0
-        # by the lemma of detect_positive_mms, with no greedy bound
+    def test_over_budget_zero_share_is_exact(self):
+        # one positive good among 40 cannot give six bundles value: the
+        # greedy bound 0 meets the cap 0 of the lemma of detect_positive_mms
         f = BudgetAdditive([5] + [0] * 39, 10)
         alloc, _ = alg_sub([f] * 6)
-
-        def no_bound(*args, **kwargs):
-            raise AssertionError("the zero share needs no greedy bound")
-
-        monkeypatch.setattr("mmsfair.io.mms_greedy_submodular", no_bound)
         report = build_report([f] * 6, alloc)
         for a in report.agents:
             assert (a.mms, a.mms_source, a.satisfied, a.ratio) == (0, MU_EXACT, True, None)
@@ -601,15 +596,17 @@ class TestReportOutput:
         assert doc["agents"][0]["satisfied"] is False
 
     def test_table_shape(self):
+        # the text form is the JSON document's fields in order, its agents
+        # a table with one column per key
         inst, alloc = fixture_ef1_not_mms(2)
-        text = report_to_table(build_report(inst, alloc))
-        assert "VIOLATED" in text
-        assert "NO" in text
-        lines = text.splitlines()
-        assert any(line.startswith("agent") for line in lines)
+        lines = _render(mmsfair.io._report_doc(build_report(inst, alloc))).splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["kind:", "guarantee:"]
+        assert lines[2:5] == ["ok: no", "bundles: [[0],[1,2]]", "agents:"]
+        assert lines[5].split() == ["agent", "value", "mms", "mms_source", "ratio", "satisfied"]
+        assert lines[6].split() == ["0", "1", "2", "exact", "1/2", "no"]
 
     def test_table_ok_run(self):
         inst = AdditiveInstance([[2, 2], [2, 2]])
-        text = report_to_table(build_report(inst, solve_additive(inst)))
-        assert "overall: ok" in text
-        assert "yes" in text
+        text = _render(mmsfair.io._report_doc(build_report(inst, solve_additive(inst))))
+        assert "ok: yes" in text.splitlines()
+        assert [line.split()[-1] for line in text.splitlines()[-2:]] == ["yes", "yes"]

@@ -398,6 +398,7 @@ class TestMmsApproxSubmodular:
             f = WeightedCoverage(m, weights, data.draw(st.lists(cover, min_size=m, max_size=m)))
         result = mms_approx_submodular(f, n)
         worst = min(map(f.evaluate, result.allocation.bundles))
+        assert result.min_bundle_value == worst
         assert result.certified == (9 * worst >= result.bound)
         if result.certified:
             assert result.bound / 9 <= worst <= mms_exact_submodular(f, n).value

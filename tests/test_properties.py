@@ -9,7 +9,10 @@ the brute-force one, and the full certificate's witness, from the same
 search run in index order from one below the optimum, must be the
 lexicographically least optimal assignment. The greedy-start bound that the
 audit reports past the oracle's budget never exceeds the brute-force share,
-and is positive exactly when the share is. And
+and is positive exactly when the share is; the caps built from the mean and
+from the n - 1 largest goods never fall below it, for additive goods and
+chores and monotone submodular agents; and past the budget the audit calls
+a share exact only when it is, on tables with negative entries too. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
 explicit tables; a submodular valuation built from ints, "p/q" strings and
@@ -19,18 +22,31 @@ or not, allocates or raises InvalidInstanceError, and on monotone tables it
 allocates.
 """
 
+import operator
 from fractions import Fraction
+from functools import partial
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import reference_max_min, reference_value
 
 from mmsfair.chores import solve_chores
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.envy_graph import solve_additive
-from mmsfair.io import parse_instance, serialize_instance
+from mmsfair.io import (
+    MU_CERTIFIED,
+    MU_EXACT,
+    _mms_submodular,
+    parse_instance,
+    serialize_instance,
+)
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
-from mmsfair.oracles import mms_exact_additive, mms_exact_submodular, mms_greedy_submodular
+from mmsfair.oracles import (
+    _greedy_start,
+    mms_exact_additive,
+    mms_exact_submodular,
+    mms_greedy_submodular,
+)
 from mmsfair.submodular.allocate import alg_sub
 from mmsfair.submodular.valuations import (
     BudgetAdditive,
@@ -213,8 +229,53 @@ def test_submodular_oracle_value_only_and_witness(n, f):
 )
 def test_greedy_bound_never_exceeds_share(n, f):
     bound = mms_greedy_submodular(f, n)
-    assert 0 <= bound <= valuation_mu(f, n)
+    mu = valuation_mu(f, n)
+    assert 0 <= bound <= mu
     assert (bound > 0) == detect_positive_mms(f, n)
+    # a cap for monotone f: some bundle misses all of the n - 1 largest
+    # singletons, so it is worth at most f of the rest
+    singles = [f.value_int(1 << g) for g in range(f.m)]
+    rest = (1 << f.m) - 1
+    for g in sorted(range(f.m), key=lambda g: -singles[g])[: n - 1]:
+        rest ^= 1 << g
+    cap = min(f.value_int((1 << f.m) - 1), sum(singles) // n, f.value_int(rest))
+    assert mu <= Fraction(cap, f.scale)
+
+
+@given(st.one_of(additive_instances(GOODS), additive_instances(CHORES)))
+def test_additive_bounds_bracket_the_share(instance):
+    """The greedy start's poorest bundle <= mu <= the cap: the mean, floored,
+    and for goods the total without the n - 1 largest goods (some bundle
+    misses them all), for chores the worst chore (its bundle is no better)."""
+    n = instance.n
+    for i, w in enumerate(instance.ints):
+        _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
+        if instance.kind == GOODS:
+            cap = sum(w) - sum(sorted(w, reverse=True)[: n - 1])
+        else:
+            cap = min(w, default=0)
+        assert greedy <= row_mu(instance, i, n) * instance.scales[i] <= min(sum(w) // n, cap)
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(0, 5).flatmap(
+        lambda m: st.one_of(
+            coverage(m), budget_additive(m), accepted_tables(m).map(partial(ExplicitTable, m))
+        )
+    ),
+)
+@example(2, ExplicitTable(2, [0, -1, -1, -2]))  # no good is positive, yet mu is -1
+def test_audit_share_past_the_budget(n, f):
+    """Past the exact oracle's budget, the audit's share is exact only where
+    it is the share, and otherwise a lower bound, on tables with negative
+    entries too."""
+    mu, source = _mms_submodular(f, n, budget=1)
+    exact = mms_exact_submodular(f, n, witness=False).value
+    if source == MU_EXACT:
+        assert mu == exact
+    else:
+        assert (source, mu <= exact) == (MU_CERTIFIED, True)
 
 
 def public_data(f):

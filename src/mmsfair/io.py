@@ -12,7 +12,8 @@ a table where some good adds more to a bundle than max(0, its own value) is
 rejected, because the exact oracle's bounds assume it. Reports carry, per
 agent, the achieved value, the maximin share with its provenance (exact,
 certified-lower-bound, or unavailable), the achieved ratio where it is well
-defined, and the verdict of the division-free guarantee comparison. Past the
+defined, and the verdict of the division-free guarantee comparison (none
+where a negative value shows a submodular valuation not monotone). Past the
 exact oracle's budget, a submodular share is certified from below by the
 poorest bundle of the oracle's greedy n-partition, and is exact only where
 that bound is 0 and a cap of 0 meets it; an additive one is unavailable.
@@ -338,8 +339,11 @@ def build_report(
     violation). That bound is reported as exact only when it is 0 and fewer
     than n goods have positive value (detect_positive_mms): some bundle then
     holds none, and a good adds at most max(0, its own value), so mu <= 0.
-    Additive agents report mu as unavailable. The submodular delta (default
-    DEFAULT_DELTA, 1/20) must be positive, as in alg_sub.
+    A submodular value or mu below 0 (each the value of a bundle) shows f is
+    not monotone, as f(empty) = 0, and the guarantee is stated for monotone
+    f only: that agent's verdict is None. Additive agents report mu as
+    unavailable. The submodular delta (default DEFAULT_DELTA, 1/20) must be
+    positive, as in alg_sub.
     """
     kind = kind_of(instance)
     if kind == KIND_SUBMODULAR:
@@ -377,6 +381,8 @@ def build_report(
             else:
                 satisfied = None if holds else False
                 ratio = None
+            if kind == KIND_SUBMODULAR and min(values[i], mu) < 0:
+                satisfied = None  # f is not monotone: no guarantee applies
         rows.append(
             AgentReport(
                 agent=i,

@@ -9,9 +9,8 @@ exact int computed on ints throughout; value_mask(mask) is the public
 rational answer, Fraction(value_int(mask), scale). The hot loops (round robin, the threshold
 probe, the exact oracle) compare these ints, scaled by a threshold's
 denominator where one is involved, so no Fraction arithmetic runs per query.
-subset_table is the one helper that tabulates a fold over every subset of
-a list: the coverage and budget-additive families keep one table per byte
-of the mask.
+The coverage and budget-additive families hold only their data and answer
+a query by folding over the goods that the mask selects (_bits).
 
 Coverage and budget-additive instances memoize value_int by mask for their
 lifetime (an explicit table is its own lookup), and only the queries made
@@ -32,7 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, or_
+from itertools import compress
+from operator import or_
 from typing import Iterable, Sequence
 
 from ..errors import InvalidInstanceError
@@ -68,20 +68,13 @@ def goods_of(mask: int) -> list[int]:
     return out
 
 
-def subset_table(items: Sequence, combine) -> list:
-    """table[s] folds combine over items[k] for the set bits k of s,
-    starting from 0 (so table[0] = 0): one combine per subset, each built
-    from the subset without its highest item."""
-    table = [0]
-    for item in items:
-        table += [combine(t, item) for t in table]
-    return table
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _byte_tables(items: Sequence[int], combine) -> list[list[int]]:
-    """subset_table of each run of 8 items: a fold over a mask's set bits
-    then takes one lookup per byte of the mask."""
-    return [subset_table(items[base:base + 8], combine) for base in range(0, len(items), 8)]
+def _bits(mask: int) -> bytes:
+    """One 0/1 byte per bit of mask, lowest first: the selector that
+    itertools.compress takes to pick the items at the set bits."""
+    return bin(mask)[:1:-1].encode().translate(_BIT)
 
 
 class SubmodularValuation:
@@ -169,12 +162,13 @@ class ExplicitTable(SubmodularValuation):
 class WeightedCoverage(SubmodularValuation):
     """Coverage function: value of a bundle is the weight of the union it covers.
 
-    covers[g] lists the universe elements covered by good g; weights[e] >= 0
-    is the weight of element e, and ints[e] == scale * weights[e]. Coverage
-    functions are always normalized, monotone and submodular.
+    covers[g] lists the universe elements covered by good g, held as the
+    element mask masks[g]; weights[e] >= 0 is the weight of element e, and
+    ints[e] == scale * weights[e]. Coverage functions are always normalized,
+    monotone and submodular.
     """
 
-    __slots__ = ("ints", "covers", "_cover_bytes", "_weight_bytes")
+    __slots__ = ("ints", "masks")
 
     def __init__(self, m: int, weights: Sequence[ValueLike], covers: Sequence[Iterable[int]]):
         scale, self.ints = scale_to_ints(tuple(weights))
@@ -192,26 +186,26 @@ class WeightedCoverage(SubmodularValuation):
                     raise InvalidInstanceError(f"element {e} out of range [0,{u})")
                 emask |= 1 << e
             packed.append(emask)
-        self.covers = tuple(tuple(goods_of(em)) for em in packed)
-        self._cover_bytes = _byte_tables(packed, or_)
-        self._weight_bytes = _byte_tables(self.ints, add)
+        self.masks = tuple(packed)
 
     @property
     def weights(self) -> tuple[Value, ...]:
         return tuple(Fraction(x, self.scale) for x in self.ints)
 
+    @property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(goods_of(em)) for em in self.masks)
+
     def _value_int_raw(self, mask: int) -> int:
-        covers, weights = self._cover_bytes, self._weight_bytes
-        lookup = list.__getitem__
-        covered = reduce(or_, map(lookup, covers, mask.to_bytes(len(covers), "little")), 0)
-        return sum(map(lookup, weights, covered.to_bytes(len(weights), "little")))
+        covered = reduce(or_, compress(self.masks, _bits(mask)), 0)
+        return sum(compress(self.ints, _bits(covered)))
 
 
 class BudgetAdditive(SubmodularValuation):
     """Additive value capped at a budget: f(S) = min(cap, sum of weights in S),
     held as ints[g] == scale * weights[g] and cap_int == scale * cap."""
 
-    __slots__ = ("ints", "cap_int", "_weight_bytes")
+    __slots__ = ("ints", "cap_int")
 
     def __init__(self, weights: Sequence[ValueLike], cap: ValueLike):
         scale, ints = scale_to_ints((*weights, cap))
@@ -221,7 +215,6 @@ class BudgetAdditive(SubmodularValuation):
             raise InvalidInstanceError("weights must be non-negative")
         if self.cap_int < 0:
             raise InvalidInstanceError("cap must be non-negative")
-        self._weight_bytes = _byte_tables(self.ints, add)
 
     @property
     def weights(self) -> tuple[Value, ...]:
@@ -232,9 +225,7 @@ class BudgetAdditive(SubmodularValuation):
         return Fraction(self.cap_int, self.scale)
 
     def _value_int_raw(self, mask: int) -> int:
-        weights = self._weight_bytes
-        total = sum(map(list.__getitem__, weights, mask.to_bytes(len(weights), "little")))
-        return min(self.cap_int, total)
+        return min(self.cap_int, sum(compress(self.ints, _bits(mask))))
 
 
 def detect_positive_mms(f: SubmodularValuation, n: int) -> bool:

@@ -1,12 +1,13 @@
 """Reference implementations that the fast paths are compared against.
 
-The envy graph's queries (edges, sources, sinks, find_cycle) read an
-EnvyGraph's successor lists; find_cycle and rotate, the rotation along a
-cycle, share no code with the allocator's own. The next three are the
-straightforward versions the library used before its integer allocator and
-cursor lift: resolve_cycles rebuilds the envy graph from Fraction values
-after every rotation, the allocator loop calls it after every item, and the
-lift rescans every remaining item for each pick. They are slow (O(n^2 m)
+The envy graph's queries (edges, sources, sinks, find_cycle) read a
+graph's successor lists, an EnvyGraph's or envy_graph's; envy_graph, which
+builds one from each row's scaled ints, find_cycle and rotate, the
+rotation along a cycle, share no code with the allocator's own. The next
+three are the straightforward versions the library used before its integer
+allocator and cursor lift: resolve_cycles rebuilds the envy graph after
+every rotation, the allocator loop calls it after every item, and the lift
+rescans every remaining item for each pick. They are slow (O(n^2 m)
 value sums per run, O(m^2) per lift) but easy to check by eye. The fourth
 is the maximin share by brute force over all n^m assignments, for the exact
 oracles, and the fifth their branch and bound in its first form: one
@@ -23,6 +24,7 @@ they share no arithmetic with value_int.
 """
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -31,10 +33,25 @@ from unittest import mock
 from multilinear import MarginalValuation
 
 from mmsfair import oracles
-from mmsfair.envy_graph import RunTrace, TraceStep, build_envy_graph
+from mmsfair.envy_graph import RunTrace, TraceStep
 from mmsfair.model import GOODS, AdditiveInstance, Allocation
 from mmsfair.oracles import SlotObjective
 from mmsfair.submodular.valuations import BudgetAdditive, ExplicitTable, goods_of
+
+
+Graph = namedtuple("Graph", "n succ")
+
+
+def envy_graph(instance, bundles):
+    """The envy graph of bundles: i -> j iff row i of instance.ints sums to
+    more over bundles[j] than over bundles[i]. Each row is its Fraction
+    values times a positive scale, so every comparison is theirs."""
+    n = len(bundles)
+    succ = []
+    for i, row in enumerate(instance.ints):
+        worth = [sum(row[g] for g in b) for b in bundles]
+        succ.append(tuple(j for j in range(n) if j != i and worth[i] < worth[j]))
+    return Graph(n, tuple(succ))
 
 
 def edges(graph):
@@ -109,22 +126,19 @@ def resolve_cycles(
     """
     bundles = list(allocation.bundles)
     log: list[list[int]] = []
-    while True:
-        graph = build_envy_graph(instance, Allocation(bundles, allocation.m))
-        cycle = find_cycle(graph)
-        if cycle is None:
-            return Allocation(bundles, allocation.m), log
+    while (cycle := find_cycle(envy_graph(instance, bundles))) is not None:
         log.append(list(cycle))
         rotate(bundles, cycle)
+    return Allocation(bundles, allocation.m), log
 
 
 def reference_allocate_ordered(instance, pick):
-    """The allocator loop: build_envy_graph + resolve_cycles per item."""
+    """The allocator loop: envy_graph + resolve_cycles per item."""
     n, m = instance.n, instance.m
     bundles = [frozenset() for _ in range(n)]
     steps = []
     for j in range(m):
-        graph = build_envy_graph(instance, Allocation(bundles, m))
+        graph = envy_graph(instance, bundles)
         candidates = sources(graph) if pick == "source" else sinks(graph)
         agent = min(candidates)
         bundles[agent] = bundles[agent] | {j}

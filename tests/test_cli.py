@@ -157,8 +157,9 @@ class TestVerify:
     @pytest.mark.parametrize("budget", ["1", "100000000"])
     def test_negative_table_share_past_the_budget(self, tmp_path, budget):
         # every bundle of this table is worth at most 0, so the fewer than n
-        # positive goods do not make mu 0: it is -1, for {0} | {1}; the
-        # guarantee, meant for monotone tables, fails on these bundles
+        # positive goods do not make mu 0: it is -1, for {0} | {1}; a value
+        # below 0 shows the table is not monotone, so the guarantee, stated
+        # for monotone tables, neither holds nor fails for either agent
         inst = tmp_path / "inst.json"
         alloc = tmp_path / "alloc.json"
         out = tmp_path / "report.json"
@@ -167,11 +168,13 @@ class TestVerify:
                                 "agents": [agent, agent]}))
         write(alloc, json.dumps({"version": 1, "m": 2, "bundles": [[0], [1]]}))
         assert run("verify", "--input", str(inst), "--allocation", str(alloc),
-                   "--oracle-budget", budget, "--output", str(out), "--format", "json") == 2
+                   "--oracle-budget", budget, "--output", str(out), "--format", "json") == 0
         source = "exact" if budget != "1" else "certified-lower-bound"
-        assert [(a["mms"], a["mms_source"]) for a in json.loads(out.read_text())["agents"]] == [
-            ("-1", source), ("-1", source)
+        report = json.loads(out.read_text())
+        assert [(a["mms"], a["mms_source"], a["satisfied"]) for a in report["agents"]] == [
+            ("-1", source, None), ("-1", source, None)
         ]
+        assert report["ok"] is True
 
     @pytest.mark.parametrize("delta", ["0", "-1"])
     def test_submodular_rejects_non_positive_delta(self, tmp_path, capsys, delta):

@@ -470,6 +470,16 @@ class TestBuildReport:
         assert "delta=1/20" in report.guarantee
         assert report.ok
 
+    def test_negative_bundle_voids_the_verdict(self):
+        # mu is 0 ({0, 1} | {}), but good 1 alone is worth -1: the table is
+        # not monotone, so agent 0's verdict is None where it was False
+        f = ExplicitTable(2, [0, 1, -1, 0])
+        report = build_report([f, f], Allocation([{1}, {0}], 2))
+        a0, a1 = report.agents
+        assert (a0.value, a0.mms, a0.mms_source, a0.satisfied) == (-1, 0, MU_EXACT, None)
+        assert (a1.value, a1.satisfied) == (1, True)
+        assert report.ok
+
     def test_zero_share_has_no_ratio(self):
         inst = AdditiveInstance([[0, 0]] * 2)
         report = build_report(inst, Allocation([{0, 1}, set()], 2))

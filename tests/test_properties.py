@@ -11,7 +11,9 @@ lexicographically least optimal assignment. The greedy-start bound that the
 audit reports past the oracle's budget never exceeds the brute-force share,
 and is positive exactly when the share is; the caps built from the mean and
 from the n - 1 largest goods never fall below it, for additive goods and
-chores and monotone submodular agents; and past the budget the audit calls
+chores and monotone submodular agents, and at solver sizes (n up to 20, m
+up to 200 additive; n up to 8, m up to 60 coverage and budget-additive)
+that bound stays below those caps; and past the budget the audit calls
 a share exact only when it is, on tables with negative entries too. And
 parse_instance(serialize_instance(x)) gives back x for drawn instances of
 every kind: additive goods and chores, coverage, budget-additive and
@@ -77,6 +79,28 @@ def valuation_max_min(f, n):
 
 def valuation_mu(f, n):
     return valuation_max_min(f, n)[0]
+
+
+def additive_cap(w, n, kind):
+    """A cap on the share of the int row w: the mean, floored, and for goods
+    the total without the n - 1 largest goods (some bundle misses them all),
+    for chores the worst chore (its bundle is no better)."""
+    if kind == GOODS:
+        cap = sum(w) - sum(sorted(w, reverse=True)[: n - 1])
+    else:
+        cap = min(w, default=0)
+    return min(sum(w) // n, cap)
+
+
+def submodular_cap(f, n):
+    """A cap on scale * mu for monotone f: f(all), the singletons' mean,
+    floored, and f of all but the n - 1 largest singletons (some bundle
+    misses them all, so it is worth at most f of the rest)."""
+    singles = [f.value_int(1 << g) for g in range(f.m)]
+    rest = (1 << f.m) - 1
+    for g in sorted(range(f.m), key=lambda g: -singles[g])[: n - 1]:
+        rest ^= 1 << g
+    return min(f.value_int((1 << f.m) - 1), sum(singles) // n, f.value_int(rest))
 
 
 def allocation_of(assign, n, m):
@@ -232,29 +256,51 @@ def test_greedy_bound_never_exceeds_share(n, f):
     mu = valuation_mu(f, n)
     assert 0 <= bound <= mu
     assert (bound > 0) == detect_positive_mms(f, n)
-    # a cap for monotone f: some bundle misses all of the n - 1 largest
-    # singletons, so it is worth at most f of the rest
-    singles = [f.value_int(1 << g) for g in range(f.m)]
-    rest = (1 << f.m) - 1
-    for g in sorted(range(f.m), key=lambda g: -singles[g])[: n - 1]:
-        rest ^= 1 << g
-    cap = min(f.value_int((1 << f.m) - 1), sum(singles) // n, f.value_int(rest))
-    assert mu <= Fraction(cap, f.scale)
+    assert mu <= Fraction(submodular_cap(f, n), f.scale)
 
 
 @given(st.one_of(additive_instances(GOODS), additive_instances(CHORES)))
 def test_additive_bounds_bracket_the_share(instance):
-    """The greedy start's poorest bundle <= mu <= the cap: the mean, floored,
-    and for goods the total without the n - 1 largest goods (some bundle
-    misses them all), for chores the worst chore (its bundle is no better)."""
+    """The greedy start's poorest bundle <= mu <= additive_cap."""
     n = instance.n
     for i, w in enumerate(instance.ints):
         _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
-        if instance.kind == GOODS:
-            cap = sum(w) - sum(sorted(w, reverse=True)[: n - 1])
-        else:
-            cap = min(w, default=0)
-        assert greedy <= row_mu(instance, i, n) * instance.scales[i] <= min(sum(w) // n, cap)
+        mu = row_mu(instance, i, n) * instance.scales[i]
+        assert greedy <= mu <= additive_cap(w, n, instance.kind)
+
+
+@given(
+    st.sampled_from((GOODS, CHORES)),
+    st.integers(2, 20),
+    st.integers(0, 200),
+    st.randoms(use_true_random=True),
+)
+def test_additive_greedy_bound_below_the_caps_at_solver_sizes(kind, n, m, rng):
+    """LB <= cap where no brute force reaches: the greedy start's poorest
+    bundle never exceeds additive_cap, on int rows whose value ranges give
+    ties, zeros and 40-bit values."""
+    sign = 1 if kind == GOODS else -1
+    for _ in range(n):
+        hi = rng.choice((1, 4, 20, 10**12))
+        w = [sign * rng.randint(0, hi) for _ in range(m)]
+        _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
+        assert greedy <= additive_cap(w, n, kind)
+
+
+@given(st.integers(2, 8), st.integers(0, 60), st.booleans(), st.randoms(use_true_random=True))
+def test_submodular_greedy_bound_below_the_caps_at_solver_sizes(n, m, cover, rng):
+    """LB <= cap for coverage and budget-additive agents where no brute force
+    reaches: mms_greedy_submodular never exceeds submodular_cap."""
+    q = rng.randint(1, 6)
+    if cover:
+        u = m + rng.randint(0, 20)
+        weights = [Fraction(rng.randint(0, 9), q) for _ in range(u)]
+        covers = [rng.sample(range(u), rng.randint(0, min(u, 5))) for _ in range(m)]
+        f = WeightedCoverage(m, weights, covers)
+    else:
+        weights = [Fraction(rng.randint(0, 9), q) for _ in range(m)]
+        f = BudgetAdditive(weights, Fraction(rng.randint(0, 9 * m), rng.randint(1, 6)))
+    assert mms_greedy_submodular(f, n) * f.scale <= submodular_cap(f, n)
 
 
 @given(

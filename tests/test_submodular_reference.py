@@ -3,10 +3,12 @@
 Drawn coverage, budget-additive, explicit and marginal valuations carry
 per-valuation denominators 1-6 (and budget caps their own), so scale > 1
 and every int comparison is cross-multiplied; narrow weight ranges give
-ties. Values, the lazy greedy slot solver, round robin, the threshold
-probe and its bracket search must return exactly what the references in
-tests/reference.py return, and the greedy must reach half of the slot
-objective's brute-force optimum.
+ties. Values are compared on every mask of up to 7 goods, and on the
+empty, the full and drawn masks of coverage and budget-additive valuations
+of 8 to 70 goods. Values, the lazy greedy slot solver, round robin, the
+threshold probe and its bracket search must return exactly what the
+references in tests/reference.py return, and the greedy must reach half of
+the slot objective's brute-force optimum.
 """
 
 from fractions import Fraction
@@ -49,8 +51,8 @@ def draw_weights(draw, count):
     return [Fraction(draw(st.integers(0, hi)), q) for _ in range(count)]
 
 
-def draw_coverage(draw, m):
-    u = m + draw(st.integers(0, 9))
+def draw_coverage(draw, m, spare=9):
+    u = m + draw(st.integers(0, spare))
     weights = draw_weights(draw, u)
     covers = [
         draw(st.lists(st.integers(0, u - 1), max_size=3, unique=True)) if u else []
@@ -91,10 +93,22 @@ def fractions(max_den=9):
 
 @given(data=st.data())
 def test_value_int_is_scale_times_the_fraction_value(data):
-    m = data.draw(st.integers(0, 7))
-    f = data.draw(valuations(m, contract=True))
+    if not data.draw(st.booleans()):
+        m = data.draw(st.integers(0, 7))
+        f = data.draw(valuations(m, contract=True))
+        masks = range(1 << m)
+    else:
+        # past one byte of goods: widths at byte and 64-bit word edges, and
+        # coverage universes of up to 200 elements
+        m = data.draw(st.sampled_from((8, 9, 16, 17, 63, 64, 65, 70)) | st.integers(8, 70))
+        if data.draw(st.booleans()):
+            f = draw_coverage(data.draw, m, spare=130)
+        else:
+            f = draw_budget(data.draw, m)
+        full = (1 << m) - 1
+        masks = [0, full, *data.draw(st.lists(st.integers(0, full), max_size=12))]
     h = getattr(f, "h_mask", 0)
-    for mask in range(1 << m):
+    for mask in masks:
         if mask & h:
             continue
         exact = reference_value(f, mask)

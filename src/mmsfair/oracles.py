@@ -12,14 +12,22 @@ child before entering it, with the deficit carried down and recomputed
 only when the incumbent rises, and judges each leaf in place. A value pass,
 goods by descending singleton magnitude from a greedy warm start, finds the
 optimum and stops once it meets an upper bound (the total over n for
-additive rows, the positive singleton sum over n for submodular ones). A
-witness pass, the same search on the goods in index order from one below
-the optimum to the optimum, then returns the lexicographically least
-good-to-bundle assignment achieving it, so witnesses are deterministic.
-witness=False skips that pass when only the value is wanted. The search is
-exact but exponential; the n^m budget guard keeps it honest. Past that
-guard, mms_greedy_submodular returns the greedy start's poorest bundle
-alone, a lower bound on a submodular share that the audit reports.
+additive rows, the positive singleton sum over n for submodular ones). The
+witness is the lexicographically least good-to-bundle assignment achieving
+it, so witnesses are deterministic: the first optimal leaf of the search
+run on the goods in index order. It is fixed good by good, each good going
+into the first bundle from which the rest can still reach the optimum, as
+a search on the unplaced goods by descending size, from the placed goods'
+bundles, shows; that order prunes (Korf's multi-way number partitioning
+searches use it), where the index order can take seconds on narrow-valued
+rows. Where it does not, a check that runs past a node limit hands over to
+the index-order search from the placed bundles, under a limit too, and the
+limit grows when both run past it. witness=False skips that pass when only
+the value is wanted, and one bundle (n = 1) holds every good without a
+search. The search is exact but exponential; the n^m budget guard keeps it
+honest. Past that guard, mms_greedy_submodular returns the greedy start's
+poorest bundle alone, a lower bound on a submodular share that the audit
+reports.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular searches a threshold tau from the one the seeds accept,
@@ -50,12 +58,17 @@ from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.valuations import SubmodularValuation, goods_of, mask_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
+_WITNESS_NODE_LIMIT = 4096  # the checks' first node limit; audit-exact checks stay below it
 
 
 def _check_budget(n: int, m: int, budget: int) -> None:
     size = n ** max(m, 1)
     if size > budget:
         raise BudgetExceededError("exact maximin enumeration", size, budget)
+
+
+class _NodeLimit(Exception):
+    """A branch and bound search reached its node limit."""
 
 
 def _branch_and_bound(
@@ -66,14 +79,18 @@ def _branch_and_bound(
     value: Callable | None,
     best,
     stop,
+    start: Sequence | None = None,
+    limit: int | None = None,
 ) -> tuple[object, list[int] | None]:
     """Depth-first branch and bound over the assignments of items to n bundles.
 
-    Items are placed in the given order. A bundle is a key that starts at 0
-    and grows by add(key, item); value(key) is its value (None: the key is
-    its own value), and caps[t] bounds what item t can add to any bundle's
-    value. Bundles are tried in index order, skipping one whose key an
-    earlier bundle already has, since equal keys have the same futures.
+    Items are placed in the given order. A bundle is a key that starts at 0,
+    or at start[k] when start keys are given (bundle k already holds items
+    outside this call), and grows by add(key, item); value(key) is its value
+    (None: the key is its own value), and caps[t] bounds what item t can add
+    to any bundle's value. Bundles are tried in index order, skipping one
+    whose key an earlier bundle already has, since equal keys have the same
+    futures.
 
     Each leaf whose minimum beats best raises best, and the first to reach
     stop ends the search. A node is pruned, before it is entered, when its
@@ -91,21 +108,26 @@ def _branch_and_bound(
     leaf that passes has deficit 0 and so beats best; it is judged in place.
 
     Returns best and the assignment of the leaf that ended the search
-    (assign[t] is item t's bundle), or None when none did.
+    (assign[t] is item t's bundle), or None when none did. With a limit, a
+    search that would enter more than limit nodes raises _NodeLimit.
     """
     m = len(items)
     headroom = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         headroom[t] = headroom[t + 1] + caps[t]
-    keys = [0] * n
-    vals = keys if value is None else [value(0)] * n
+    keys = [0] * n if start is None else list(start)
+    vals = keys if value is None else list(map(value, keys))
     assign = [0] * m
+    nodes = -1 if limit is None else limit  # counting down from -1 never reaches 0
 
     def deficit_of(target) -> int:
         return sum([target - v for v in vals if v < target])
 
     def dfs(t: int, target, deficit) -> bool:
-        nonlocal best
+        nonlocal best, nodes
+        if not nodes:
+            raise _NodeLimit
+        nodes -= 1
         item, room, leaf = items[t], headroom[t + 1], t + 1 == m
         for k in range(n):
             key = keys[k]
@@ -175,13 +197,38 @@ def _max_min_partition(
 ) -> tuple[object, Allocation | None]:
     """The largest minimum bundle value over n-partitions of the items, and
     the lexicographically least assignment of items to bundles reaching it
-    (None unless witness).
+    that never puts an item into a bundle whose key an earlier bundle shares
+    (None unless witness): the first hit of the engine on the items in index
+    order from best = mu - 1 to stop = mu.
 
-    The value pass places items by descending size, from the greedy start's
-    poorest bundle, and stops early at upper. The witness pass is the same
-    search on the items in index order from best = mu - 1 to stop = mu.
+    One bundle holds every item, so n = 1 needs no search. Otherwise the
+    value pass places items by descending size, from the greedy start's
+    poorest bundle, and stops early at upper. The witness is then fixed one
+    item at a time, in index order, by checks: the engine on the unplaced
+    items by descending size, from the placed bundles' keys, with best =
+    mu - 1 and stop = mu. The last check that hit names a bundle c for the
+    next item; c is relabelled to the first bundle with its key (bundles
+    with equal keys are interchangeable), and the item goes into the first
+    bundle below c with a key of its own whose check hits, or else into c.
+    A failed check covers a subtree that the index-order search exhausts as
+    well, so the result is that search's first hit.
+
+    That order can also be the slow one: on a uniform row with n = 3 and
+    m = 40 a check hits only after millions of nodes where the index order
+    needs dozens. So checks run under a node limit, _WITNESS_NODE_LIMIT at
+    first. A check that reaches it hands over to the engine on the unplaced
+    items in index order, from the placed bundles' keys, with half the
+    limit: the placed items are the first of the index-order hit, so that
+    search's first hit completes it. When both reach their limits, it grows
+    16-fold and the item's checks run again. It never shrinks, so the work
+    that it cuts short or repeats is at most about n + 1 times the nodes of
+    the largest check.
     """
     m = len(items)
+    if n == 1:
+        key = reduce(add, items, 0)
+        share = key if value is None else value(key)
+        return share, Allocation([range(m)], m) if witness else None
     order, best = _greedy_start(n, items, sizes, add, value)
     if best < upper:
         best, _ = _branch_and_bound(
@@ -189,12 +236,61 @@ def _max_min_partition(
         )
     if not witness:
         return best, None
-    _, assign = _branch_and_bound(n, items, caps, add, value, best - 1, best)
-    if assign is None:
-        raise RuntimeError("witness search missed the optimum it was given")
+
+    def completion(t: int, keys: list) -> list[int] | None:
+        """owner[g], a bundle for each item g >= t, with which keys reach
+        best; None when no such completion exists. Raises _NodeLimit."""
+        rest = [g for g in order if g >= t]
+        _, assign = _branch_and_bound(
+            n, [items[g] for g in rest], [caps[g] for g in rest], add, value, best - 1, best,
+            keys, limit,
+        )
+        if assign is None:
+            return None
+        owner = [0] * m
+        for g, k in zip(rest, assign):
+            owner[g] = k
+        return owner
+
+    keys = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for g, k in enumerate(assign):
-        bundles[k].append(g)
+    owner, t, limit = None, 0, _WITNESS_NODE_LIMIT
+    while t < m:
+        try:
+            if owner is None:
+                owner = completion(0, keys)
+                if owner is None:
+                    raise RuntimeError("witness search missed the optimum it was given")
+            c = owner[t]
+            first = keys.index(keys[c])
+            if first < c:  # swap the labels of two bundles with equal keys
+                owner = [c if k == first else first if k == c else k for k in owner]
+                c = first
+            for k in range(c):
+                if keys.index(keys[k]) < k:
+                    continue
+                trial = keys.copy()
+                trial[k] = add(keys[k], items[t])
+                hit = completion(t + 1, trial)
+                if hit is not None:
+                    c, owner = k, hit
+                    break
+        except _NodeLimit:  # the rest in index order, whose first hit ends the witness
+            try:
+                _, assign = _branch_and_bound(
+                    n, items[t:], caps[t:], add, value, best - 1, best, keys, limit // 2
+                )
+            except _NodeLimit:
+                limit *= 16
+                continue
+            if assign is None:
+                raise RuntimeError("witness search missed the optimum it was given")
+            for g, k in enumerate(assign, t):
+                bundles[k].append(g)
+            break
+        keys[c] = add(keys[c], items[t])
+        bundles[c].append(t)
+        t += 1
     return best, Allocation(bundles, m)
 
 

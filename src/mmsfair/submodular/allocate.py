@@ -29,7 +29,7 @@ from typing import Sequence
 
 from ..errors import InvalidInstanceError
 from ..model import Allocation, Value, as_value
-from .valuations import SubmodularValuation, detect_positive_mms, goods_of, shared_ground
+from .valuations import SubmodularValuation, detect_positive_mms, goods_of, mask_of, shared_ground
 
 DEFAULT_DELTA = Fraction(1, 20)  # alg_sub's decay step, and the audit's and CLI's default
 
@@ -64,6 +64,9 @@ def round_robin(
             active.append(i)
 
     turn_order = active if active else list(range(n))
+    if len(turn_order) == 1:  # a lone agent's turns take every free good
+        masks[turn_order[0]] |= mask_of(free, m)
+        free = []
     while free:
         for i in turn_order:
             if not free:

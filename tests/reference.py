@@ -12,7 +12,7 @@ value sums per run, O(m^2) per lift) but easy to check by eye. The fourth
 is the maximin share by brute force over all n^m assignments, for the exact
 oracles, and the fifth their branch and bound in its first form: one
 recursive call per node, which tests its own node on entry and recomputes
-the deficit from every bundle.
+the deficit from every bundle, from all-empty bundles or from given keys.
 
 The rest are the submodular loops as they ran before the valuations were
 scaled to ints: the lazy greedy slot solver, round robin, the threshold
@@ -199,9 +199,10 @@ def reference_max_min(n, m, bundle_value):
     return Fraction(best, denom), witness
 
 
-def reference_branch_and_bound(n, items, caps, add, value, best, stop):
-    """oracles._branch_and_bound as one call per node: same arguments, same
-    search order, prunes and stop, same (best, assign) result.
+def reference_branch_and_bound(n, items, caps, add, value, best, stop, start=None):
+    """oracles._branch_and_bound as one call per node: same arguments (start,
+    when given, holds each bundle's first key), same search order, prunes
+    and stop, same (best, assign) result.
 
     Each call enters a node, then tests it: a leaf raises best when its
     minimum beats it, and an inner node is pruned when its bundles' total
@@ -212,8 +213,8 @@ def reference_branch_and_bound(n, items, caps, add, value, best, stop):
     headroom = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         headroom[t] = headroom[t + 1] + caps[t]
-    keys = [0] * n
-    vals = keys if value is None else [value(0)] * n
+    keys = [0] * n if start is None else list(start)
+    vals = keys if value is None else [value(key) for key in keys]
     assign = [0] * m
 
     def dfs(t):

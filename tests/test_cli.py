@@ -1,5 +1,6 @@
 """End-to-end command line flows: solve, audit, generate, sweep."""
 
+import hashlib
 import json
 import random
 import tempfile
@@ -230,6 +231,52 @@ class TestMmsCommands:
         assert lines[:2] == ["command: mms-exact", "agents:"]
         rows = [line.split()[:2] for line in lines[2:]]
         assert rows == [["agent", "mms"], ["0", "10"], ["1", "5"]]
+
+    def test_exact_single_agent_with_many_goods(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "mms.json"
+        row = [g % 7 for g in range(3000)]
+        doc = {"version": 1, "kind": "additive-goods", "n": 1, "m": 3000, "values": [row]}
+        write(inst, json.dumps(doc))
+        argv = ["mms-exact", "--input", str(inst), "--output", str(out), "--format", "json"]
+        assert run(*argv) == 0
+        rows = json.loads(out.read_text())["agents"]
+        assert rows == [{"agent": 0, "mms": str(sum(row)), "witness": [list(range(3000))]}]
+
+    def test_solve_single_submodular_agent_with_many_goods(self, tmp_path):
+        # round robin and the audit's exact share both take every good at once
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "report.json"
+        agent = {"family": "budget-additive", "weights": [1] * 3000, "cap": 1500}
+        doc = {"version": 1, "kind": "submodular", "n": 1, "m": 3000, "agents": [agent]}
+        write(inst, json.dumps(doc))
+        argv = ["solve-submodular", "--input", str(inst), "--output", str(out)]
+        assert run(*argv, "--format", "json") == 0
+        report = json.loads(out.read_text())
+        assert report["bundles"] == [list(range(3000))]
+        assert report["agents"] == [{
+            "agent": 0, "value": "1500", "mms": "1500", "mms_source": "exact",
+            "ratio": "1", "satisfied": True,
+        }]
+
+    @pytest.mark.parametrize("n, m, digest", [
+        # the index-order search alone takes seconds to find the witness here
+        (4, 20, "32563a4f6c4ae75a3094ca4688b9e2a3510ebd9fdc3c02e06e6170f1eac1b2a9"),
+        # the descending checks alone take seconds here, and hand over to
+        # the index-order search at their node limit
+        (3, 40, "a7881c10986f3fd971ae27e97943baafeaa48c9a552a0fab8d1d53f7d4c75808"),
+    ], ids=["n4-m20", "n3-m40"])
+    def test_exact_narrow_row_past_the_default_budget(self, tmp_path, n, m, digest):
+        # narrow values make many partitions tie; each digest is the output
+        # of the index-order search alone, which the good-by-good witness
+        # must reproduce
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "mms.json"
+        assert run("generate", "--kind", "uniform-additive", "--n", str(n), "--m", str(m),
+                   "--seed", "1", "--output", str(inst)) == 0
+        assert run("mms-exact", "--input", str(inst), "--output", str(out), "--format", "json",
+                   "--oracle-budget", str(n**m)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_exact_agent_out_of_range(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -6,21 +6,31 @@ value and the lexicographically least witness that enumerating all n^m
 assignments gives, and a goods row must give the same value and witness
 through both oracles, as an additive row and as a budget-additive valuation
 whose cap never binds. The engine itself must also never try two bundles
-with the same key at one node, in the value pass and in the witness pass,
-the same search run in index order from one below the optimum, and from
-any start pair it must end where the reference engine, one call per node,
-ends: with the same best and on the same leaf.
+with the same key at one node, in the value pass and in the search run in
+index order from one below the optimum, and from any start pair and start
+keys it must end where the reference engine, one call per node, ends: with
+the same best and on the same leaf; a node limit may only cut it short. At
+sizes past brute force, the witness that the oracles fix good by good must
+be the leaf where that index-order search stops, whatever the node limit
+its checks start from.
 """
 
 import operator
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import reference_branch_and_bound, reference_max_min
 
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
-from mmsfair.oracles import _branch_and_bound, mms_exact_additive, mms_exact_submodular
+from mmsfair import oracles
+from mmsfair.oracles import (
+    _branch_and_bound,
+    _NodeLimit,
+    mms_exact_additive,
+    mms_exact_submodular,
+)
 from mmsfair.submodular.valuations import BudgetAdditive, WeightedCoverage
 
 
@@ -51,9 +61,9 @@ def additive_cases(draw):
 
 
 @st.composite
-def submodular_cases(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, 7))
+def submodular_cases(draw, ns=st.integers(1, 4), ms=st.integers(0, 7)):
+    n = draw(ns)
+    m = draw(ms)
     q = draw(st.integers(1, 4))
     if draw(st.booleans()):
         u = m + draw(st.integers(1, 3))
@@ -156,10 +166,12 @@ def test_engine_passes_against_brute_force(n, numerators, sign):
 @st.composite
 def engine_calls(draw):
     """The arguments of one engine call: an additive row's ints or a
-    submodular valuation's masks, as items in a drawn order, and a start pair
-    (best, stop) at, around or far from the optimum: a best far above it
-    leaves the root pruned outright, and a stop above a low best has the
-    incumbent rise several times, as in the value pass."""
+    submodular valuation's masks, as items in a drawn order, a start pair
+    (best, stop) at, around or far from the optimum, and, in half the calls,
+    start keys: the loads or masks of bundles that already hold the first
+    items of the order, which the call then leaves out. A best far above the
+    optimum leaves the root pruned outright, and a stop above a low best has
+    the incumbent rise several times, as in the value pass."""
     if draw(st.booleans()):
         instance, agent, n = draw(additive_cases())
         row = instance.ints[agent]
@@ -172,17 +184,29 @@ def engine_calls(draw):
         add, value, floor = operator.or_, f.value_int, -1
     order = draw(st.permutations(range(len(items))))
     items, caps = [items[g] for g in order], [caps[g] for g in order]
-    top = sum(caps) + 1  # n (top + 1) exceeds every headroom: a pruned root
-    opt, _ = reference_branch_and_bound(n, items, caps, add, value, floor, top)
+    start = None
+    if draw(st.booleans()):
+        placed = draw(st.integers(0, len(items)))
+        start = [0] * n
+        for item in items[:placed]:
+            k = draw(st.integers(0, n - 1))
+            start[k] = add(start[k], item)
+        items, caps = items[placed:], caps[placed:]
+    vals = [0] if start is None else start if value is None else list(map(value, start))
+    # no bundle can end above max(vals) + sum(caps), so opt + 2 <= top, and a
+    # best of top leaves a deficit past every headroom: a pruned root
+    top = max(vals) + sum(caps) + 2
+    opt, _ = reference_branch_and_bound(n, items, caps, add, value, floor, top, start)
     near = st.integers(-3, 2).map(opt.__add__)
     best = draw(st.one_of(near, st.integers(floor, top)))
     stop = draw(st.one_of(near, st.integers(best, top), st.integers(floor, top)))
-    return n, items, caps, add, value, best, stop
+    return n, items, caps, add, value, best, stop, start
 
 
-# the same search, not just the same optimum: from any start pair the
-# engine must end where the one-call-per-node reference ends, on the same
-# leaf, whether that leaf was the optimum, an early stop or none at all
+# the same search, not just the same optimum: from any start pair and any
+# start keys the engine must end where the one-call-per-node reference
+# ends, on the same leaf, whether that leaf was the optimum, an early stop
+# or none at all; the examples take the engine's default, empty bundles
 @given(engine_calls())
 @example((2, [3, 3, 2, 2, 2], [3, 3, 2, 2, 2], operator.add, None, 4, 6))  # the value pass
 @example((2, [0, 0, 1, 1, 2], [0, 0, 1, 1, 2], operator.add, None, 0, 3))  # best rises twice
@@ -190,3 +214,55 @@ def engine_calls(draw):
 @example((2, [3, 1], [3, 1], operator.add, None, 2, 3))  # the root is pruned
 def test_engine_matches_the_per_node_reference(call):
     assert _branch_and_bound(*call) == reference_branch_and_bound(*call)
+
+
+# a limit of 0 stops the search at its first node, and a limit the search
+# does not reach leaves it as it was
+@given(engine_calls(), st.integers(0, 40))
+def test_a_node_limit_only_cuts_the_search_short(call, limit):
+    try:
+        limited = _branch_and_bound(*call, limit)
+    except _NodeLimit:
+        return
+    assert limited == _branch_and_bound(*call)
+
+
+@st.composite
+def witness_cases(draw):
+    """An agent past brute-force sizes and its bundle count: an additive
+    goods or chores row as an instance of n equal rows (n 2-5, m 0-12;
+    values in 0-1 or 0-3, heavy with ties and zeros, or in 0-10^6), or a
+    coverage or budget-additive valuation (n 2-4, m 0-10). Half the sizes
+    are drawn from the top of the range, past what brute force enumerates."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(2, 5)), draw(st.one_of(st.integers(0, 12), st.integers(9, 12)))
+        sign = draw(st.sampled_from((1, -1)))
+        hi = draw(st.sampled_from((1, 3, 10**6)))
+        row = [sign * p for p in draw(st.lists(st.integers(0, hi), min_size=m, max_size=m))]
+        return AdditiveInstance([row] * n, kind=GOODS if sign > 0 else CHORES), n
+    return draw(submodular_cases(st.integers(2, 4), st.one_of(st.integers(0, 10), st.integers(8, 10))))
+
+
+# the witness is fixed good by good, each check searching the unplaced goods
+# by descending size and handing over to the index order at its node limit;
+# it must still be the leaf where the engine, run on the goods in index
+# order from one below the share to the share, stops. A first limit of 1
+# or 8 makes checks hand over, and the limit grow, on many draws
+@settings(max_examples=200)
+@given(witness_cases(), st.sampled_from((1, 8, oracles._WITNESS_NODE_LIMIT)))
+def test_witness_is_the_index_order_leaf(case, limit):
+    source, n = case
+    with mock.patch.object(oracles, "_WITNESS_NODE_LIMIT", limit):
+        if isinstance(source, AdditiveInstance):
+            cert = mms_exact_additive(source, 0, budget=5**12)
+        else:
+            cert = mms_exact_submodular(source, n)
+    if isinstance(source, AdditiveInstance):
+        items, scale, add, value = source.ints[0], source.scales[0], operator.add, None
+    else:
+        items, scale = [1 << g for g in range(source.m)], source.scale
+        add, value = operator.or_, source.value_int
+    caps = [max(0, x if value is None else value(x)) for x in items]
+    mu = cert.value * scale
+    _, assign = _branch_and_bound(n, items, caps, add, value, mu - 1, mu)
+    assert cert.witness == allocation_of(assign, n, len(items))

@@ -85,6 +85,15 @@ class TestExactAdditive:
         assert cert.value == 0
         assert cert.witness.bundles == (frozenset(), frozenset())
 
+    @pytest.mark.parametrize("witness", [True, False])
+    def test_single_agent_with_many_goods(self, witness):
+        # one bundle holds every good, found without a search, so m is not
+        # bounded by the recursion limit
+        row = [g % 7 for g in range(3000)]
+        cert = mms_exact_additive(AdditiveInstance([row]), 0, witness=witness)
+        assert cert.value == sum(row)
+        assert cert.witness == (Allocation([range(3000)], 3000) if witness else None)
+
     def test_value_only_certificate_has_no_witness(self):
         inst = AdditiveInstance([[3, 3, 2, 2, 2]] * 2)
         cert = mms_exact_additive(inst, 0, witness=False)
@@ -97,6 +106,31 @@ class TestExactAdditive:
         certs = [mms_exact_additive(inst, i, budget=3**40) for i in range(3)]
         assert [c.value for c in certs] == [660, 742, 781]
         assert all(check_certificate(c, inst, i) for i, c in enumerate(certs))
+
+    @pytest.mark.parametrize("n, m, most", [
+        # descending checks with no node limit take 22.7 M additions here
+        (3, 40, 10**6),
+        # the index-order search alone takes over 25 M here
+        (4, 20, 6 * 10**6),
+    ], ids=["n3-m40", "n4-m20"])
+    def test_witness_work_on_narrow_rows_past_the_default_budget(self, n, m, most):
+        # each row is slow for one of the witness's two search orders; the
+        # additions that the searches make, for every agent with witness,
+        # stay within about 3x of what the hand-over between them takes
+        inst = generate(GeneratorSpec("uniform-additive", n=n, m=m, seed=1))
+        left = most
+
+        def add(key, item):
+            nonlocal left
+            left -= 1
+            if left < 0:
+                raise AssertionError(f"the witness searches made over {most} additions")
+            return key + item
+
+        for w in inst.ints:
+            oracles._max_min_partition(
+                n, w, w, w, add, None, sum(w) // n, True  # goods: sizes and caps are the values
+            )
 
     def test_budget_guard(self):
         inst = AdditiveInstance([[1, 2, 3, 4, 5]] * 2)
@@ -184,6 +218,12 @@ class TestExactSubmodular:
         f = BudgetAdditive((3, 4), 5)
         cert = mms_exact_submodular(f, 1)
         assert cert.value == 5
+
+    @pytest.mark.parametrize("witness", [True, False])
+    def test_single_bundle_with_many_goods(self, witness):
+        cert = mms_exact_submodular(BudgetAdditive([1] * 3000, 1500), 1, witness=witness)
+        assert cert.value == 1500
+        assert cert.witness == (Allocation([range(3000)], 3000) if witness else None)
 
     def test_no_goods(self):
         f = BudgetAdditive((), 0)

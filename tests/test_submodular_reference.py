@@ -236,16 +236,17 @@ def test_exact_oracle_on_scaled_valuations(data):
 )
 def test_exact_oracle_stops_at_the_floored_bound(monkeypatch, f, n):
     # the greedy warm start already holds the floor of the scaled singleton
-    # sum over n, so only the witness pass may run, from one below that floor
+    # sum over n, so no value pass (the one call without start keys) runs:
+    # only the witness checks, each from one below that floor to the floor
     passes = []
     engine = oracles._branch_and_bound
 
-    def counted(n, items, caps, add, value, best, stop):
-        passes.append((best, stop))
-        return engine(n, items, caps, add, value, best, stop)
+    def counted(n, items, caps, add, value, best, stop, start=None, limit=None):
+        passes.append((best, stop, start is not None))
+        return engine(n, items, caps, add, value, best, stop, start, limit)
 
     monkeypatch.setattr(oracles, "_branch_and_bound", counted)
     cert = mms_exact_submodular(f, n)
     floor = sum(f.value_int(1 << g) for g in range(f.m)) // n
     assert cert.value * f.scale == floor
-    assert passes == [(floor - 1, floor)]
+    assert passes and set(passes) == {(floor - 1, floor, True)}

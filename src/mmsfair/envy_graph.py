@@ -11,13 +11,19 @@ guarantees the needed source (or sink) exists.
 
 The allocator works in exact integers, on the scaled rows the instance owns:
 ints[i] is agent i's row times L_i = scales[i], the lcm of its denominators.
-An n x n matrix holds V[i][j] = L_i v_i(A_j); agent i envies j iff
-V[i][i] < V[i][j]. An assignment changes one column, so it updates the matrix
-and the per-agent envy counts (which name the sources and sinks) in O(n).
-Every envy edge it adds touches the agent that took the item, so a cycle can
-only form through that agent: the full cycle search runs only when that agent
-can reach itself, and an item that closes no cycle costs O(n). A rotation
-permutes the matrix's columns like the bundles. EnvyGraph and
+One list per bundle holds C[k][i] = L_i v_i(A_k); agent i envies k iff
+C[i][i] < C[k][i]. The graph is kept as bitmasks, one pair per agent: bit k
+of envies[i] and bit i of envied[k] are set iff i envies k, so the sources
+are the agents with envied[k] == 0 and the sinks those with envies[i] == 0.
+An assignment adds the item's column to the taker's list and recomputes the
+taker's two masks from it, in O(n) comparisons; every edge that changes
+touches the taker, and is flipped at its other end too. So a cycle can only
+form through the taker: a bit-parallel probe (one OR of masks per agent
+reached) asks whether the taker can reach itself, and only then does the
+full cycle search run, a depth-first search that takes each next successor
+as the lowest unfinished bit of a mask. An item that closes no cycle costs
+O(n). A rotation permutes the bundle lists like the bundles, and the masks
+are rebuilt from them. EnvyGraph and
 build_envy_graph compute the same graph from an Allocation; the allocator
 does not call them. They stay in the package because the benchmark's tracer
 (perfbench/tracer.py) wraps build_envy_graph by name. The graph's queries
@@ -35,40 +41,63 @@ agent over that agent's row sorted the way to_ordered sorts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, MutableSequence, Sequence
+from itertools import compress
+from operator import add, gt
+from typing import MutableSequence, Sequence
 
 from .errors import InvalidInstanceError, NotOrderedError
 from .model import GOODS, AdditiveInstance, Allocation
 from .ordering import is_ordered, lift_allocation, to_ordered
 
 
-def _first_cycle(
-    succ: Callable[[int], Iterable[int]], roots: Iterable[int], n: int
-) -> list[int] | None:
-    """First cycle met by an iterative depth-first search from roots in the
-    given order, scanning each vertex's successors in succ's order. Returns
-    [c_0, ..., c_k] with edges c_0->c_1->...->c_k->c_0, or None."""
-    color = [0] * n  # 0 unseen, 1 on the path, 2 done
-    path: list[int] = []
-    for root in roots:
-        if color[root]:
+def _reaches(adj: Sequence[int], v: int) -> bool:
+    """True iff v can reach itself in the graph whose row masks are adj
+    (bit k of adj[i] set iff i -> k): one OR of rows per reached vertex."""
+    seen = frontier = adj[v]
+    while frontier and not seen >> v & 1:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return bool(seen >> v & 1)
+
+
+def _first_cycle(adj: Sequence[int]) -> list[int] | None:
+    """First cycle met by a depth-first search from roots in ascending order,
+    scanning each vertex's successors (the bits of its row mask adj[v]) in
+    ascending order. Every successor already scanned is finished by the time
+    the search comes back to v, so the next one is the lowest bit of
+    adj[v] that is not finished. Returns [c_0, ..., c_k] with edges
+    c_0->c_1->...->c_k->c_0, or None."""
+    done = 0
+    for root in range(len(adj)):
+        if done >> root & 1:
             continue
-        color[root] = 1
-        path.append(root)
-        pending = [iter(succ(root))]
-        while pending:
-            for w in pending[-1]:
-                if color[w] == 1:
-                    return path[path.index(w):]
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append(w)
-                    pending.append(iter(succ(w)))
-                    break
+        path, on_path = [root], 1 << root
+        while path:
+            free = adj[path[-1]] & ~done
+            if free:
+                low = free & -free
+                if low & on_path:
+                    return path[path.index(low.bit_length() - 1):]
+                path.append(low.bit_length() - 1)
+                on_path |= low
             else:
-                pending.pop()
-                color[path.pop()] = 2
+                low = 1 << path.pop()
+                on_path ^= low
+                done |= low
     return None
+
+
+def _toggle(masks: list[int], changed: int, bit: int) -> None:
+    """Flip bit in masks[i] for every i whose bit is set in changed."""
+    while changed:
+        low = changed & -changed
+        masks[low.bit_length() - 1] ^= bit
+        changed ^= low
 
 
 def _rotate(seq: MutableSequence, cycle: Sequence[int]) -> None:
@@ -123,20 +152,6 @@ class RunTrace:
     steps: tuple[TraceStep, ...]
 
 
-def _envy_counts(V: list[list[int]]) -> tuple[list[int], list[int]]:
-    """(envied, envious): per agent, how many envy it and how many it envies."""
-    n = len(V)
-    envied = [0] * n
-    envious = [0] * n
-    for i, row in enumerate(V):
-        own = row[i]
-        for k in range(n):
-            if row[k] > own:
-                envied[k] += 1
-                envious[i] += 1
-    return envied, envious
-
-
 def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]:
     """Goods go to the first source, chores to the first sink."""
     n, m = instance.n, instance.m
@@ -144,49 +159,38 @@ def _allocate_ordered(instance: AdditiveInstance) -> tuple[Allocation, RunTrace]
     if not is_ordered(instance):
         raise NotOrderedError("allocator requires an ordered instance")
     columns = list(zip(*instance.ints))  # columns[j][i] = L_i v_i(j)
-    V = [[0] * n for _ in range(n)]  # V[i][k] = L_i v_i(A_k)
-    envied, envious = [0] * n, [0] * n
+    C = [[0] * n for _ in range(n)]  # C[k][i] = L_i v_i(A_k)
+    own = [0] * n  # own[i] = C[i][i]
+    envies = [0] * n  # bit k of envies[i] set iff i envies k
+    envied = [0] * n  # bit i of envied[k] set iff i envies k
+    bits = [1 << k for k in range(n)]
     bundles: list[list[int]] = [[] for _ in range(n)]
-
-    def succ(i: int) -> list[int]:
-        row = V[i]
-        mine = row[i]
-        return [k for k in range(n) if row[k] > mine]
-
     steps: list[TraceStep] = []
     for j in range(m):
         # the graph is acyclic here, so a source and a sink both exist
-        agent = (envied if goods else envious).index(0)
+        agent = (envied if goods else envies).index(0)
         bundles[agent].append(j)
-        for i, d in enumerate(columns[j]):
-            if not d:
-                continue
-            row = V[i]
-            if i == agent:
-                old = row[i]
-                new = row[i] = old + d
-                for k in range(n):
-                    if k != i:
-                        flip = (row[k] > new) - (row[k] > old)
-                        if flip:
-                            envious[i] += flip
-                            envied[k] += flip
-            else:
-                before = row[agent]
-                after = row[agent] = before + d
-                flip = (after > row[i]) - (before > row[i])
-                if flip:
-                    envious[i] += flip
-                    envied[agent] += flip
-        # new edges all touch agent, so any cycle now runs through it
+        bundle = C[agent] = list(map(add, C[agent], columns[j]))
+        mine = own[agent] = bundle[agent]
+        out = sum(compress(bits, [b[agent] > mine for b in C]))
+        into = sum(compress(bits, map(gt, bundle, own)))
+        # every edge that changed touches agent; mirror it at its other end
+        _toggle(envied, envies[agent] ^ out, bits[agent])
+        _toggle(envies, envied[agent] ^ into, bits[agent])
+        envies[agent], envied[agent] = out, into
+        # the graph was acyclic before this item, so any cycle runs through agent
         log: list[tuple[int, ...]] = []
-        if envied[agent] and envious[agent] and _first_cycle(succ, (agent,), n):
-            while (cycle := _first_cycle(succ, range(n), n)) is not None:
+        if out and into and _reaches(envies, agent):
+            while (cycle := _first_cycle(envies)) is not None:
                 log.append(tuple(cycle))
                 _rotate(bundles, cycle)
-                for row in V:
-                    _rotate(row, cycle)
-            envied, envious = _envy_counts(V)
+                _rotate(C, cycle)
+                for c in cycle:
+                    own[c] = C[c][c]
+                envied = [sum(compress(bits, map(gt, b, own))) for b in C]
+                envies = [0] * n
+                for k, mask in enumerate(envied):
+                    _toggle(envies, mask, bits[k])
         steps.append(TraceStep(item=j, agent=agent, cycles=tuple(log)))
     return Allocation(bundles, m), RunTrace(n=n, m=m, steps=tuple(steps))
 

@@ -12,7 +12,7 @@ the lift derives each agent's order from the original instance itself.
 
 from __future__ import annotations
 
-from operator import ge
+from operator import ge, le
 from typing import Sequence
 
 from .errors import InvalidInstanceError
@@ -20,16 +20,18 @@ from .model import GOODS, AdditiveInstance, Allocation
 
 
 def is_ordered(instance: AdditiveInstance) -> bool:
-    """True iff every row is sorted by non-increasing |value|."""
-    magnitudes = ([abs(x) for x in row] for row in instance.ints)
-    return all(all(map(ge, mags, mags[1:])) for mags in magnitudes)
+    """True iff every row is sorted by non-increasing |value|: a goods row
+    (all >= 0) non-increasing, a chores row (all <= 0) non-decreasing."""
+    cmp = ge if instance.kind == GOODS else le
+    return all(all(map(cmp, row, row[1:])) for row in instance.ints)
 
 
-def _canonical_perm(row: Sequence[int]) -> list[int]:
-    """Positions of a scaled int row by descending |value|, ties by ascending index."""
-    magnitudes = [abs(x) for x in row]
-    # reverse=True keeps the sort stable, so equal magnitudes stay in index order
-    return sorted(range(len(row)), key=magnitudes.__getitem__, reverse=True)
+def _canonical_perm(row: Sequence[int], goods: bool) -> list[int]:
+    """Positions of a scaled int row by descending |value|, ties by ascending
+    index. A row has one sign, so that is descending value for goods and
+    ascending value for chores; the sort is stable with reverse=True too, so
+    equal values stay in index order."""
+    return sorted(range(len(row)), key=row.__getitem__, reverse=goods)
 
 
 def to_ordered(instance: AdditiveInstance) -> AdditiveInstance:
@@ -40,7 +42,8 @@ def to_ordered(instance: AdditiveInstance) -> AdditiveInstance:
     non-decreasing; the multiset of each row is unchanged, so maximin shares
     are unchanged too.
     """
-    return instance._permuted([_canonical_perm(row) for row in instance.ints])
+    goods = instance.kind == GOODS
+    return instance._permuted([_canonical_perm(row, goods) for row in instance.ints])
 
 
 def lift_allocation(original: AdditiveInstance, ordered_alloc: Allocation) -> Allocation:
@@ -74,7 +77,7 @@ def lift_allocation(original: AdditiveInstance, ordered_alloc: Allocation) -> Al
             owner[j] = i
 
     goods = original.kind == GOODS
-    perms = map(_canonical_perm, original.ints)
+    perms = (_canonical_perm(row, goods) for row in original.ints)
     cursors = [iter(perm if goods else perm[::-1]) for perm in perms]
     taken = [False] * m
     bundles: list[set[int]] = [set() for _ in range(original.n)]

@@ -1,9 +1,10 @@
 """Reference implementations that the fast paths are compared against.
 
-The envy graph's queries (edges, sources, sinks, find_cycle) read a
-graph's successor lists, an EnvyGraph's or envy_graph's; envy_graph, which
-builds one from each row's scaled ints, find_cycle and rotate, the
-rotation along a cycle, share no code with the allocator's own. The next
+The envy graph's queries (edges, sources, sinks, find_cycle, on_cycle) read
+a graph's successor lists, an EnvyGraph's or envy_graph's; envy_graph, which
+builds one from each row's scaled ints, find_cycle, on_cycle and rotate, the
+rotation along a cycle, share no code with the allocator's own, which works
+on one bitmask of successors per agent. The next
 three are the straightforward versions the library used before its integer
 allocator and cursor lift: resolve_cycles rebuilds the envy graph after
 every rotation, the allocator loop calls it after every item, and the lift
@@ -104,6 +105,19 @@ def find_cycle(graph):
                 path.append(w)
                 scanned.append(0)
     return None
+
+
+def on_cycle(graph, v):
+    """True iff v lies on a cycle: a breadth-first search over the successor
+    lists, started from v's successors, meets v again."""
+    seen = set(graph.succ[v])
+    queue = list(seen)
+    for u in queue:
+        for w in graph.succ[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return v in seen
 
 
 def rotate(bundles, cycle):

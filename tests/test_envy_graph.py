@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 from lemmas import check_efx_trace, check_prefix_structure, is_efx, majorizes, replay
-from reference import edges, find_cycle, resolve_cycles, sinks, sources
+from reference import edges, find_cycle, on_cycle, resolve_cycles, sinks, sources
 
 from mmsfair.envy_graph import (
     EnvyGraph,
     RunTrace,
     TraceStep,
+    _first_cycle,
+    _reaches,
     build_envy_graph,
     envy_graph_allocate,
     solve_additive,
@@ -100,6 +102,45 @@ class TestEnvyGraph:
             edge_set = set(edges)
             for t in range(k):
                 assert (cycle[t], cycle[(t + 1) % k]) in edge_set
+
+
+def masks(graph):
+    """The allocator's form of a graph: bit k of masks[i] set iff i -> k."""
+    return [sum(1 << k for k in succ) for succ in graph.succ]
+
+
+def random_graph(rng, n, p):
+    return EnvyGraph(
+        n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
+    )
+
+
+class TestMaskSearch:
+    """The allocator's cycle search and reach probe, on row masks, against
+    the reference's searches over successor lists."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            EnvyGraph(2, [(0, 1), (1, 0)]),
+            EnvyGraph(3, [(1, 2), (2, 1)]),
+            EnvyGraph(3, [(0, 1), (0, 2), (1, 2)]),
+            EnvyGraph(3000, [(i, (i + 1) % 3000) for i in range(3000)]),  # no recursion
+        ],
+        ids=["two-cycle", "away-from-first-root", "dag", "long-ring"],
+    )
+    def test_shapes_match_reference(self, graph):
+        assert _first_cycle(masks(graph)) == find_cycle(graph)
+
+    def test_random_graphs_match_reference(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.choice((2, 3, 5, 8, 70))  # 70: masks wider than a word
+            g = random_graph(rng, n, rng.choice((0.02, 0.1, 0.3)))
+            adj = masks(g)
+            assert _first_cycle(adj) == find_cycle(g)
+            for v in range(n):
+                assert _reaches(adj, v) == on_cycle(g, v)
 
 
 class TestBuildEnvyGraph:

@@ -4,8 +4,12 @@ Drawn instances mix ties, zeros, per-row denominators and pre-sorted rows;
 the fast paths must return the same allocations, the same traces (every
 step's item, agent and rotated cycles) and the same lifted bundles. The
 scaled int rows they all read must encode the Fraction values exactly.
+A few seeded instances of the benchmark's size, drawn without hypothesis,
+check the allocator too: a disagreement there fails in seconds, with
+nothing to shrink.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -75,6 +79,46 @@ def test_int_rows_encode_values(kind, data):
     assert ordered.scales == rebuilt.scales
 
 
+# (seed, kind, n, m, value range, largest denominator: 1 for int rows, else
+# "p/q" rows); the n = 70 cases rotate cycles through agents past bit 63
+SIZED = [
+    (0, GOODS, 10, 200, 100, 1),
+    (1, GOODS, 20, 100, 3, 1),
+    (2, GOODS, 15, 150, 40, 9),
+    (3, CHORES, 20, 120, 100, 1),
+    (4, CHORES, 12, 180, 2, 1),
+    (5, CHORES, 16, 140, 30, 7),
+    (7, GOODS, 70, 100, 6, 5),
+    (8, CHORES, 70, 100, 30, 1),
+]
+
+
+def sized_instance(seed, kind, n, m, hi, q):
+    rng = random.Random(seed)
+    sign = 1 if kind == GOODS else -1
+    rows = []
+    for _ in range(n):
+        if q == 1:
+            rows.append([sign * rng.randint(0, hi) for _ in range(m)])
+        else:
+            d = rng.randint(2, q)
+            rows.append([f"{sign * rng.randint(0, hi * d)}/{d}" for _ in range(m)])
+    return AdditiveInstance(rows, kind=kind)
+
+
+@pytest.mark.parametrize(
+    "case", SIZED, ids=[f"{kind}-n{n}-m{m}" for _, kind, n, m, _, _ in SIZED]
+)
+def test_allocator_matches_reference_at_size(case):
+    kind, n = case[1], case[2]
+    ordered = to_ordered(sized_instance(*case))
+    alloc, trace = ALLOCATE[kind](ordered)
+    assert (alloc, trace) == reference_allocate_ordered(ordered, PICK[kind])
+    rotated = {a for step in trace.steps for cycle in step.cycles for a in cycle}
+    assert rotated, "the case should exercise the cycle search"
+    assert n <= 64 or max(rotated) >= 64
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 def test_allocator_matches_reference(kind, data):
@@ -101,3 +145,4 @@ def test_solver_matches_reference_pipeline(kind, data):
     ordered = to_ordered(inst)
     ref_alloc, _ = reference_allocate_ordered(ordered, PICK[kind])
     assert SOLVE[kind](inst) == reference_lift(inst, ref_alloc)
+

@@ -9,7 +9,7 @@ from lemmas import mms_invariance_check
 
 from mmsfair.errors import InvalidInstanceError
 from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
-from mmsfair.ordering import is_ordered, lift_allocation, to_ordered
+from mmsfair.ordering import _canonical_perm, is_ordered, lift_allocation, to_ordered
 
 
 def random_instance(rng, kind, n, m, span=100):
@@ -52,6 +52,26 @@ class TestToOrdered:
         assert not is_ordered(AdditiveInstance([[2, 3]]))
         assert is_ordered(AdditiveInstance([[-3, -1]], kind=CHORES))
         assert not is_ordered(AdditiveInstance([[-1, -3]], kind=CHORES))
+
+    def test_is_ordered_zeros(self):
+        for kind in (GOODS, CHORES):
+            assert is_ordered(AdditiveInstance([[0, 0, 0], [0, 0, 0]], kind=kind))
+        assert is_ordered(AdditiveInstance([[-3, -1, 0, 0]], kind=CHORES))
+        assert not is_ordered(AdditiveInstance([[0, -1]], kind=CHORES))
+        assert not is_ordered(AdditiveInstance([[0, 1]]))
+
+    def test_permutation_is_pinned(self):
+        # descending |value|, ties by index: the order the lift walks, so the
+        # positions must match, not just the sorted values
+        rng = random.Random(13)
+        for _ in range(200):
+            kind = GOODS if rng.random() < 0.5 else CHORES
+            inst = random_instance(rng, kind, rng.randint(1, 4), rng.randint(0, 12), span=3)
+            ordered = to_ordered(inst)
+            for row, ordered_row in zip(inst.ints, ordered.ints):
+                perm = sorted(range(inst.m), key=lambda g: (-abs(row[g]), g))
+                assert _canonical_perm(row, kind == GOODS) == perm
+                assert list(ordered_row) == [row[g] for g in perm]
 
     def test_permutation_links_matrices(self):
         rng = random.Random(12)

@@ -50,7 +50,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInstanceError
@@ -324,8 +324,9 @@ def mms_exact_submodular(
 ) -> MmsCertificate:
     """Exact maximin share of a submodular valuation over n bundles.
 
-    Bundles are bitmasks valued by f.value_int, so the search compares ints
-    and the share is the optimum over f.scale. The bounds rest on
+    Bundles are bitmasks valued by f.value_int (memoized for this call: the
+    search reaches one mask on many paths), so the search compares ints and
+    the share is the optimum over f.scale. The bounds rest on
     f(S + g) - f(S) <= max(0, f({g})), which submodularity gives even
     without monotonicity and ExplicitTable checks: a bundle gains at most
     the positive singleton values of the goods it receives, and their sum
@@ -337,11 +338,11 @@ def mms_exact_submodular(
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
     _check_budget(n, f.m, budget)
-    singles = [max(0, f.value_int(1 << g)) for g in range(f.m)]
+    singles = [max(0, v) for v in f.singles]
     upper = sum(singles) // n  # the poorest bundle holds at most the mean
     best, partition = _max_min_partition(
-        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, f.value_int, upper,
-        witness,
+        n, [1 << g for g in range(f.m)], singles, singles, operator.or_, cache(f.value_int),
+        upper, witness,
     )
     return MmsCertificate(value=Fraction(best, f.scale), witness=partition)
 
@@ -353,7 +354,7 @@ def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
     n-partition's poorest bundle is one."""
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
-    singles = [max(0, f.value_int(1 << g)) for g in range(f.m)]
+    singles = [max(0, v) for v in f.singles]
     _, best = _greedy_start(n, [1 << g for g in range(f.m)], singles, operator.or_, f.value_int)
     return Fraction(best, f.scale)
 
@@ -364,10 +365,11 @@ class SlotObjective:
 
     Monotone and submodular on the (good, slot) ground set whenever f is;
     the cap makes piling value into one slot pointless beyond cap. The
-    greedy compares capped_int values, exact ints.
+    greedy compares capped_int values, exact ints, on value: f.value_int
+    memoized for one probe, as the greedy revisits slot masks.
     """
 
-    __slots__ = ("valuation", "cap", "slots", "_top")
+    __slots__ = ("valuation", "cap", "slots", "value", "_top", "_den")
 
     def __init__(self, valuation: SubmodularValuation, cap: Value, slots: int):
         if slots < 1:
@@ -377,11 +379,17 @@ class SlotObjective:
         self.valuation = valuation
         self.cap = cap
         self.slots = slots
+        self.value = cache(valuation.value_int)
         self._top = cap.numerator * valuation.scale
+        self._den = cap.denominator
 
     def capped_int(self, mask: int) -> int:
         """min(cap, f(mask)) * f.scale * cap.denominator, an exact int."""
-        return min(self._top, self.valuation.value_int(mask) * self.cap.denominator)
+        return min(self._top, self.value(mask) * self._den)
+
+    def capped_single(self, g: int) -> int:
+        """capped_int(1 << g), read from the valuation's singles."""
+        return min(self._top, self.valuation.singles[g] * self._den)
 
     def evaluate(self, masks: Iterable[int]) -> Value:
         total = sum(map(self.capped_int, masks))
@@ -410,7 +418,7 @@ def greedy_matroid_max(objective: SlotObjective, goods: Sequence[int]) -> list[i
 
     heap = []
     for g in goods:
-        first = -capped(1 << g)  # every slot starts empty
+        first = -objective.capped_single(g)  # every slot starts empty
         heap.extend((first, g, k, 0) for k in range(slots))
     heapq.heapify(heap)
     version = 0
@@ -472,7 +480,7 @@ def threshold_probe(f: SubmodularValuation, n: int, tau: Value) -> Allocation | 
 
     # 9 f(g) >= tau, on ints: 9 * scale * f(g) * tau.den >= tau.num * scale
     lhs, rhs = 9 * tau.denominator, tau.numerator * f.scale
-    high = [g for g in range(m) if lhs * f.value_int(1 << g) >= rhs]
+    high = [g for g, v in enumerate(f.singles) if lhs * v >= rhs]
     seeds = high[:n]
     left = ((1 << m) - 1) ^ mask_of(seeds, m)  # the goods no seed holds
     if len(seeds) == n:
@@ -486,7 +494,7 @@ def threshold_probe(f: SubmodularValuation, n: int, tau: Value) -> Allocation | 
     if 9 * objective.evaluate(slot_masks) < 4 * r * tau:
         return None
 
-    kept = sorted(slot_masks, key=f.value_int, reverse=True)[: r - 1]  # stable: ties by slot
+    kept = sorted(slot_masks, key=objective.value, reverse=True)[: r - 1]  # stable: ties by slot
     merged = left & ~reduce(operator.or_, kept, 0)
     bundles = [[h] for h in high] + [goods_of(s) for s in kept] + [goods_of(merged)]
     return Allocation(bundles, m)
@@ -514,7 +522,7 @@ def mms_approx_submodular(
         raise InvalidInstanceError("epsilon must be positive")
 
     total = f.total()
-    singles = sorted((f.value_int(1 << g) for g in range(f.m)), reverse=True)
+    singles = sorted(f.singles, reverse=True)
     s_n = singles[n - 1] if 0 < n <= f.m else 0
     lo = max(Fraction(0), min(total, Fraction(9 * s_n, f.scale)))
     lo_alloc = threshold_probe(f, n, lo)

@@ -43,7 +43,7 @@ def round_robin(
     phase one retires every agent while goods remain (all thresholds tiny),
     the leftovers are dealt by continuing the phase-two loop over all
     agents; monotonicity keeps every guarantee. Values are compared as the
-    valuations' scaled ints; ties go to the lowest good.
+    valuations' scaled ints; ties go to the lowest good, the first max meets.
     """
     n, m = shared_ground(valuations)
     taus = [as_value(t) for t in thresholds]
@@ -54,10 +54,9 @@ def round_robin(
     masks = [0] * n
     active = []
     for i, (f, tau) in enumerate(zip(valuations, taus)):
-        value = f.value_int
-        best = max(free, key=lambda g: (value(1 << g), -g), default=-1)
+        best = max(free, key=f.singles.__getitem__, default=-1)
         # 10 f(best) >= tau, on ints: 10 * scale * f(best) * tau.den >= tau.num * scale
-        if best >= 0 and 10 * value(1 << best) * tau.denominator >= tau.numerator * f.scale:
+        if best >= 0 and 10 * f.singles[best] * tau.denominator >= tau.numerator * f.scale:
             masks[i] = 1 << best
             free.remove(best)
         else:
@@ -73,7 +72,7 @@ def round_robin(
                 break
             value = valuations[i].value_int
             mask = masks[i]
-            best = max(free, key=lambda g: (value(mask | 1 << g), -g))
+            best = max(free, key=lambda g: value(mask | 1 << g))
             masks[i] |= 1 << best
             free.remove(best)
     return masks
@@ -132,8 +131,7 @@ def alg_sub(
     iterations = 0
     for i in kept:
         ts[i] = valuations[i].value_int((1 << m) - 1) << shift
-    singles = [1 << g for g in range(m)]
-    floors = {i: min(v for v in map(valuations[i].value_int, singles) if v > 0) for i in kept}
+    floors = {i: min(v for v in valuations[i].singles if v > 0) for i in kept}
     sub_vals = [valuations[i] for i in kept]
     grids = [f.scale << shift for f in valuations]
     unsat = kept
@@ -164,7 +162,7 @@ def _not_monotone(i: int, f: SubmodularValuation, mask: int) -> None:
     worth more alone than the whole bundle."""
     whole = f.value_int(mask)
     for g in goods_of(mask):
-        if f.value_int(1 << g) > whole:
+        if f.singles[g] > whole:
             raise InvalidInstanceError(
                 f"agent {i}'s valuation is not monotone: good {g} alone is worth "
                 f"{f.value_mask(1 << g)}, its bundle {goods_of(mask)} only {f.value_mask(mask)}"

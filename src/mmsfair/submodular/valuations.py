@@ -10,14 +10,12 @@ rational answer, Fraction(value_int(mask), scale). The hot loops (round robin, t
 probe, the exact oracle) compare these ints, scaled by a threshold's
 denominator where one is involved, so no Fraction arithmetic runs per query.
 The coverage and budget-additive families hold only their data and answer
-a query by folding over the goods that the mask selects (_bits).
+a query by folding over the goods that the mask selects (_bits). Each
+valuation also holds singles, scale * f({g}) per good g, built from its data.
 
-Coverage and budget-additive instances memoize value_int by mask for their
-lifetime (an explicit table is its own lookup), and only the queries made
-bound the memo: 2^m entries at most under the exact oracle,
-for the m its budget admits; on larger ground sets, just the bundles
-looked at (89 to 1,085 masks per valuation after alg_sub and the audit's
-greedy bound, on four benchmark instances with m of 41 to 59).
+No valuation memoizes value_int, so none grows with the bundles it is asked
+about. The two searches that revisit bundles memoize for their own call:
+mms_exact_submodular and each threshold probe's SlotObjective.
 
 A valuation is admissible when it is normalized (empty set worth 0),
 non-negative, monotone, and submodular. The three families are admissible
@@ -78,32 +76,28 @@ def _bits(mask: int) -> bytes:
 
 
 class SubmodularValuation:
-    """Base class: memoized set-function oracle addressed by bitmask.
+    """Base class: set-function oracle addressed by bitmask.
 
-    Subclasses compute _value_int_raw(mask) = scale * f(mask), or value_int.
+    Subclasses compute _value_int_raw(mask) = scale * f(mask) and set
+    singles, the tuple of scale * f({g}) for goods g = 0..m-1.
     """
 
-    __slots__ = ("m", "scale", "_cache")
+    __slots__ = ("m", "scale", "singles")
 
     def __init__(self, m: int, scale: int):
         if m < 0:
             raise InvalidInstanceError("ground set size must be non-negative")
         self.m = m
         self.scale = scale
-        self._cache: dict[int, int] = {}
 
     def _value_int_raw(self, mask: int) -> int:
         raise NotImplementedError
 
     def value_int(self, mask: int) -> int:
-        """scale * f(mask), exactly; memoized."""
-        hit = self._cache.get(mask)
-        if hit is None:
-            if mask >> self.m:
-                raise InvalidInstanceError("mask addresses goods outside the ground set")
-            hit = self._value_int_raw(mask)
-            self._cache[mask] = hit
-        return hit
+        """scale * f(mask), exactly."""
+        if mask >> self.m:
+            raise InvalidInstanceError("mask addresses goods outside the ground set")
+        return self._value_int_raw(mask)
 
     def value_mask(self, mask: int) -> Value:
         return Fraction(self.value_int(mask), self.scale)
@@ -120,9 +114,10 @@ class ExplicitTable(SubmodularValuation):
 
     ints[mask] == scale * table[mask], the value of the bundle whose members
     are the set bits of mask (bit k = good k); value_int reads it directly,
-    so the memo stays empty. The constructor checks shape, normalization
-    and that no good adds more to a bundle than max(0, its own value), the
-    inequality the exact oracle's bounds rest on (an m 2^m scan).
+    and singles holds the entries of the one-good masks. The constructor
+    checks shape, normalization and that no good adds more to a bundle than
+    max(0, its own value), the inequality the exact oracle's bounds rest on
+    (an m 2^m scan).
     Submodularity itself is not checked: solvers and the audit accept any
     table that passes, and the guarantees hold only for the submodular ones.
     """
@@ -138,6 +133,7 @@ class ExplicitTable(SubmodularValuation):
         if ints[0] != 0:
             raise InvalidInstanceError("empty bundle must have value 0")
         self.ints = ints
+        self.singles = tuple(ints[1 << g] for g in range(m))
         for g in range(m):
             bit = 1 << g
             cap = max(0, ints[bit])
@@ -153,9 +149,7 @@ class ExplicitTable(SubmodularValuation):
     def table(self) -> tuple[Value, ...]:
         return tuple(Fraction(x, self.scale) for x in self.ints)
 
-    def value_int(self, mask: int) -> int:
-        if mask >> self.m:
-            raise InvalidInstanceError("mask addresses goods outside the ground set")
+    def _value_int_raw(self, mask: int) -> int:
         return self.ints[mask]
 
 
@@ -187,6 +181,7 @@ class WeightedCoverage(SubmodularValuation):
                 emask |= 1 << e
             packed.append(emask)
         self.masks = tuple(packed)
+        self.singles = tuple(sum(compress(self.ints, _bits(em))) for em in self.masks)
 
     @property
     def weights(self) -> tuple[Value, ...]:
@@ -215,6 +210,7 @@ class BudgetAdditive(SubmodularValuation):
             raise InvalidInstanceError("weights must be non-negative")
         if self.cap_int < 0:
             raise InvalidInstanceError("cap must be non-negative")
+        self.singles = tuple(min(self.cap_int, w) for w in self.ints)
 
     @property
     def weights(self) -> tuple[Value, ...]:
@@ -238,10 +234,4 @@ def detect_positive_mms(f: SubmodularValuation, n: int) -> bool:
     """
     if n < 1:
         raise InvalidInstanceError("need at least one agent")
-    hits = 0
-    for g in range(f.m):
-        if f.value_int(1 << g) > 0:
-            hits += 1
-            if hits >= n:
-                return True
-    return False
+    return sum(v > 0 for v in f.singles) >= n

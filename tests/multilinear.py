@@ -46,8 +46,8 @@ class MarginalValuation(SubmodularValuation):
     """The contraction f_H(S) = f(H + S) - f(H) of a valuation onto [m] \\ H.
 
     Shares the base oracle's ground-set indexing: goods in H must not appear
-    in queried bundles. Contractions of submodular functions stay normalized,
-    non-negative, monotone and submodular.
+    in queried bundles, and their singles read 0. Contractions of submodular
+    functions stay normalized, non-negative, monotone and submodular.
     """
 
     __slots__ = ("base", "h_mask")
@@ -56,6 +56,11 @@ class MarginalValuation(SubmodularValuation):
         super().__init__(base.m, base.scale)
         self.base = base
         self.h_mask = mask_of(h, base.m)
+        rest = base.value_int(self.h_mask)
+        self.singles = tuple(
+            0 if self.h_mask >> g & 1 else base.value_int(self.h_mask | 1 << g) - rest
+            for g in range(base.m)
+        )
 
     def _value_int_raw(self, mask: int) -> int:
         if mask & self.h_mask:

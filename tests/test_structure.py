@@ -10,7 +10,8 @@ Code that only the tests call (lemma checks, reference implementations,
 analysis tools), and constants that only they read, live under tests/, not
 in the package. Every command-line option is read by the command that
 accepts it, and cli.py has one output path: one function reads --format,
-and every document's version comes from the io module's writer.
+and every document's version comes from the io module's writer. No
+object or module keeps a memo past the call that built it.
 """
 
 import argparse
@@ -179,6 +180,43 @@ def test_no_floats_outside_cli():
             ):
                 offenders.append((name, node.lineno))
     assert not offenders
+
+
+def _is_memo_decorator(node: ast.AST) -> bool:
+    """node is functools' cache, lru_cache or cached_property, bare, dotted
+    or called (lru_cache(maxsize=...))."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache", "cached_property")
+
+
+def test_no_lifetime_memo_in_src():
+    """src/ keeps no memo that outlives a call: nothing is named _cache (no
+    slot, attribute or variable), and a memoizing decorator sits only on a
+    function of no parameters, whose one result is built once (the command
+    line parser). A memo built by calling cache(...) inside a function is
+    dropped with that call's locals and the object it is stored on."""
+    decorated, offenders = [], []
+    for path in PACKAGE.rglob("*.py"):
+        name = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "_cache"
+                or isinstance(node, ast.Name) and node.id == "_cache"
+                or isinstance(node, ast.Constant) and node.value == "_cache"
+            ):
+                offenders.append((name, node.lineno))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_is_memo_decorator, node.decorator_list)
+            ):
+                decorated.append((name, node.name))
+                params = node.args
+                if (params.posonlyargs or params.args or params.kwonlyargs
+                        or params.vararg or params.kwarg):
+                    offenders.append((name, node.lineno))
+    assert not offenders
+    assert ("cli.py", "build_parser") in decorated  # the scan sees the one memo kept
 
 
 def _args_read(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:

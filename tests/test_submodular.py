@@ -1,6 +1,7 @@
 """Submodular valuation families, sight-unseen allocation, and the
 multilinear extension of tests/multilinear.py."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -57,22 +58,32 @@ def only_ints(x):
 
 
 def test_valuations_keep_only_scaled_ints():
-    # one copy of the data: after solving and the exact oracle, every slot
-    # of every family holds ints only, and the explicit table's memo is empty
+    # one copy of the data: every slot of every family holds ints only, and
+    # solving, the exact oracle and a batch of queries leave every slot as
+    # it was (no valuation records the bundles it is asked about)
     rng = random.Random(3)
     m = 6
-    coverage = WeightedCoverage(m, [Fraction(rng.randint(1, 9), 4) for _ in range(8)],
-                                [rng.sample(range(8), 2) for _ in range(m)])
+    data = ([Fraction(rng.randint(1, 9), 4) for _ in range(8)],
+            [rng.sample(range(8), 2) for _ in range(m)])
+    values = [WeightedCoverage(m, *data).value_mask(mask) for mask in range(1 << m)]
+    coverage = WeightedCoverage(m, *data)  # never queried before the snapshot
     budget = BudgetAdditive(["3/2", 1, Fraction(5, 3), 2, 1, "7/4"], "9/2")
-    table = ExplicitTable(m, [coverage.value_mask(mask) for mask in range(1 << m)])
+    table = ExplicitTable(m, values)
     fs = [coverage, budget, table]
+
+    def slots(f):
+        names = [name for cls in type(f).__mro__ for name in getattr(cls, "__slots__", ())]
+        return {name: getattr(f, name) for name in names}
+
+    before = [copy.deepcopy(slots(f)) for f in fs]  # a dict kept in a slot is copied
     alg_sub(fs)
-    for f in fs:
+    for f, kept in zip(fs, before):
         mms_exact_submodular(f, 3)
-        slots = [name for cls in type(f).__mro__ for name in getattr(cls, "__slots__", ())]
-        assert all(only_ints(getattr(f, name)) for name in slots), type(f).__name__
-    assert table._cache == {}
-    assert table.table == tuple(coverage.value_mask(mask) for mask in range(1 << m))
+        for mask in range(1 << m):
+            f.value_int(mask)
+        assert slots(f) == kept, type(f).__name__
+        assert all(map(only_ints, kept.values())), type(f).__name__
+    assert list(table.table) == values == [coverage.value_mask(mask) for mask in range(1 << m)]
 
 
 class TestExplicitTable:

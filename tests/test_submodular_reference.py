@@ -5,10 +5,11 @@ per-valuation denominators 1-6 (and budget caps their own), so scale > 1
 and every int comparison is cross-multiplied; narrow weight ranges give
 ties. Values are compared on every mask of up to 7 goods, and on the
 empty, the full and drawn masks of coverage and budget-additive valuations
-of 8 to 70 goods. Values, the lazy greedy slot solver, round robin, the
-threshold probe and its bracket search must return exactly what the
-references in tests/reference.py return, and the greedy must reach half of
-the slot objective's brute-force optimum.
+of 8 to 70 goods; each valuation's singles are its one-good values.
+Values, the lazy greedy slot solver, round robin, the threshold probe and
+its bracket search must return exactly what the references in
+tests/reference.py return, and the greedy must reach half of the slot
+objective's brute-force optimum.
 """
 
 from fractions import Fraction
@@ -116,6 +117,29 @@ def test_value_int_is_scale_times_the_fraction_value(data):
         assert f.value_int(mask) == exact * f.scale
         assert f.value_mask(mask) == exact
         assert type(f.value_mask(mask)) is Fraction
+
+
+@given(data=st.data())
+def test_singles_are_the_one_good_values(data):
+    """singles[g] == value_int(1 << g) for every good, on every family and
+    contraction of up to 7 goods and on coverage and budget-additive
+    valuations, contracted or not, of 8 to 70 goods (goods of a contracted
+    set H, which queries may not name, read 0)."""
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(0, 7))
+        f = data.draw(valuations(m, contract=True))
+    else:
+        m = data.draw(st.sampled_from((63, 64, 65, 70)) | st.integers(8, 70))
+        f = draw_coverage(data.draw, m, spare=130) if data.draw(st.booleans()) else draw_budget(
+            data.draw, m
+        )
+        if data.draw(st.booleans()):
+            f = MarginalValuation(f, data.draw(st.lists(st.integers(0, m - 1), unique=True)))
+    h = getattr(f, "h_mask", 0)
+    assert len(f.singles) == m
+    for g, single in enumerate(f.singles):
+        assert type(single) is int
+        assert single == (0 if h >> g & 1 else f.value_int(1 << g)), g
 
 
 @given(data=st.data())

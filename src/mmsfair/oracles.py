@@ -16,18 +16,20 @@ additive rows, the positive singleton sum over n for submodular ones). The
 witness is the lexicographically least good-to-bundle assignment achieving
 it, so witnesses are deterministic: the first optimal leaf of the search
 run on the goods in index order. It is fixed good by good, each good going
-into the first bundle from which the rest can still reach the optimum, as
-a search on the unplaced goods by descending size, from the placed goods'
-bundles, shows; that order prunes (Korf's multi-way number partitioning
-searches use it), where the index order can take seconds on narrow-valued
-rows. Where it does not, a check that runs past a node limit hands over to
-the index-order search from the placed bundles, under a limit too, and the
-limit grows when both run past it. witness=False skips that pass when only
-the value is wanted, and one bundle (n = 1) holds every good without a
-search. The search is exact but exponential; the n^m budget guard keeps it
-honest. Past that guard, mms_greedy_submodular returns the greedy start's
-poorest bundle alone, a lower bound on a submodular share that the audit
-reports.
+into the first bundle from which the rest can still reach the optimum.
+The last assignment found to reach it, at first the value pass's, names
+one such bundle; each bundle before it is checked by a search on the
+unplaced goods by descending size, from the placed goods' bundles. That
+order prunes (Korf's multi-way number partitioning searches use it), where
+the index order can take seconds on narrow-valued rows. Past a node limit,
+a check also records the states it enters (its depth and its bundles'
+keys) and skips them when met again, as those searches prune dead states
+(Schreiber, Korf and Moffitt, 2018); the record is bounded, and dropped
+where no state repeats. witness=False skips the checks when only the value
+is wanted, and one bundle (n = 1) holds every good without a search. The
+search is exact but exponential; the n^m budget guard keeps it honest.
+Past that guard, mms_greedy_submodular returns the greedy start's poorest
+bundle alone, a lower bound on a submodular share that the audit reports.
 
 For a single monotone submodular valuation shared by n agents,
 mms_approx_submodular searches a threshold tau from the one the seeds accept,
@@ -58,17 +60,14 @@ from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.valuations import SubmodularValuation, goods_of, mask_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
-_WITNESS_NODE_LIMIT = 4096  # the checks' first node limit; audit-exact checks stay below it
+_WITNESS_NODE_LIMIT = 4096  # nodes before a witness check memoizes; audit-exact's stay below
+_DEAD_STATES = 1 << 17  # the most states that a search memoizes
 
 
 def _check_budget(n: int, m: int, budget: int) -> None:
     size = n ** max(m, 1)
     if size > budget:
         raise BudgetExceededError("exact maximin enumeration", size, budget)
-
-
-class _NodeLimit(Exception):
-    """A branch and bound search reached its node limit."""
 
 
 def _branch_and_bound(
@@ -107,9 +106,21 @@ def _branch_and_bound(
     that grew, and recomputed from every bundle only when best has risen. A
     leaf that passes has deficit 0 and so beats best; it is judged in place.
 
-    Returns best and the assignment of the leaf that ended the search
-    (assign[t] is item t's bundle), or None when none did. With a limit, a
-    search that would enter more than limit nodes raises _NodeLimit.
+    With a limit, the nodes entered after the first limit are memoized: each
+    records its state, (t, *sorted(keys)), as it is entered, and one whose
+    state is recorded returns at once. Its descendants lie deeper, and a hit
+    ends the search, so a state met again is that of a node left without a
+    hit. Such a node leaves best at or above the minimum of every leaf below
+    it (a pruned node's leaves do not beat best, and a judged leaf that does
+    raises best to its minimum), and best never falls. The later node has
+    the same leaves, bundles being interchangeable, so it would neither
+    raise best nor end the search: the memo changes neither. It is dropped
+    for the rest of the search once it holds limit states and none was met
+    again (keys too varied to repeat), or once it holds _DEAD_STATES.
+
+    Returns best and the assignment of the last leaf that raised it, the
+    one that ended the search if one did (assign[t] is item t's bundle), or
+    None when no leaf raised best.
     """
     m = len(items)
     headroom = [0] * (m + 1)
@@ -119,15 +130,25 @@ def _branch_and_bound(
     vals = keys if value is None else list(map(value, keys))
     assign = [0] * m
     nodes = -1 if limit is None else limit  # counting down from -1 never reaches 0
+    dead: set | None = set()  # once nodes reaches 0: the states entered
+    met = False  # whether a node's state was found in dead
+    found = None  # the assignment of the last leaf that raised best
 
     def deficit_of(target) -> int:
         return sum([target - v for v in vals if v < target])
 
     def dfs(t: int, target, deficit) -> bool:
-        nonlocal best, nodes
-        if not nodes:
-            raise _NodeLimit
-        nodes -= 1
+        nonlocal best, nodes, dead, met, found
+        if nodes:
+            nodes -= 1
+        elif dead is not None:
+            state = (t, *sorted(keys))
+            if state in dead:
+                met = True
+                return False
+            dead.add(state)
+            if len(dead) >= _DEAD_STATES or not met and len(dead) >= limit:
+                dead = None
         item, room, leaf = items[t], headroom[t + 1], t + 1 == m
         for k in range(n):
             key = keys[k]
@@ -148,7 +169,7 @@ def _branch_and_bound(
             if child <= room:
                 assign[t] = k
                 if leaf:  # deficit 0: every bundle beats best
-                    best = min(vals)
+                    best, found = min(vals), assign.copy()
                     if best >= stop:
                         return True
                 elif dfs(t + 1, target, child):
@@ -158,31 +179,31 @@ def _branch_and_bound(
         return False
 
     deficit = deficit_of(best + 1)
-    if deficit > headroom[0]:
-        hit = False
-    elif m == 0:  # the root is a leaf, and it beats best
-        best = min(vals)
-        hit = best >= stop
-    else:
-        hit = dfs(0, best + 1, deficit)
-    return best, assign if hit else None
+    if deficit <= headroom[0]:
+        if m == 0:  # the root is a leaf, and it beats best
+            best, found = min(vals), []
+        else:
+            dfs(0, best + 1, deficit)
+    return best, found
 
 
 def _greedy_start(
     n: int, items: Sequence, sizes: Sequence, add: Callable, value: Callable | None
-) -> tuple[list[int], object]:
+) -> tuple[list[int], list[int], object]:
     """The items by descending size (ties to the lower index), and the
-    poorest bundle of the greedy n-partition that places them in that order,
-    each onto the bundle whose value is nearest 0."""
+    greedy n-partition that places them in that order, each onto the bundle
+    whose value is nearest 0: owner[g], item g's bundle, and the poorest
+    bundle's value."""
     order = sorted(range(len(items)), key=lambda g: (-sizes[g], g))
     keys = [0] * n
     vals = keys if value is None else [value(0)] * n
+    owner = [0] * len(items)
     for g in order:
-        k = min(range(n), key=lambda b: abs(vals[b]))
+        k = owner[g] = min(range(n), key=lambda b: abs(vals[b]))
         keys[k] = add(keys[k], items[g])
         if value is not None:
             vals[k] = value(keys[k])
-    return order, min(vals)
+    return order, owner, min(vals)
 
 
 def _max_min_partition(
@@ -203,94 +224,66 @@ def _max_min_partition(
 
     One bundle holds every item, so n = 1 needs no search. Otherwise the
     value pass places items by descending size, from the greedy start's
-    poorest bundle, and stops early at upper. The witness is then fixed one
-    item at a time, in index order, by checks: the engine on the unplaced
-    items by descending size, from the placed bundles' keys, with best =
-    mu - 1 and stop = mu. The last check that hit names a bundle c for the
-    next item; c is relabelled to the first bundle with its key (bundles
-    with equal keys are interchangeable), and the item goes into the first
-    bundle below c with a key of its own whose check hits, or else into c.
-    A failed check covers a subtree that the index-order search exhausts as
-    well, so the result is that search's first hit.
+    poorest bundle, and stops early at upper; its last leaf to raise best,
+    or the greedy start's partition when none did, reaches mu. The witness
+    is then fixed one item at a time, in index order, by checks: the engine
+    on the unplaced items by descending size, from the placed bundles' keys,
+    with best = mu - 1 and stop = mu. The last assignment found to reach mu,
+    by the value pass or by a check that hit, names a bundle c for the next
+    item (any such assignment will do); c is relabelled to the first bundle
+    with its key (bundles with equal keys are interchangeable), and the item
+    goes into the first bundle below c with a key of its own whose check
+    hits, or else into c. A failed check covers a subtree that the
+    index-order search exhausts as well, so the result is that search's
+    first hit.
 
     That order can also be the slow one: on a uniform row with n = 3 and
-    m = 40 a check hits only after millions of nodes where the index order
-    needs dozens. So checks run under a node limit, _WITNESS_NODE_LIMIT at
-    first. A check that reaches it hands over to the engine on the unplaced
-    items in index order, from the placed bundles' keys, with half the
-    limit: the placed items are the first of the index-order hit, so that
-    search's first hit completes it. When both reach their limits, it grows
-    16-fold and the item's checks run again. It never shrinks, so the work
-    that it cuts short or repeats is at most about n + 1 times the nodes of
-    the largest check.
+    m = 40 a check can visit millions of nodes, most of them in subtrees
+    with the same bundles as one already searched. So each check memoizes
+    its dead states past _WITNESS_NODE_LIMIT nodes (see _branch_and_bound),
+    which changes no check's result.
     """
     m = len(items)
     if n == 1:
         key = reduce(add, items, 0)
         share = key if value is None else value(key)
         return share, Allocation([range(m)], m) if witness else None
-    order, best = _greedy_start(n, items, sizes, add, value)
+    order, owner, best = _greedy_start(n, items, sizes, add, value)
     if best < upper:
-        best, _ = _branch_and_bound(
+        best, leaf = _branch_and_bound(
             n, [items[g] for g in order], [caps[g] for g in order], add, value, best, upper
         )
+        if leaf is not None:
+            for g, k in zip(order, leaf):
+                owner[g] = k
     if not witness:
         return best, None
 
-    def completion(t: int, keys: list) -> list[int] | None:
-        """owner[g], a bundle for each item g >= t, with which keys reach
-        best; None when no such completion exists. Raises _NodeLimit."""
-        rest = [g for g in order if g >= t]
-        _, assign = _branch_and_bound(
-            n, [items[g] for g in rest], [caps[g] for g in rest], add, value, best - 1, best,
-            keys, limit,
-        )
-        if assign is None:
-            return None
-        owner = [0] * m
-        for g, k in zip(rest, assign):
-            owner[g] = k
-        return owner
-
     keys = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    owner, t, limit = None, 0, _WITNESS_NODE_LIMIT
-    while t < m:
-        try:
-            if owner is None:
-                owner = completion(0, keys)
-                if owner is None:
-                    raise RuntimeError("witness search missed the optimum it was given")
-            c = owner[t]
-            first = keys.index(keys[c])
-            if first < c:  # swap the labels of two bundles with equal keys
-                owner = [c if k == first else first if k == c else k for k in owner]
-                c = first
-            for k in range(c):
-                if keys.index(keys[k]) < k:
-                    continue
-                trial = keys.copy()
-                trial[k] = add(keys[k], items[t])
-                hit = completion(t + 1, trial)
-                if hit is not None:
-                    c, owner = k, hit
-                    break
-        except _NodeLimit:  # the rest in index order, whose first hit ends the witness
-            try:
-                _, assign = _branch_and_bound(
-                    n, items[t:], caps[t:], add, value, best - 1, best, keys, limit // 2
-                )
-            except _NodeLimit:
-                limit *= 16
+    for t in range(m):
+        c = owner[t]
+        first = keys.index(keys[c])
+        if first < c:  # swap the labels of two bundles with equal keys
+            owner = [c if k == first else first if k == c else k for k in owner]
+            c = first
+        later = [g for g in order if g > t]
+        for k in range(c):
+            if keys.index(keys[k]) < k:
                 continue
-            if assign is None:
-                raise RuntimeError("witness search missed the optimum it was given")
-            for g, k in enumerate(assign, t):
-                bundles[k].append(g)
-            break
+            trial = keys.copy()
+            trial[k] = add(keys[k], items[t])
+            _, assign = _branch_and_bound(
+                n, [items[g] for g in later], [caps[g] for g in later], add, value, best - 1,
+                best, trial, _WITNESS_NODE_LIMIT,
+            )
+            if assign is not None:  # a completion of trial that reaches best
+                c = k
+                for g, j in zip(later, assign):
+                    owner[g] = j
+                break
         keys[c] = add(keys[c], items[t])
         bundles[c].append(t)
-        t += 1
     return best, Allocation(bundles, m)
 
 
@@ -355,7 +348,7 @@ def mms_greedy_submodular(f: SubmodularValuation, n: int) -> Value:
     if n < 1:
         raise InvalidInstanceError("need at least one bundle")
     singles = [max(0, v) for v in f.singles]
-    _, best = _greedy_start(n, [1 << g for g in range(f.m)], singles, operator.or_, f.value_int)
+    _, _, best = _greedy_start(n, [1 << g for g in range(f.m)], singles, operator.or_, f.value_int)
     return Fraction(best, f.scale)
 
 

@@ -216,7 +216,8 @@ def reference_max_min(n, m, bundle_value):
 def reference_branch_and_bound(n, items, caps, add, value, best, stop, start=None):
     """oracles._branch_and_bound as one call per node: same arguments (start,
     when given, holds each bundle's first key), same search order, prunes
-    and stop, same (best, assign) result.
+    and stop, same (best, assign) result: assign is the last leaf that
+    raised best, or None.
 
     Each call enters a node, then tests it: a leaf raises best when its
     minimum beats it, and an inner node is pruned when its bundles' total
@@ -232,11 +233,11 @@ def reference_branch_and_bound(n, items, caps, add, value, best, stop, start=Non
     assign = [0] * m
 
     def dfs(t):
-        nonlocal best
+        nonlocal best, found
         if t == m:
             lo = min(vals)
             if lo > best:
-                best = lo
+                best, found = lo, assign.copy()
                 return lo >= stop
             return False
         target = best + 1
@@ -258,8 +259,9 @@ def reference_branch_and_bound(n, items, caps, add, value, best, stop, start=Non
             vals[k] = old
         return False
 
-    hit = dfs(0)
-    return best, assign if hit else None
+    found = None
+    dfs(0)
+    return best, found
 
 
 def reference_value(f, mask):

@@ -259,21 +259,22 @@ class TestMmsCommands:
             "ratio": "1", "satisfied": True,
         }]
 
-    @pytest.mark.parametrize("n, m, digest", [
+    @pytest.mark.parametrize("n, m, seed, digest", [
         # the index-order search alone takes seconds to find the witness here
-        (4, 20, "32563a4f6c4ae75a3094ca4688b9e2a3510ebd9fdc3c02e06e6170f1eac1b2a9"),
-        # the descending checks alone take seconds here, and hand over to
-        # the index-order search at their node limit
-        (3, 40, "a7881c10986f3fd971ae27e97943baafeaa48c9a552a0fab8d1d53f7d4c75808"),
-    ], ids=["n4-m20", "n3-m40"])
-    def test_exact_narrow_row_past_the_default_budget(self, tmp_path, n, m, digest):
+        (4, 20, 1, "32563a4f6c4ae75a3094ca4688b9e2a3510ebd9fdc3c02e06e6170f1eac1b2a9"),
+        # the descending checks take seconds here without their memo
+        (3, 40, 1, "a7881c10986f3fd971ae27e97943baafeaa48c9a552a0fab8d1d53f7d4c75808"),
+        (3, 40, 2, "b84ddcb406f6e2bb2c312a395d7b7f63d87b66fb11582ec14f91b200eb0498a8"),
+        (3, 40, 5, "b93336efdc1d74a5ce61d6a03d0672d16bb24aa5c5b953226a58d80cda5ad5d3"),
+    ], ids=["n4-m20", "n3-m40", "n3-m40-seed2", "n3-m40-seed5"])
+    def test_exact_narrow_row_past_the_default_budget(self, tmp_path, n, m, seed, digest):
         # narrow values make many partitions tie; each digest is the output
         # of the index-order search alone, which the good-by-good witness
         # must reproduce
         inst = tmp_path / "inst.json"
         out = tmp_path / "mms.json"
         assert run("generate", "--kind", "uniform-additive", "--n", str(n), "--m", str(m),
-                   "--seed", "1", "--output", str(inst)) == 0
+                   "--seed", str(seed), "--output", str(inst)) == 0
         assert run("mms-exact", "--input", str(inst), "--output", str(out), "--format", "json",
                    "--oracle-budget", str(n**m)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

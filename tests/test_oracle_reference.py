@@ -9,10 +9,10 @@ whose cap never binds. The engine itself must also never try two bundles
 with the same key at one node, in the value pass and in the search run in
 index order from one below the optimum, and from any start pair and start
 keys it must end where the reference engine, one call per node, ends: with
-the same best and on the same leaf; a node limit may only cut it short. At
-sizes past brute force, the witness that the oracles fix good by good must
-be the leaf where that index-order search stops, whatever the node limit
-its checks start from.
+the same best and on the same leaf, whatever node limit it starts its memo
+of dead states at. At sizes past brute force, the witness that the oracles
+fix good by good must be the leaf where that index-order search stops,
+whatever the node limit and the memo's cap in its checks.
 """
 
 import operator
@@ -27,7 +27,6 @@ from mmsfair.model import CHORES, GOODS, AdditiveInstance, Allocation
 from mmsfair import oracles
 from mmsfair.oracles import (
     _branch_and_bound,
-    _NodeLimit,
     mms_exact_additive,
     mms_exact_submodular,
 )
@@ -165,8 +164,9 @@ def test_engine_passes_against_brute_force(n, numerators, sign):
 
 @st.composite
 def engine_calls(draw):
-    """The arguments of one engine call: an additive row's ints or a
-    submodular valuation's masks, as items in a drawn order, a start pair
+    """The arguments of one engine call: an additive row's ints, in half the
+    calls with mixed signs, which no oracle passes but the engine allows, or
+    a submodular valuation's masks, as items in a drawn order, a start pair
     (best, stop) at, around or far from the optimum, and, in half the calls,
     start keys: the loads or masks of bundles that already hold the first
     items of the order, which the call then leaves out. A best far above the
@@ -175,6 +175,8 @@ def engine_calls(draw):
     if draw(st.booleans()):
         instance, agent, n = draw(additive_cases())
         row = instance.ints[agent]
+        if draw(st.booleans()):
+            row = [x * draw(st.sampled_from((1, -1))) for x in row]
         items, caps, add, value = row, [max(0, x) for x in row], operator.add, None
         floor = sum(x for x in row if x < 0) - 1  # below every bundle's load
     else:
@@ -216,15 +218,37 @@ def test_engine_matches_the_per_node_reference(call):
     assert _branch_and_bound(*call) == reference_branch_and_bound(*call)
 
 
-# a limit of 0 stops the search at its first node, and a limit the search
-# does not reach leaves it as it was
+# past its limit the search memoizes the states it enters, which must change
+# neither best nor the leaf that it returns; a limit the search does not
+# reach leaves it as it was
 @given(engine_calls(), st.integers(0, 40))
-def test_a_node_limit_only_cuts_the_search_short(call, limit):
-    try:
-        limited = _branch_and_bound(*call, limit)
-    except _NodeLimit:
-        return
-    assert limited == _branch_and_bound(*call)
+# 1 and -1 in one bundle leave the loads of a state two levels up, with
+# other items left to place: a state is its depth and its keys
+@example((3, [-2, -1, -1, 1, 0], [0, 0, 0, 1, 0], operator.add, None, -3, -1, None), 3)
+def test_a_node_limit_never_changes_the_result(call, limit):
+    assert _branch_and_bound(*call, limit) == _branch_and_bound(*call)
+
+
+# a memo dropped at its first state is never read, so the search takes every
+# step that it takes with no limit; the example's 0 leaves the same loads in
+# two bundles, so a memo kept past its cap would skip the second
+@given(engine_calls(), st.integers(0, 8))
+@example((3, [1, 0, 2], [1, 0, 2], operator.add, None, -1, 1, None), 0)
+def test_a_dropped_memo_changes_no_step(call, limit):
+    n, items, caps, add, value, best, stop, start = call
+
+    def steps(limit):
+        taken = []
+
+        def step(key, item):
+            taken.append((key, item))
+            return add(key, item)
+
+        _branch_and_bound(n, items, caps, step, value, best, stop, start, limit)
+        return taken
+
+    with mock.patch.object(oracles, "_DEAD_STATES", 1):
+        assert steps(limit) == steps(None)
 
 
 @st.composite
@@ -244,15 +268,22 @@ def witness_cases(draw):
 
 
 # the witness is fixed good by good, each check searching the unplaced goods
-# by descending size and handing over to the index order at its node limit;
-# it must still be the leaf where the engine, run on the goods in index
-# order from one below the share to the share, stops. A first limit of 1
-# or 8 makes checks hand over, and the limit grow, on many draws
+# by descending size and memoizing its dead states past its node limit; it
+# must still be the leaf where the engine, run on the goods in index order
+# from one below the share to the share, stops. A limit of 1 or 8 makes
+# checks memoize on many draws, and a cap of 1 or 8 states drops the memo
 @settings(max_examples=200)
-@given(witness_cases(), st.sampled_from((1, 8, oracles._WITNESS_NODE_LIMIT)))
-def test_witness_is_the_index_order_leaf(case, limit):
+@given(
+    witness_cases(),
+    st.sampled_from((1, 8, oracles._WITNESS_NODE_LIMIT)),
+    st.sampled_from((1, 8, oracles._DEAD_STATES)),
+)
+def test_witness_is_the_index_order_leaf(case, limit, cap):
     source, n = case
-    with mock.patch.object(oracles, "_WITNESS_NODE_LIMIT", limit):
+    with (
+        mock.patch.object(oracles, "_WITNESS_NODE_LIMIT", limit),
+        mock.patch.object(oracles, "_DEAD_STATES", cap),
+    ):
         if isinstance(source, AdditiveInstance):
             cert = mms_exact_additive(source, 0, budget=5**12)
         else:

@@ -264,7 +264,7 @@ def test_additive_bounds_bracket_the_share(instance):
     """The greedy start's poorest bundle <= mu <= additive_cap."""
     n = instance.n
     for i, w in enumerate(instance.ints):
-        _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
+        _, _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
         mu = row_mu(instance, i, n) * instance.scales[i]
         assert greedy <= mu <= additive_cap(w, n, instance.kind)
 
@@ -283,7 +283,7 @@ def test_additive_greedy_bound_below_the_caps_at_solver_sizes(kind, n, m, rng):
     for _ in range(n):
         hi = rng.choice((1, 4, 20, 10**12))
         w = [sign * rng.randint(0, hi) for _ in range(m)]
-        _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
+        _, _, greedy = _greedy_start(n, w, [abs(x) for x in w], operator.add, None)
         assert greedy <= additive_cap(w, n, kind)
 
 

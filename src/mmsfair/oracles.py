@@ -21,13 +21,16 @@ The last assignment found to reach it, at first the value pass's, names
 one such bundle; each bundle before it is checked by a search on the
 unplaced goods by descending size, from the placed goods' bundles. That
 order prunes (Korf's multi-way number partitioning searches use it), where
-the index order can take seconds on narrow-valued rows. Past a node limit,
-a check also records the states it enters (its depth and its bundles'
-keys) and skips them when met again, as those searches prune dead states
-(Schreiber, Korf and Moffitt, 2018); the record is bounded, and dropped
-where no state repeats. witness=False skips the checks when only the value
-is wanted, and one bundle (n = 1) holds every good without a search. The
-search is exact but exponential; the n^m budget guard keeps it honest.
+the index order can take seconds on narrow-valued rows. Past its first
+_MEMO_AFTER nodes, every search, value pass and check alike, also records
+the states it enters (its depth and its bundles' keys) and skips them when
+met again, as those searches prune dead states (Schreiber, Korf and
+Moffitt, 2018); the record is bounded, and dropped where no state repeats.
+The search is a loop over an explicit stack, so its depth, one level per
+good, meets no recursion limit. witness=False skips the checks when only
+the value is wanted, and one bundle (n = 1) holds every good without a
+search. The search is exact but exponential; the n^m budget guard keeps it
+honest.
 Past that guard, mms_greedy_submodular returns the greedy start's poorest
 bundle alone, a lower bound on a submodular share that the audit reports.
 
@@ -60,7 +63,7 @@ from .model import AdditiveInstance, Allocation, MmsCertificate, Value, as_value
 from .submodular.valuations import SubmodularValuation, goods_of, mask_of
 
 DEFAULT_ORACLE_BUDGET = 10**8
-_WITNESS_NODE_LIMIT = 4096  # nodes before a witness check memoizes; audit-exact's stay below
+_MEMO_AFTER = 4096  # nodes that a search enters before it memoizes its dead states
 _DEAD_STATES = 1 << 17  # the most states that a search memoizes
 
 
@@ -79,7 +82,6 @@ def _branch_and_bound(
     best,
     stop,
     start: Sequence | None = None,
-    limit: int | None = None,
 ) -> tuple[object, list[int] | None]:
     """Depth-first branch and bound over the assignments of items to n bundles.
 
@@ -102,21 +104,28 @@ def _branch_and_bound(
     the lexicographically least optimal assignment (a skipped bundle only
     hides a later, mirrored subtree).
 
-    The deficit is carried down, from parent to child through the one bundle
-    that grew, and recomputed from every bundle only when best has risen. A
-    leaf that passes has deficit 0 and so beats best; it is judged in place.
+    The search is one loop, not a recursion, so its depth is bounded by m
+    alone. The current node, at depth t, keeps in locals its bundles left to
+    try, its item and headroom, and its target (best + 1 as last read) and
+    deficit. Entering a child stores the bundles, target and deficit at
+    stack[t], with the bundle that the child grew and that bundle's key and
+    value before; backtracking reloads them, undoes the growth and reads
+    depth t's item and headroom again. The deficit is carried down, from
+    parent to child through the one bundle that grew, and recomputed from
+    every bundle only when best has risen. A leaf that passes has deficit 0
+    and so beats best; it is judged in place.
 
-    With a limit, the nodes entered after the first limit are memoized: each
-    records its state, (t, *sorted(keys)), as it is entered, and one whose
-    state is recorded returns at once. Its descendants lie deeper, and a hit
-    ends the search, so a state met again is that of a node left without a
-    hit. Such a node leaves best at or above the minimum of every leaf below
-    it (a pruned node's leaves do not beat best, and a judged leaf that does
+    The nodes entered after the first _MEMO_AFTER are memoized: each records
+    its state, (t, *sorted(keys)), as it is entered, and one whose state is
+    recorded is left at once. Its descendants lie deeper, and a hit ends the
+    search, so a state met again is that of a node left without a hit. Such
+    a node leaves best at or above the minimum of every leaf below it (a
+    pruned node's leaves do not beat best, and a judged leaf that does
     raises best to its minimum), and best never falls. The later node has
     the same leaves, bundles being interchangeable, so it would neither
     raise best nor end the search: the memo changes neither. It is dropped
-    for the rest of the search once it holds limit states and none was met
-    again (keys too varied to repeat), or once it holds _DEAD_STATES.
+    for the rest of the search once it holds _MEMO_AFTER states and none was
+    met again (keys too varied to repeat), or once it holds _DEAD_STATES.
 
     Returns best and the assignment of the last leaf that raised it, the
     one that ended the search if one did (assign[t] is item t's bundle), or
@@ -128,35 +137,30 @@ def _branch_and_bound(
         headroom[t] = headroom[t + 1] + caps[t]
     keys = [0] * n if start is None else list(start)
     vals = keys if value is None else list(map(value, keys))
+    target = best + 1
+    deficit = sum([target - v for v in vals if v < target])
+    if deficit > headroom[0]:
+        return best, None
+    if m == 0:  # the root is a leaf, and it beats best
+        return min(vals), []
+    levels = [(items[t], headroom[t + 1], t + 1 == m) for t in range(m)]
     assign = [0] * m
-    nodes = -1 if limit is None else limit  # counting down from -1 never reaches 0
+    found = None  # the assignment of the last leaf that raised best
+    nodes = _MEMO_AFTER - 1  # the root is the first node entered
     dead: set | None = set()  # once nodes reaches 0: the states entered
     met = False  # whether a node's state was found in dead
-    found = None  # the assignment of the last leaf that raised best
-
-    def deficit_of(target) -> int:
-        return sum([target - v for v in vals if v < target])
-
-    def dfs(t: int, target, deficit) -> bool:
-        nonlocal best, nodes, dead, met, found
-        if nodes:
-            nodes -= 1
-        elif dead is not None:
-            state = (t, *sorted(keys))
-            if state in dead:
-                met = True
-                return False
-            dead.add(state)
-            if len(dead) >= _DEAD_STATES or not met and len(dead) >= limit:
-                dead = None
-        item, room, leaf = items[t], headroom[t + 1], t + 1 == m
-        for k in range(n):
+    stack = [None] * m  # stack[d]: the open node at depth d < t
+    order = range(n)
+    t, bundles = 0, iter(order)  # the current node: its depth, its bundles left to try
+    item, room, leaf = levels[0]
+    while True:
+        for k in bundles:
             key = keys[k]
             if keys.index(key) < k:
                 continue
             if best >= target:  # a leaf reached since target was read beat best
                 target = best + 1
-                deficit = deficit_of(target)
+                deficit = sum([target - v for v in vals if v < target])
             old = vals[k]
             keys[k] = new = add(key, item)
             if value is not None:
@@ -168,23 +172,34 @@ def _branch_and_bound(
                 child += target - new
             if child <= room:
                 assign[t] = k
-                if leaf:  # deficit 0: every bundle beats best
-                    best, found = min(vals), assign.copy()
-                    if best >= stop:
-                        return True
-                elif dfs(t + 1, target, child):
-                    return True
-            keys[k] = key
-            vals[k] = old
-        return False
-
-    deficit = deficit_of(best + 1)
-    if deficit <= headroom[0]:
-        if m == 0:  # the root is a leaf, and it beats best
-            best, found = min(vals), []
-        else:
-            dfs(0, best + 1, deficit)
-    return best, found
+                if not leaf:  # enter the child, unless its state is dead
+                    if nodes > 0:
+                        nodes -= 1
+                    elif dead is not None:
+                        state = (t + 1, *sorted(keys))
+                        if state in dead:
+                            met = True
+                            keys[k], vals[k] = key, old
+                            continue
+                        dead.add(state)
+                        if len(dead) >= _DEAD_STATES or not met and len(dead) >= _MEMO_AFTER:
+                            dead = None
+                    stack[t] = bundles, k, key, old, target, deficit
+                    t += 1
+                    item, room, leaf = levels[t]
+                    bundles, deficit = iter(order), child
+                    break
+                best, found = min(vals), assign.copy()  # deficit 0: every bundle beats best
+                if best >= stop:
+                    return best, found
+            keys[k], vals[k] = key, old
+        else:  # every bundle tried: back to the parent
+            if not t:
+                return best, found
+            t -= 1
+            bundles, k, key, old, target, deficit = stack[t]
+            keys[k], vals[k] = key, old
+            item, room, leaf = levels[t]
 
 
 def _greedy_start(
@@ -222,26 +237,27 @@ def _max_min_partition(
     (None unless witness): the first hit of the engine on the items in index
     order from best = mu - 1 to stop = mu.
 
-    One bundle holds every item, so n = 1 needs no search. Otherwise the
-    value pass places items by descending size, from the greedy start's
-    poorest bundle, and stops early at upper; its last leaf to raise best,
-    or the greedy start's partition when none did, reaches mu. The witness
-    is then fixed one item at a time, in index order, by checks: the engine
-    on the unplaced items by descending size, from the placed bundles' keys,
-    with best = mu - 1 and stop = mu. The last assignment found to reach mu,
-    by the value pass or by a check that hit, names a bundle c for the next
-    item (any such assignment will do); c is relabelled to the first bundle
-    with its key (bundles with equal keys are interchangeable), and the item
-    goes into the first bundle below c with a key of its own whose check
-    hits, or else into c. A failed check covers a subtree that the
-    index-order search exhausts as well, so the result is that search's
-    first hit.
+    One bundle holds every item, so n = 1 needs no search (a search would
+    value the growing bundle once per item, which a submodular fold over its
+    mask makes quadratic in m). Otherwise the value pass places items by
+    descending size, from the greedy start's poorest bundle, and stops early
+    at upper; its last leaf to raise best, or the greedy start's partition
+    when none did, reaches mu. The witness is then fixed one item at a time,
+    in index order, by checks: the engine on the unplaced items by
+    descending size, from the placed bundles' keys, with best = mu - 1 and
+    stop = mu. The last assignment found to reach mu, by the value pass or
+    by a check that hit, names a bundle c for the next item (any such
+    assignment will do); c is relabelled to the first bundle with its key
+    (bundles with equal keys are interchangeable), and the item goes into
+    the first bundle below c with a key of its own whose check hits, or else
+    into c. A failed check covers a subtree that the index-order search
+    exhausts as well, so the result is that search's first hit.
 
     That order can also be the slow one: on a uniform row with n = 3 and
     m = 40 a check can visit millions of nodes, most of them in subtrees
-    with the same bundles as one already searched. So each check memoizes
-    its dead states past _WITNESS_NODE_LIMIT nodes (see _branch_and_bound),
-    which changes no check's result.
+    with the same bundles as one already searched, and on n = 4, m = 20 so
+    can the value pass. So every search memoizes its dead states past
+    _MEMO_AFTER nodes (see _branch_and_bound), which changes no result.
     """
     m = len(items)
     if n == 1:
@@ -275,7 +291,7 @@ def _max_min_partition(
             trial[k] = add(keys[k], items[t])
             _, assign = _branch_and_bound(
                 n, [items[g] for g in later], [caps[g] for g in later], add, value, best - 1,
-                best, trial, _WITNESS_NODE_LIMIT,
+                best, trial,
             )
             if assign is not None:  # a completion of trial that reaches best
                 c = k

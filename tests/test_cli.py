@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from lemmas import verify_submodular
+from lemmas import check_certificate, verify_submodular
 from reference import SLOT_SOLVERS, slot_solver
 
 from mmsfair import oracles
 from mmsfair.cli import main
 from mmsfair.io import parse_allocation, parse_instance
-from mmsfair.model import CHORES, AdditiveInstance, Allocation
+from mmsfair.model import CHORES, AdditiveInstance, Allocation, MmsCertificate
 from mmsfair.submodular.valuations import BudgetAdditive
 
 
@@ -278,6 +278,39 @@ class TestMmsCommands:
         assert run("mms-exact", "--input", str(inst), "--output", str(out), "--format", "json",
                    "--oracle-budget", str(n**m)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_audit_searches_past_the_recursion_limit(self, tmp_path, capsys):
+        # with a budget of n^m the audit's value pass places 3,000 goods, one
+        # level each, deeper than Python's default recursion limit
+        inst = tmp_path / "inst.json"
+        alloc = tmp_path / "alloc.json"
+        out = tmp_path / "report.json"
+        assert run("generate", "--kind", "uniform-additive", "--n", "2", "--m", "3000",
+                   "--lo", "1", "--hi", "1000000", "--seed", "1", "--output", str(inst)) == 0
+        argv = ["--input", str(inst), "--oracle-budget", str(2**3000),
+                "--output", str(out), "--format", "json"]
+        capsys.readouterr()
+        assert run("solve-additive", *argv, "--allocation-out", str(alloc)) == 0
+        solved = json.loads(out.read_text())
+        assert run("verify", *argv, "--allocation", str(alloc)) == 0
+        assert capsys.readouterr().err == ""
+        for doc in (solved, json.loads(out.read_text())):
+            assert doc["ok"] is True
+            assert [a["mms_source"] for a in doc["agents"]] == ["exact"] * 2
+
+    def test_exact_witness_past_the_recursion_limit(self, tmp_path, capsys):
+        # the witness checks search the unplaced goods of 1,100, one level each
+        inst = tmp_path / "inst.json"
+        out = tmp_path / "mms.json"
+        assert run("generate", "--kind", "uniform-additive", "--n", "2", "--m", "1100",
+                   "--lo", "0", "--hi", "100", "--seed", "1", "--output", str(inst)) == 0
+        capsys.readouterr()
+        assert run("mms-exact", "--input", str(inst), "--agent", "0", "--output", str(out),
+                   "--format", "json", "--oracle-budget", str(2**1100)) == 0
+        assert capsys.readouterr().err == ""
+        [row] = json.loads(out.read_text())["agents"]
+        cert = MmsCertificate(Fraction(row["mms"]), Allocation(row["witness"], 1100))
+        assert check_certificate(cert, parse_instance(inst.read_text()), 0)
 
     def test_exact_agent_out_of_range(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -9,10 +9,10 @@ whose cap never binds. The engine itself must also never try two bundles
 with the same key at one node, in the value pass and in the search run in
 index order from one below the optimum, and from any start pair and start
 keys it must end where the reference engine, one call per node, ends: with
-the same best and on the same leaf, whatever node limit it starts its memo
-of dead states at. At sizes past brute force, the witness that the oracles
-fix good by good must be the leaf where that index-order search stops,
-whatever the node limit and the memo's cap in its checks.
+the same best and on the same leaf, whatever node count (_MEMO_AFTER) it
+starts its memo of dead states at. At sizes past brute force, the witness
+that the oracles fix good by good must be the leaf where that index-order
+search stops, whatever that node count and the memo's cap.
 """
 
 import operator
@@ -218,19 +218,24 @@ def test_engine_matches_the_per_node_reference(call):
     assert _branch_and_bound(*call) == reference_branch_and_bound(*call)
 
 
-# past its limit the search memoizes the states it enters, which must change
-# neither best nor the leaf that it returns; a limit the search does not
-# reach leaves it as it was
+# a _MEMO_AFTER above the node count of any search drawn here: no memo
+NO_MEMO = 1 << 40
+
+
+# past _MEMO_AFTER nodes the search memoizes the states it enters, which must
+# change neither best nor the leaf that it returns: it ends where the
+# reference, which keeps no memo, ends
 @given(engine_calls(), st.integers(0, 40))
 # 1 and -1 in one bundle leave the loads of a state two levels up, with
 # other items left to place: a state is its depth and its keys
 @example((3, [-2, -1, -1, 1, 0], [0, 0, 0, 1, 0], operator.add, None, -3, -1, None), 3)
 def test_a_node_limit_never_changes_the_result(call, limit):
-    assert _branch_and_bound(*call, limit) == _branch_and_bound(*call)
+    with mock.patch.object(oracles, "_MEMO_AFTER", limit):
+        assert _branch_and_bound(*call) == reference_branch_and_bound(*call)
 
 
 # a memo dropped at its first state is never read, so the search takes every
-# step that it takes with no limit; the example's 0 leaves the same loads in
+# step that it takes with no memo; the example's 0 leaves the same loads in
 # two bundles, so a memo kept past its cap would skip the second
 @given(engine_calls(), st.integers(0, 8))
 @example((3, [1, 0, 2], [1, 0, 2], operator.add, None, -1, 1, None), 0)
@@ -244,11 +249,12 @@ def test_a_dropped_memo_changes_no_step(call, limit):
             taken.append((key, item))
             return add(key, item)
 
-        _branch_and_bound(n, items, caps, step, value, best, stop, start, limit)
+        with mock.patch.object(oracles, "_MEMO_AFTER", limit):
+            _branch_and_bound(n, items, caps, step, value, best, stop, start)
         return taken
 
     with mock.patch.object(oracles, "_DEAD_STATES", 1):
-        assert steps(limit) == steps(None)
+        assert steps(limit) == steps(NO_MEMO)
 
 
 @st.composite
@@ -268,20 +274,20 @@ def witness_cases(draw):
 
 
 # the witness is fixed good by good, each check searching the unplaced goods
-# by descending size and memoizing its dead states past its node limit; it
+# by descending size and memoizing its dead states past _MEMO_AFTER nodes; it
 # must still be the leaf where the engine, run on the goods in index order
 # from one below the share to the share, stops. A limit of 1 or 8 makes
 # checks memoize on many draws, and a cap of 1 or 8 states drops the memo
 @settings(max_examples=200)
 @given(
     witness_cases(),
-    st.sampled_from((1, 8, oracles._WITNESS_NODE_LIMIT)),
+    st.sampled_from((1, 8, oracles._MEMO_AFTER)),
     st.sampled_from((1, 8, oracles._DEAD_STATES)),
 )
 def test_witness_is_the_index_order_leaf(case, limit, cap):
     source, n = case
     with (
-        mock.patch.object(oracles, "_WITNESS_NODE_LIMIT", limit),
+        mock.patch.object(oracles, "_MEMO_AFTER", limit),
         mock.patch.object(oracles, "_DEAD_STATES", cap),
     ):
         if isinstance(source, AdditiveInstance):

@@ -87,8 +87,9 @@ class TestExactAdditive:
 
     @pytest.mark.parametrize("witness", [True, False])
     def test_single_agent_with_many_goods(self, witness):
-        # one bundle holds every good, found without a search, so m is not
-        # bounded by the recursion limit
+        # one bundle holds every good, found without a search: a search would
+        # place the goods one level each, and for a submodular valuation fold
+        # over the bundle's mask at every level, quadratic in m
         row = [g % 7 for g in range(3000)]
         cert = mms_exact_additive(AdditiveInstance([row]), 0, witness=witness)
         assert cert.value == sum(row)
@@ -116,11 +117,13 @@ class TestExactAdditive:
         (3, 40, 5, 10**6),
         # the index-order search alone takes over 25 M here
         (4, 20, 1, 6 * 10**6),
-    ], ids=["n3-m40", "n3-m40-seed2", "n3-m40-seed5", "n4-m20"])
+        # the value passes alone take 0.85 M here without their memo
+        (4, 20, 3, 3 * 10**5),
+    ], ids=["n3-m40", "n3-m40-seed2", "n3-m40-seed5", "n4-m20", "n4-m20-seed3"])
     def test_witness_work_on_narrow_rows_past_the_default_budget(self, n, m, seed, most):
-        # narrow values make the checks meet one state on many paths; with
-        # their dead states memoized, the additions that they make for every
-        # agent, 0.07 M to 0.7 M, stay within these bounds
+        # narrow values make the searches meet one state on many paths; with
+        # their dead states memoized, the additions that the value passes and
+        # checks make for every agent, 0.07 M to 0.7 M, stay within these bounds
         inst = generate(GeneratorSpec("uniform-additive", n=n, m=m, seed=seed))
         left = most
 

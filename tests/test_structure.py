@@ -11,7 +11,8 @@ analysis tools), and constants that only they read, live under tests/, not
 in the package. Every command-line option is read by the command that
 accepts it, and cli.py has one output path: one function reads --format,
 and every document's version comes from the io module's writer. No
-object or module keeps a memo past the call that built it.
+object or module keeps a memo past the call that built it, and no function
+calls itself, beyond one listed exception.
 """
 
 import argparse
@@ -287,3 +288,29 @@ def test_one_output_path_in_cli():
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and node.value == "version"
     ]
+
+
+# Functions of src/ allowed to call themselves by name: module.function ->
+# why the recursion stays shallow.
+SELF_CALLS_ALLOWED: dict[str, str] = {
+    "io._construct": "its nested call scans a single entry and passes no entries on",
+}
+
+
+def test_no_function_calls_itself():
+    """No function in src/ calls itself by plain name, nested functions
+    included, beyond the allowlist: a search that recursed once per good or
+    per level would end in a RecursionError at sizes that its budget allows,
+    so each deep walk is a loop over an explicit stack."""
+    calls = set()
+    for path in PACKAGE.rglob("*.py"):
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == function.name
+                for node in ast.walk(function)
+            ):
+                calls.add(f"{module}.{function.name}")
+    assert calls == SELF_CALLS_ALLOWED.keys()

@@ -265,9 +265,9 @@ def test_exact_oracle_stops_at_the_floored_bound(monkeypatch, f, n):
     passes = []
     engine = oracles._branch_and_bound
 
-    def counted(n, items, caps, add, value, best, stop, start=None, limit=None):
+    def counted(n, items, caps, add, value, best, stop, start=None):
         passes.append((best, stop, start is not None))
-        return engine(n, items, caps, add, value, best, stop, start, limit)
+        return engine(n, items, caps, add, value, best, stop, start)
 
     monkeypatch.setattr(oracles, "_branch_and_bound", counted)
     cert = mms_exact_submodular(f, n)
